@@ -20,8 +20,7 @@
 #include "engines/presets.hpp"
 #include "engines/workloads.hpp"
 #include "gpusim/device.hpp"
-#include "serve/batch_runner.hpp"
-#include "serve/request_queue.hpp"
+#include "serve/server.hpp"
 
 using namespace ts;
 
@@ -37,19 +36,21 @@ struct Cell {
 
 Cell run_cell(const Workload& w, const std::vector<SparseTensor>& stream,
               std::size_t budget, int workers) {
-  serve::BatchOptions opt;
-  opt.workers = workers;
-  opt.map_cache_bytes = budget;
-  opt.run.borrow_input = true;  // queue owns the stream copies
-  const serve::BatchRunner runner(rtx2080ti(), torchsparse_config(), opt);
-  serve::RequestQueue queue({/*max_depth=*/stream.size() + 1});
+  RunOptions run;
+  run.borrow_input = true;  // the session queue owns the stream copies
+  serve::ServerConfig cfg;
+  cfg.with_device(rtx2080ti())
+      .with_engine(torchsparse_config())
+      .with_workers(workers)
+      .with_run(run)
+      .with_map_cache_bytes(budget)
+      .with_queue_depth(stream.size() + 1);
+  serve::Server server(cfg);
   const bench::WallTimer wall;
-  std::vector<serve::StreamHandle> handles;
+  server.start(w.model);
   for (std::size_t i = 0; i < stream.size(); ++i)
-    handles.push_back(
-        queue.submit(stream[i], 0.002 * static_cast<double>(i)));
-  queue.close();
-  const serve::StreamReport rep = runner.serve(w.model, queue);
+    server.submit(stream[i], 0.002 * static_cast<double>(i));
+  const serve::StreamReport rep = server.drain();
   Cell c;
   c.mapping_ms = rep.stats.aggregate.stage_seconds(Stage::kMapping) * 1e3;
   c.total_ms = rep.stats.aggregate.total_seconds() * 1e3;

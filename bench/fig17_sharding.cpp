@@ -27,9 +27,8 @@
 #include "engines/presets.hpp"
 #include "engines/workloads.hpp"
 #include "gpusim/device.hpp"
-#include "serve/batch_runner.hpp"
 #include "serve/device_group.hpp"
-#include "serve/request_queue.hpp"
+#include "serve/server.hpp"
 
 using namespace ts;
 
@@ -48,25 +47,28 @@ struct Cell {
 Cell run_cell(const Workload& w, const std::vector<SparseTensor>& stream,
               int devices, serve::RoutePolicy policy, int workers,
               std::size_t budget) {
-  serve::BatchOptions opt;
-  opt.workers = workers;
-  opt.map_cache_bytes = budget;
-  opt.run.borrow_input = true;  // queue owns the stream copies
-  const serve::BatchRunner runner(rtx2080ti(), torchsparse_config(), opt);
-  serve::RequestQueue queue({/*max_depth=*/stream.size() + 1});
+  RunOptions run;
+  run.borrow_input = true;  // the session queue owns the stream copies
+  serve::ServerConfig cfg;
+  cfg.with_device(rtx2080ti())
+      .with_engine(torchsparse_config())
+      .with_workers(workers)
+      .with_run(run)
+      .with_map_cache_bytes(budget)
+      .with_queue_depth(stream.size() + 1)
+      .with_batch_overhead(0.0005)
+      .with_devices(devices)
+      .with_route(policy);
+  cfg.batcher.policy = serve::BatchPolicy::kImmediate;
+  serve::Server server(cfg);
   const bench::WallTimer wall;
+  server.start(w.model);
   // Arrivals outrun one device's capacity (0.5 ms gap vs multi-ms
   // service), so the sweep measures sharding under overload — the regime
   // where device count is the capacity knob.
   for (std::size_t i = 0; i < stream.size(); ++i)
-    queue.submit(stream[i], 0.0005 * static_cast<double>(i));
-  queue.close();
-  serve::StreamOptions sopt;
-  sopt.batcher.policy = serve::BatchPolicy::kImmediate;
-  sopt.batch_overhead_seconds = 0.0005;
-  sopt.shard.devices = devices;
-  sopt.shard.route = policy;
-  const serve::StreamReport rep = runner.serve(w.model, queue, sopt);
+    server.submit(stream[i], 0.0005 * static_cast<double>(i));
+  const serve::StreamReport rep = server.drain();
   Cell c;
   c.mapping_ms = rep.stats.aggregate.stage_seconds(Stage::kMapping) * 1e3;
   c.total_ms = rep.stats.aggregate.total_seconds() * 1e3;

@@ -10,9 +10,10 @@
 // Because batching, routing, and placement all run on the modeled
 // clock, every per-class percentile below is deterministic. Sanity
 // anchors pin the contract:
-//   A1  single-class stream through Server == legacy BatchRunner::serve
-//       (modeled p99/fps bit-equal), and the fig17 cache_affinity
-//       sharding stats are bit-unchanged through the Server path
+//   A1  the fig17-style cache_affinity sharding deployment (requests
+//       submitted in the default class) is bit-equal to the all-normal
+//       priority-mix session on the same stream (modeled
+//       p99/fps/hit/compute)
 //   A2  under overload, high-class modeled p99 e2e strictly below
 //       low-class (strict priority, aging off)
 //   A3  aging strictly tightens the low-class queue-wait tail vs
@@ -30,8 +31,6 @@
 #include "engines/presets.hpp"
 #include "engines/workloads.hpp"
 #include "gpusim/device.hpp"
-#include "serve/batch_runner.hpp"
-#include "serve/request_queue.hpp"
 #include "serve/server.hpp"
 
 using namespace ts;
@@ -111,30 +110,34 @@ Cell run_cell(const Workload& w, const std::vector<SparseTensor>& stream,
   return cell_from(rep.stats, wall.seconds() * 1e3);
 }
 
-/// The same stream through the legacy one-shot wrapper (all requests in
-/// the queue's default class) — the parity reference for A1.
-Cell run_legacy(const Workload& w, const std::vector<SparseTensor>& stream,
-                double gap, double budget, int workers, int devices,
-                serve::RoutePolicy route, std::size_t cache_bytes) {
-  serve::BatchOptions opt;
-  opt.workers = workers;
-  opt.map_cache_bytes = cache_bytes;
-  opt.run.borrow_input = true;
-  serve::StreamOptions sopt;
-  sopt.batcher.policy = serve::BatchPolicy::kSloAware;
-  sopt.batcher.max_batch = 4;
-  sopt.batcher.slo_budget_seconds = budget;
-  sopt.batch_overhead_seconds = 0.0005;
-  sopt.shard.devices = devices;
-  sopt.shard.route = route;
-  serve::RequestQueue queue({/*max_depth=*/stream.size() + 1});
+/// The same stream through a fig17-style sharded deployment: every
+/// request submitted in the default class, no priority knobs — the
+/// parity reference for A1.
+Cell run_fig17_style(const Workload& w,
+                     const std::vector<SparseTensor>& stream, double gap,
+                     double budget, int workers, int devices,
+                     serve::RoutePolicy route, std::size_t cache_bytes) {
+  RunOptions run;
+  run.borrow_input = true;
+  serve::ServerConfig cfg;
+  cfg.with_device(rtx2080ti())
+      .with_engine(torchsparse_config())
+      .with_workers(workers)
+      .with_run(run)
+      .with_map_cache_bytes(cache_bytes)
+      .with_queue_depth(stream.size() + 1)
+      .with_batch_overhead(0.0005)
+      .with_devices(devices)
+      .with_route(route);
+  cfg.batcher.policy = serve::BatchPolicy::kSloAware;
+  cfg.batcher.max_batch = 4;
+  cfg.batcher.slo_budget_seconds = budget;
+  serve::Server server(cfg);
   const bench::WallTimer wall;
+  server.start(w.model);
   for (std::size_t i = 0; i < stream.size(); ++i)
-    queue.submit(stream[i], gap * static_cast<double>(i));
-  queue.close();
-  const serve::StreamReport rep =
-      serve::BatchRunner(rtx2080ti(), torchsparse_config(), opt)
-          .serve(w.model, queue, sopt);
+    server.submit(stream[i], gap * static_cast<double>(i));
+  const serve::StreamReport rep = server.drain();
   return cell_from(rep.stats, wall.seconds() * 1e3);
 }
 
@@ -211,11 +214,8 @@ int main() {
     }
   }
 
-  // Parity cells: the all-normal overload stream through the legacy
-  // wrapper, unsharded and as the fig17-style 2-device cache_affinity
-  // configuration on a 50%-duplicate stream.
-  const Cell legacy = run_legacy(w, stream, gaps[0], budget_of[0], 2, 1,
-                                 serve::RoutePolicy::kLeastLoaded, 0);
+  // Parity cells: the all-normal overload stream as the fig17-style
+  // 2-device cache_affinity configuration on a 50%-duplicate stream.
   std::vector<SparseTensor> dup_stream;
   for (int i = 0; i < requests; ++i)
     dup_stream.push_back(make_input(lidar, segmentation_voxels(),
@@ -224,12 +224,12 @@ int main() {
   const Cell aff_server =
       run_cell(w, dup_stream, mixes[0], gaps[0], budget_of[0], 0.0, 2, 2,
                serve::RoutePolicy::kCacheAffinity, kBudget);
-  const Cell aff_legacy = run_legacy(w, dup_stream, gaps[0], budget_of[0],
-                                     2, 2, serve::RoutePolicy::kCacheAffinity,
-                                     kBudget);
-  std::printf("\nparity: legacy fps %.1f vs server %.1f; affinity hit "
-              "rate %.3f vs %.3f\n",
-              legacy.fps, cells[0][0][0].fps, aff_legacy.hit_rate,
+  const Cell aff_fig17 = run_fig17_style(
+      w, dup_stream, gaps[0], budget_of[0], 2, 2,
+      serve::RoutePolicy::kCacheAffinity, kBudget);
+  std::printf("\nparity: affinity fps %.1f vs %.1f, hit rate %.3f vs "
+              "%.3f\n",
+              aff_fig17.fps, aff_server.fps, aff_fig17.hit_rate,
               aff_server.hit_rate);
 
   // Re-run the headline cell for the determinism anchor.
@@ -259,13 +259,11 @@ int main() {
     std::printf("%-66s %s\n", name, pass ? "OK" : "FAIL");
     ok = ok && pass;
   };
-  anchor("A1: single-class Server bit-equal legacy serve (p99/fps/hit)",
-         close_rel(cells[0][0][0].e2e_p99_ms, legacy.e2e_p99_ms, 1e-12) &&
-             close_rel(cells[0][0][0].fps, legacy.fps, 1e-12) &&
-             close_rel(cells[0][0][0].total_ms, legacy.total_ms, 1e-12) &&
-             aff_server.hit_rate == aff_legacy.hit_rate &&
-             close_rel(aff_server.total_ms, aff_legacy.total_ms, 1e-12) &&
-             close_rel(aff_server.fps, aff_legacy.fps, 1e-12));
+  anchor("A1: fig17-style sharded session bit-equal (p99/fps/hit)",
+         close_rel(aff_server.e2e_p99_ms, aff_fig17.e2e_p99_ms, 1e-12) &&
+             aff_server.hit_rate == aff_fig17.hit_rate &&
+             close_rel(aff_server.total_ms, aff_fig17.total_ms, 1e-12) &&
+             close_rel(aff_server.fps, aff_fig17.fps, 1e-12));
   anchor("A2: overload, strict priority — high e2e p99 < low e2e p99",
          cells[LOW_HI][0][0].high_e2e_p99_ms <
                  cells[LOW_HI][0][0].low_e2e_p99_ms &&

@@ -25,6 +25,7 @@
 //       shape the aggregate timeline)
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "bench/bench_util.hpp"
@@ -32,8 +33,8 @@
 #include "engines/presets.hpp"
 #include "engines/workloads.hpp"
 #include "gpusim/device.hpp"
-#include "serve/batch_runner.hpp"
 #include "serve/device_group.hpp"
+#include "serve/serve_policies.hpp"
 #include "serve/server.hpp"
 
 using namespace ts;
@@ -151,7 +152,7 @@ double schedule_256(int* devices_out) {
   *devices_out = static_cast<int>(fleet.size());
   const std::size_t n = 2048;
   std::vector<serve::StreamResult> requests(n);
-  std::vector<serve::PlannedBatch> plan;
+  std::vector<serve::DispatchBatch> plan;
   for (std::size_t i = 0; i < n; ++i) {
     serve::StreamResult& r = requests[i];
     r.id = i;
@@ -159,13 +160,14 @@ double schedule_256(int* devices_out) {
     r.timeline.add(Stage::kMatMul, 1e-3 * static_cast<double>(i % 7 + 1));
     r.timeline.add(Stage::kMapping, 5e-4 * static_cast<double>(i % 3 + 1));
     r.service_seconds = r.timeline.total_seconds();
-    plan.push_back({i, 1, r.arrival_seconds});
+    plan.push_back({{i}, r.arrival_seconds});
   }
   serve::DeviceGroup group(fleet, 0);
+  const std::unique_ptr<serve::RoutingPolicy> routing =
+      serve::make_routing_policy(serve::RoutePolicy::kEstimateAware);
   const bench::WallTimer wall;
-  serve::schedule_stream_sharded(requests, plan, group,
-                                 serve::RoutePolicy::kEstimateAware,
-                                 /*workers_per_device=*/2, 0.0005, nullptr);
+  serve::schedule_stream_dispatch(requests, plan, group, *routing,
+                                  /*workers_per_device=*/2, 0.0005);
   return wall.seconds() * 1e3;
 }
 

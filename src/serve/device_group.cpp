@@ -44,9 +44,11 @@ std::vector<DeviceSpec> expand_fleet(const std::vector<FleetTier>& tiers) {
   return fleet;
 }
 
-DeviceGroup::DeviceGroup(std::vector<DeviceSpec> fleet,
-                         std::size_t map_cache_bytes)
-    : map_cache_bytes_(map_cache_bytes) {
+namespace {
+
+/// Fleet-size validation, run before the idle injector sizes itself
+/// from the fleet.
+int checked_fleet_size(const std::vector<DeviceSpec>& fleet) {
   if (fleet.empty())
     throw std::invalid_argument(
         "DeviceGroup: fleet must contain at least one DeviceSpec");
@@ -55,6 +57,16 @@ DeviceGroup::DeviceGroup(std::vector<DeviceSpec> fleet,
         "DeviceGroup: fleet of " + std::to_string(fleet.size()) +
         " devices exceeds kMaxModeledDevices (" +
         std::to_string(kMaxModeledDevices) + ")");
+  return static_cast<int>(fleet.size());
+}
+
+}  // namespace
+
+DeviceGroup::DeviceGroup(std::vector<DeviceSpec> fleet,
+                         std::size_t map_cache_bytes)
+    : map_cache_bytes_(map_cache_bytes),
+      idle_faults_(FaultPlan{}, FaultToleranceOptions{},
+                   checked_fleet_size(fleet)) {
   shards_.reserve(fleet.size());
   for (std::size_t d = 0; d < fleet.size(); ++d) {
     Shard s;
@@ -176,22 +188,25 @@ void DeviceGroup::begin_schedule(int workers_per_device) {
 
 int DeviceGroup::least_loaded() const {
   if (load_.empty()) return 0;
-  if (!injector_) return load_.begin()->second;
   // Health-aware selection: skip DOWN shards and weight each survivor's
   // accumulated work by its service factor, so a DEGRADED shard looks
   // proportionally more loaded. Strict `<` over the busy-ascending walk
-  // preserves the legacy lowest-id tie-break; healthy shards multiply
-  // by exactly 1.0, so a fault-free injector reproduces the legacy
-  // answer bit-for-bit.
+  // keeps the lowest-id tie-break; healthy shards multiply by exactly
+  // 1.0, so an all-UP group answers with the raw front. Service factors
+  // are >= 1, so once a factor-1 shard is scored no later (busier)
+  // shard can cost strictly less: an all-UP group stops at the front,
+  // keeping the O(1) read.
   int best = -1;
   double best_cost = 0;
   for (const auto& [busy, device] : load_) {
     if (injector_->health(device) == ShardHealth::kDown) continue;
-    const double cost = busy * injector_->service_factor(device);
+    const double factor = injector_->service_factor(device);
+    const double cost = busy * factor;
     if (best < 0 || cost < best_cost) {
       best = device;
       best_cost = cost;
     }
+    if (factor == 1.0) break;
   }
   return best >= 0 ? best : load_.begin()->second;
 }
@@ -199,24 +214,23 @@ int DeviceGroup::least_loaded() const {
 int DeviceGroup::owner_of(const MapCacheKey& key) const {
   const auto it = owners_.find(key);
   if (it == owners_.end() || it->second.empty()) return -1;
-  if (!injector_) return it->second.front();
   for (int device : it->second)
     if (injector_->health(device) != ShardHealth::kDown) return device;
   return -1;
 }
 
 void DeviceGroup::attach_fault_injector(const FaultInjector* injector) {
-  injector_ = injector;
+  injector_ = injector ? injector : &idle_faults_;
 }
 
 ShardHealth DeviceGroup::health(int device) const {
-  shard_at(device);  // range check even without an injector
-  return injector_ ? injector_->health(device) : ShardHealth::kUp;
+  shard_at(device);  // the group's range error, not the injector's
+  return injector_->health(device);
 }
 
 double DeviceGroup::service_factor(int device) const {
   shard_at(device);
-  return injector_ ? injector_->service_factor(device) : 1.0;
+  return injector_->service_factor(device);
 }
 
 void DeviceGroup::invalidate_shard_cache(int device) {

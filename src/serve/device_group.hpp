@@ -31,7 +31,7 @@
 // lowest-index-lane linear scan exactly (pinned by test).
 //
 // Determinism contract. Routing runs inside the deterministic accounting
-// pass (schedule_stream_sharded), over the submission-ordered request
+// pass (the serving placer), over the submission-ordered request
 // stream — never over racy wall-clock cache state. Two consequences:
 //  * With one device, every policy degenerates to device 0 and the
 //    schedule/accounting math reduces exactly to the single-device
@@ -93,7 +93,7 @@ const char* to_string(RoutePolicy p);
 /// allocating billions of shards.
 inline constexpr int kMaxModeledDevices = 4096;
 
-/// serve()-side sharding knobs (see StreamOptions::shard).
+/// Sharding knobs of a serving deployment (ServerConfig::shard).
 struct ShardOptions {
   /// Modeled device instances in the group; clamped to >= 1, rejected
   /// past kMaxModeledDevices. Each gets its own worker lanes
@@ -163,6 +163,11 @@ class DeviceGroup {
   DeviceGroup(const DeviceSpec& base, int devices,
               std::size_t map_cache_bytes);
 
+  /// Pinned in place: the health view may point at the group's own
+  /// idle injector, which a copy or move would leave dangling.
+  DeviceGroup(const DeviceGroup&) = delete;
+  DeviceGroup& operator=(const DeviceGroup&) = delete;
+
   int size() const { return static_cast<int>(shards_.size()); }
   const DeviceSpec& spec(int device) const;
 
@@ -194,43 +199,42 @@ class DeviceGroup {
   /// Prepares a fresh schedule pass: `workers` lanes per device at t=0,
   /// zeroed busy clocks and stats, cold modeled caches (and an empty
   /// owner index) — or snapshot-seeded ones when a warm-start manifest
-  /// is installed. Called by schedule_stream_sharded; a reused group
-  /// therefore accounts every serve call from the same starting state,
+  /// is installed. Called by the serving placer per schedule pass; a
+  /// reused group therefore accounts every pass from the same state,
   /// exactly like the single-device MapCacheReplay it generalizes.
   void begin_schedule(int workers_per_device);
 
   /// Routing query: device with the least accumulated modeled work
   /// (ties -> lowest id). O(1): reads the front of the ordered
-  /// (busy_seconds, device) load index place_batch maintains. With a
-  /// fault injector attached the query is health-aware: DOWN shards are
-  /// skipped and each candidate's work is discounted by its current
-  /// service factor (DEGRADED/PROBATION shards look proportionally more
-  /// loaded); when every shard is DOWN it falls back to the raw front.
-  /// Without an injector the legacy O(1) read is untouched.
+  /// (busy_seconds, device) load index place_batch maintains. The query
+  /// is health-aware: DOWN shards are skipped and each candidate's work
+  /// is discounted by its current service factor (DEGRADED/PROBATION
+  /// shards look proportionally more loaded); when every shard is DOWN
+  /// it falls back to the raw front. The walk stops at the first shard
+  /// at service factor 1, so it stays O(1) while every shard is UP.
   int least_loaded() const;
 
   /// Ownership query: lowest device id whose modeled cache currently
   /// holds `key`, or -1 when none does. O(1) expected via the
   /// digest->owners index (kept in sync by record_lookup /
-  /// begin_schedule) — never a scan over the fleet. Health-aware with
-  /// an injector attached: DOWN owners are skipped (first routable
-  /// owner wins; -1 when every owner is DOWN).
+  /// begin_schedule) — never a scan over the fleet. Health-aware: DOWN
+  /// owners are skipped (first routable owner wins; -1 when every owner
+  /// is DOWN).
   int owner_of(const MapCacheKey& key) const;
 
   // -- Fault-tolerance hooks (see serve/fault.hpp) --------------------
 
-  /// Attaches the scheduler's fault injector so routing queries become
-  /// health-aware. The group does not own the injector; pass nullptr to
-  /// detach (mandatory before the injector dies when the group outlives
-  /// the schedule pass). No injector = every shard permanently kUp.
+  /// Attaches the scheduler's fault injector, whose health view the
+  /// routing queries then read. The group does not own the injector;
+  /// pass nullptr to detach (mandatory before the injector dies when the
+  /// group outlives the schedule pass). A detached group reads its own
+  /// empty-plan injector: every shard permanently kUp at factor 1.
   void attach_fault_injector(const FaultInjector* injector);
-  const FaultInjector* fault_injector() const { return injector_; }
 
-  /// Shard health at the injector's frontier; kUp without an injector.
+  /// Shard health at the injector's frontier.
   ShardHealth health(int device) const;
 
-  /// Modeled service multiplier for `device` at the injector's
-  /// frontier; 1.0 without an injector.
+  /// Modeled service multiplier for `device` at the injector's frontier.
   double service_factor(int device) const;
 
   /// Crash semantics: drops `device`'s modeled cache (fresh cold cache)
@@ -289,8 +293,10 @@ class DeviceGroup {
 
   std::size_t map_cache_bytes_;
   std::shared_ptr<const MapCacheSnapshot> warm_snapshot_;
-  /// Non-owning health view; nullptr = fault-free (every query kUp).
-  const FaultInjector* injector_ = nullptr;
+  /// Empty-plan injector read while no scheduler injector is attached.
+  FaultInjector idle_faults_;
+  /// Non-owning health view; never null (&idle_faults_ when detached).
+  const FaultInjector* injector_ = &idle_faults_;
   std::vector<Shard> shards_;
   /// Ordered (busy_seconds, device) pairs, one per shard; begin() is the
   /// least-loaded device with the lowest-id tie-break for free.

@@ -142,9 +142,7 @@ struct StreamResult {
 /// thread other than the one that will close()/drain(), or after
 /// Server::drain()/queue close. In particular the single controlling
 /// thread of a Server must not `get()` an undispatched request before
-/// drain(). With the legacy synchronous BatchRunner::serve, the
-/// serving loop runs on the *caller's* thread, so that caller must
-/// still submit, close(), and serve() before collecting.
+/// drain().
 /// If serving fails, `get()` rethrows the serving error (or
 /// AdmissionError if the request was preempted by a higher-priority
 /// submission). Copyable; all copies share one result.

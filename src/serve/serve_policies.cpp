@@ -9,6 +9,15 @@
 
 namespace ts::serve {
 
+const char* to_string(BatchPolicy p) {
+  switch (p) {
+    case BatchPolicy::kImmediate: return "immediate";
+    case BatchPolicy::kFullBatch: return "full-batch";
+    case BatchPolicy::kSloAware: return "slo-aware";
+  }
+  return "?";
+}
+
 const char* to_string(Priority p) {
   switch (p) {
     case Priority::kHigh: return "high";

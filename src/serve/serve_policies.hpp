@@ -1,16 +1,13 @@
 // Pluggable serving policies: batch formation and device routing.
 //
-// PR 1-4 grew the serving runtime around two hard-coded decision points
-// — the DynamicBatcher's enum-selected dispatch rule and the
-// RoutePolicy switch inside the sharded scheduler. This header turns
-// both into interfaces so a serve::Server composes its scheduling
-// discipline instead of switching on enums:
+// A serve::Server composes its scheduling discipline from two
+// interfaces instead of switching on enums:
 //
 //  * BatchingPolicy — groups the drained request stream into dispatch
-//    batches. The default SloBatchingPolicy keeps the SLO-aware
-//    deadline rule of dynamic_batcher.hpp and adds strict-priority-
-//    plus-aging member selection (priority.hpp); on a single-class
-//    stream it reproduces DynamicBatcher's plan batch-for-batch.
+//    batches. The default SloBatchingPolicy applies the SLO-aware
+//    deadline rule (BatcherOptions below) with strict-priority-plus-
+//    aging member selection (priority.hpp); its static plan() is also
+//    the offline planner for whole arrival traces (bench/fig15).
 //  * RoutingPolicy — maps each dispatched batch onto one device of a
 //    DeviceGroup. round_robin / least_loaded / cache_affinity /
 //    estimate_aware are the built-in implementations
@@ -34,10 +31,28 @@
 
 #include "core/kernel_map_cache.hpp"
 #include "serve/device_group.hpp"
-#include "serve/dynamic_batcher.hpp"
 #include "serve/priority.hpp"
 
 namespace ts::serve {
+
+/// Dispatch rules of the default batching policy (the Fig. 15 sweep).
+enum class BatchPolicy {
+  kImmediate,  // every request is its own batch (latency-optimal)
+  kFullBatch,  // wait for max_batch, flush remainder at end of stream
+  kSloAware,   // max_batch OR oldest request's wait budget spent
+};
+
+const char* to_string(BatchPolicy p);
+
+struct BatcherOptions {
+  BatchPolicy policy = BatchPolicy::kSloAware;
+  /// Dispatch as soon as this many requests are pending. Clamped to >= 1.
+  int max_batch = 8;
+  /// kSloAware only: maximum modeled time the oldest pending request may
+  /// wait in the batcher before its batch dispatches. This is the queue-
+  /// wait slice of the end-to-end SLO; must be >= 0 and finite.
+  double slo_budget_seconds = 0.010;
+};
 
 /// One drained request as the batching policy sees it: its scheduling
 /// id (index into the drained stream), modeled arrival stamp, priority
@@ -59,12 +74,11 @@ struct ArrivalInfo {
 
 /// One dispatch decision of a BatchingPolicy: `members` (scheduling
 /// ids, in the order they will run back-to-back on their lane) leave
-/// the batcher together at `dispatch_seconds`. Unlike the legacy
-/// PlannedBatch, members need not be contiguous — priority selection
-/// reorders across arrival order. Contract: members are non-empty,
-/// each id is dispatched exactly once per stream, every member arrived
-/// at or before `dispatch_seconds`, and stamps are non-decreasing
-/// across the emitted sequence.
+/// the batcher together at `dispatch_seconds`. Members need not be
+/// contiguous — priority selection reorders across arrival order.
+/// Contract: members are non-empty, each id is dispatched exactly once
+/// per stream, every member arrived at or before `dispatch_seconds`,
+/// and stamps are non-decreasing across the emitted sequence.
 struct DispatchBatch {
   std::vector<std::size_t> members;
   double dispatch_seconds = 0;
@@ -103,9 +117,30 @@ class BatchingPolicy {
   virtual const char* name() const = 0;
 };
 
-/// The default batching policy: the SLO-aware deadline rule of
-/// DynamicBatcher, generalized with strict-priority-plus-aging member
-/// selection.
+/// Per-model batching parameters for a multi-model SloBatchingPolicy:
+/// the model's SLO wait budget (deadline trigger) and its deficit-round-
+/// robin weight (cross-model fairness share).
+struct ModelBatchingInfo {
+  /// Wait budget for this model's deadline trigger; a negative value
+  /// (the default) inherits BatcherOptions::slo_budget_seconds.
+  double slo_budget_seconds = -1;
+  /// Relative dispatch share under contention (deficit round-robin
+  /// credit earned per dispatch opportunity). Must be finite and > 0.
+  double weight = 1.0;
+};
+
+/// The default batching policy: an SLO-aware deadline rule with
+/// strict-priority-plus-aging member selection.
+///
+/// Larger dispatch batches amortize work (kernel-map construction,
+/// tuned matmul grouping, launch setup) but make the first request of a
+/// batch wait while it fills. The deadline rule resolves that tension:
+/// dispatch when `max_batch` requests are pending, or the moment a
+/// pending request's queue-wait budget (`slo_budget_seconds`) would be
+/// spent — whichever comes first. The policy is an online state machine
+/// over modeled arrival stamps and never consults a wall clock, so
+/// batch boundaries (and every downstream latency statistic) depend
+/// only on arrivals and options, never on host speed.
 ///
 /// Triggers (evaluated on the modeled clock, kSloAware):
 ///  * Class-full: the moment the highest pending effective class holds
@@ -123,23 +158,11 @@ class BatchingPolicy {
 /// class and wins its slot by arrival; with aging disabled (default)
 /// selection is strictly by static class.
 ///
-/// kImmediate / kFullBatch keep their dynamic_batcher.hpp meanings
-/// (cap 1 / no deadline). On a stream where every request has the same
-/// priority, all three policies reproduce DynamicBatcher's plan
-/// batch-for-batch and stamp-for-stamp (pinned by test) — which is how
-/// the legacy BatchRunner::serve wrapper stays bit-identical.
-/// Per-model batching parameters for a multi-model SloBatchingPolicy:
-/// the model's SLO wait budget (deadline trigger) and its deficit-round-
-/// robin weight (cross-model fairness share).
-struct ModelBatchingInfo {
-  /// Wait budget for this model's deadline trigger; a negative value
-  /// (the default) inherits BatcherOptions::slo_budget_seconds.
-  double slo_budget_seconds = -1;
-  /// Relative dispatch share under contention (deficit round-robin
-  /// credit earned per dispatch opportunity). Must be finite and > 0.
-  double weight = 1.0;
-};
-
+/// kImmediate dispatches every request alone (cap 1); kFullBatch waits
+/// for max_batch with no deadline. At end of stream, flush() dispatches
+/// the remainder at the last arrival stamp — close is modeled as
+/// instantaneous. On a single-class stream every batch is a contiguous
+/// run of arrival-order ids.
 class SloBatchingPolicy : public BatchingPolicy {
  public:
   /// Preconditions (std::invalid_argument): slo_budget_seconds finite
@@ -176,9 +199,10 @@ class SloBatchingPolicy : public BatchingPolicy {
   const PriorityOptions& priority_options() const { return prio_; }
   const std::vector<ModelBatchingInfo>& models() const { return models_; }
 
-  /// Convenience for offline sweeps: plans a whole arrival trace at
-  /// once — on_arrival over each entry, then flush. `policy`-object
-  /// streams plan the same way through plan_with below.
+  /// The offline planner (bench/fig15 sweeps, hand-computed tests):
+  /// plans a whole arrival trace at once — on_arrival over each entry,
+  /// then flush. `policy`-object streams plan the same way through
+  /// plan_with below.
   static std::vector<DispatchBatch> plan(
       const std::vector<ArrivalInfo>& arrivals, const BatcherOptions& opt,
       const PriorityOptions& priority = {});

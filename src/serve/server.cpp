@@ -140,7 +140,7 @@ ServerConfig& ServerConfig::with_model(std::string name, ModelFn fn,
   return with_model(std::move(entry));
 }
 ServerConfig& ServerConfig::with_model(ModelEntry entry) {
-  // The namespace IS the registry index: model 0 keeps the legacy digest
+  // The namespace IS the registry index: model 0 keeps the un-salted digest
   // space, later models get independent remaps. Stamping here (and again
   // in Server's constructor) makes cross-model isolation structural.
   entry.cache_namespace = static_cast<uint64_t>(models.size());
@@ -198,16 +198,17 @@ bool replay_event(DeviceGroup& group, int device, const MapCacheEvent& ev,
 using RequestAt = std::function<StreamResult&(std::size_t)>;
 using EventsAt = std::function<const std::vector<MapCacheEvent>*(std::size_t)>;
 
-/// One batch at a time, in dispatch order: route -> per-device cache
-/// accounting -> lane placement, accumulating everything finalize()
-/// needs for the stream statistics. This is the single scheduler body
-/// behind both the one-shot schedule_stream_dispatch (and through it
-/// the legacy schedule_stream/_sharded wrappers) and the incremental
-/// serve_stream core — which is what keeps the legacy and session
-/// paths bit-identical by construction.
+/// One batch at a time, in dispatch order: fault events due by its
+/// dispatch stamp -> health-aware route -> per-device cache accounting
+/// -> lane placement -> finalization, accumulating everything
+/// finalize() needs for the stream statistics. This is the single
+/// scheduler body behind both the one-shot schedule_stream_dispatch and
+/// the incremental serve_stream core.
 ///
-/// Fault mode (a non-null FaultInjector) layers the fault-tolerant
-/// scheduler on top without touching the fault-free code path:
+/// Device churn is the normal case, so the placer always runs with a
+/// FaultInjector. With an empty plan it has no events: every shard is
+/// UP, service factors are exactly 1.0, and no batch is ever
+/// vulnerable, so each batch finalizes the moment it is placed.
 ///
 ///  * Every fault decision — which batches a fault kills, retry
 ///    stamps, shed projections, retry_wait penalties — runs on a
@@ -219,8 +220,7 @@ using EventsAt = std::function<const std::vector<MapCacheEvent>*(std::size_t)>;
 ///  * Finalization is deferred: a placed batch's results ship (and its
 ///    members' promises fulfill, via `on_final`) only once no pending
 ///    crash/stall on its device can still activate before its shadow
-///    finish (FaultInjector::vulnerable). Without an injector every
-///    batch is final at placement — the legacy behavior, bit-exact.
+///    finish (FaultInjector::vulnerable).
 ///  * Cache events replay on the *first* attempt only: a retried batch
 ///    keeps its attempt-1 modeled service times. Replaying again would
 ///    double-apply the warm-hit deltas to member timelines; modeling
@@ -229,12 +229,13 @@ using EventsAt = std::function<const std::vector<MapCacheEvent>*(std::size_t)>;
 class StreamPlacer {
  public:
   /// `on_final` (optional) fires per member, in batch-member order, the
-  /// moment that member's result is final — placement time without an
-  /// injector, deferred finalization (or typed failure) with one.
+  /// moment that member's result is final: at placement, at deferred
+  /// finalization, or with a typed failure. `injector` must outlive the
+  /// placer.
   StreamPlacer(DeviceGroup& group, RoutingPolicy& routing,
                int workers_per_device, double batch_overhead_seconds,
                RequestAt request_at, EventsAt events_at, bool cached,
-               FaultInjector* injector = nullptr,
+               FaultInjector& injector,
                std::function<void(std::size_t)> on_final = {},
                int num_models = 1)
       : group_(group),
@@ -251,7 +252,7 @@ class StreamPlacer {
         num_models_(std::max(num_models, 1)) {
     if (!std::isfinite(overhead_) || overhead_ < 0)
       throw std::invalid_argument(
-          "schedule_stream: batch_overhead_seconds must be finite and >= 0");
+          "serve: batch_overhead_seconds must be finite and >= 0");
     const std::size_t nm = static_cast<std::size_t>(num_models_);
     model_waits_.resize(nm);
     model_e2es_.resize(nm);
@@ -260,53 +261,43 @@ class StreamPlacer {
     model_cache_hits_.assign(nm, 0);
     model_cache_lookups_.assign(nm, 0);
     group_.begin_schedule(workers_);
-    if (injector_) {
-      injector_->reset();
-      shadow_free_.assign(static_cast<std::size_t>(group_.size()), 0.0);
-      group_.attach_fault_injector(injector_);
-    }
+    injector_.reset();
+    shadow_free_.assign(static_cast<std::size_t>(group_.size()), 0.0);
+    group_.attach_fault_injector(&injector_);
   }
 
-  ~StreamPlacer() {
-    if (injector_) group_.attach_fault_injector(nullptr);
-  }
+  ~StreamPlacer() { group_.attach_fault_injector(nullptr); }
 
   /// Consumes the next batch in dispatch order (caller guarantees every
-  /// member is measured and every earlier batch was fed). Fault-free:
-  /// places immediately and the members are final on return. Fault
-  /// mode: first processes every fault event and due retry up to the
-  /// batch's dispatch stamp, then places (or sheds/defers) it.
+  /// member is measured and every earlier batch was fed): first
+  /// processes every fault event and due retry up to the batch's
+  /// dispatch stamp, then places (or sheds/defers) it. Batches no
+  /// pending fault can kill are final on return.
   void feed(const DispatchBatch& b) {
     if (b.members.empty())
       throw std::invalid_argument(
           "serve: batching policy emitted an empty batch");
     const std::size_t id = next_batch_id_++;
-    if (!injector_) {
-      place_legacy(id, b);
-      return;
-    }
     process_until(b.dispatch_seconds, static_cast<long long>(id));
     attempt_place(id, b.members, b.dispatch_seconds, b.dispatch_seconds, 1,
                   0.0);
     finalize_sweep();
   }
 
-  /// Fault mode end-of-stream drain: after the last batch is fed, runs
-  /// the remaining fault events and retries to quiescence so every
-  /// admitted request is either served or carries a typed failure.
-  /// No-op without an injector.
+  /// End-of-stream drain: after the last batch is fed, runs the
+  /// remaining fault events and retries to quiescence so every admitted
+  /// request is either served or carries a typed failure.
   void finish_stream() {
-    if (!injector_) return;
-    injector_->end_of_plan();
+    injector_.end_of_plan();
     for (;;) {
-      const double es = injector_->next_event_stamp();
+      const double es = injector_.next_event_stamp();
       const double rs = retries_.empty()
                             ? std::numeric_limits<double>::infinity()
                             : retries_.begin()->first.first;
       if (!std::isfinite(es) && !std::isfinite(rs)) break;
       if (es <= rs) {
         FaultEvent e;
-        if (injector_->pop_event(es, -1, 0.0, &e)) handle_event(e);
+        if (injector_.pop_event(es, -1, 0.0, &e)) handle_event(e);
       } else {
         pop_retry();
       }
@@ -348,7 +339,7 @@ class StreamPlacer {
     s.failed = failed_;
     s.retries = retries_total_;
     s.redispatched_batches = redispatched_batches_;
-    s.faults_injected = injector_ ? injector_->activations() : 0;
+    s.faults_injected = injector_.activations();
     if (!retry_waits_.empty()) {
       std::sort(retry_waits_.begin(), retry_waits_.end());
       s.retry_wait_p99_seconds = percentile(retry_waits_, 0.99);
@@ -475,6 +466,13 @@ class StreamPlacer {
   };
 
   /// Routes one batch, enforcing the policy's device-range contract.
+  /// Policy inputs (accumulated modeled work, modeled cache ownership,
+  /// members' reference-device measurements) are independent of lane
+  /// count, so routing — and with it every per-device cache decision —
+  /// is worker-count invariant. On a batch's first attempt the members'
+  /// timelines are still their cold measurements (cache replay runs
+  /// after routing), so estimate-based policies see the same inputs
+  /// cached or not.
   int route_batch(std::size_t id, const std::vector<std::size_t>& members,
                   double dispatch_seconds) {
     const int dev = routing_.route(
@@ -571,36 +569,7 @@ class StreamPlacer {
     ++placed_batches_;
   }
 
-  /// The fault-free scheduler body: route -> cache replay -> lane
-  /// placement -> immediate finalization. Bit-identical to every
-  /// pre-fault release (and exercised by every run without a plan).
-  void place_legacy(std::size_t id, const DispatchBatch& b) {
-    // Route. Policy inputs (accumulated modeled work, modeled cache
-    // ownership, members' reference-device measurements) are independent
-    // of lane count, so routing — and with it every per-device cache
-    // decision — is worker-count invariant. The members' timelines are
-    // their cold measurements at this point (this batch's cache replay
-    // runs after routing), so estimate-based policies see the same
-    // deterministic inputs cached or not.
-    const int dev = route_batch(id, b.members, b.dispatch_seconds);
-    if (cached_) replay_members(dev, b.members);
-    // Place on the device's earliest-available lane. Member service
-    // times go through the routing policy's per-device estimate hook —
-    // the identity for homogeneous groups, a speed factor for
-    // heterogeneous ones — so lane occupancy, busy accounting, and
-    // least-loaded inputs all see the same device-local seconds.
-    services_.clear();
-    for (const std::size_t m : b.members)
-      services_.push_back(routing_.device_service_estimate(
-          dev, request_at_(m).service_seconds));
-    double start = 0, finish = 0;
-    const int lane = group_.place_batch(dev, b.dispatch_seconds, overhead_,
-                                        services_, &start, &finish);
-    finalize_placed(id, b.members, services_, b.dispatch_seconds, start,
-                    lane, dev, 1, 0.0);
-  }
-
-  // -- Fault-mode event loop ------------------------------------------
+  // -- Fault event loop ------------------------------------------------
 
   /// Processes every fault event and due retry with a stamp <= `now`
   /// (the next batch's dispatch stamp), in modeled-time order with
@@ -613,7 +582,7 @@ class StreamPlacer {
                             ? std::numeric_limits<double>::infinity()
                             : retries_.begin()->first.first;
       FaultEvent e;
-      if (injector_->pop_event(std::min(now, rs), k, now, &e)) {
+      if (injector_.pop_event(std::min(now, rs), k, now, &e)) {
         handle_event(e);
         finalize_sweep();
         continue;
@@ -625,7 +594,7 @@ class StreamPlacer {
       }
       break;
     }
-    injector_->advance(now);
+    injector_.advance(now);
     finalize_sweep();
   }
 
@@ -647,7 +616,7 @@ class StreamPlacer {
   /// Re-enqueues (or fails) every live batch on `device` whose shadow
   /// finish the outage at `stamp` overruns.
   void collect_losses(int device, double stamp) {
-    const FaultToleranceOptions& opt = injector_->options();
+    const FaultToleranceOptions& opt = injector_.options();
     for (auto it = live_.begin(); it != live_.end();) {
       Live& lv = it->second;
       if (lv.device != device || lv.vfinish <= stamp) {
@@ -686,22 +655,22 @@ class StreamPlacer {
     const std::size_t id = it->first.second;
     Retry r = std::move(it->second);
     retries_.erase(it);
-    injector_->advance(rs);
-    attempt_place(id, std::move(r.members), r.dispatch, rs,
-                  r.attempts_done + 1, r.first_vstart);
+    injector_.advance(rs);
+    attempt_place(id, r.members, r.dispatch, rs, r.attempts_done + 1,
+                  r.first_vstart);
   }
 
   /// Attempt `n` to place batch `id` at modeled time `t` (`d0` is its
   /// original dispatch stamp). Routes health-aware, sheds deadline-
   /// hopeless members, scales services by the routed shard's fault
   /// factor, places on real lanes, and registers the batch as live.
-  void attempt_place(std::size_t id, std::vector<std::size_t> members,
+  void attempt_place(std::size_t id, const std::vector<std::size_t>& members,
                      double d0, double t, int n, double first_vstart) {
-    if (!injector_->any_routable()) {
+    if (!injector_.any_routable()) {
       // Whole-fleet outage: park the batch until the earliest recovery
       // without consuming an attempt (nothing was tried), or fail it
       // when every outage is permanent.
-      const double er = injector_->earliest_recovery();
+      const double er = injector_.earliest_recovery();
       if (!std::isfinite(er)) {
         fail_members(members, ServeErrorCode::kNoHealthyDevice,
                      "every device shard is down with no pending recovery",
@@ -709,7 +678,7 @@ class StreamPlacer {
         return;
       }
       retries_.emplace(std::make_pair(er, id),
-                       Retry{std::move(members), d0, n - 1, first_vstart});
+                       Retry{members, d0, n - 1, first_vstart});
       return;
     }
     int dev = route_batch(id, members, t);
@@ -725,7 +694,7 @@ class StreamPlacer {
     const double vstart =
         std::max(t, shadow_free_[static_cast<std::size_t>(dev)]);
     const std::array<double, kNumPriorityClasses>& deadlines =
-        injector_->options().degrade_deadline_seconds;
+        injector_.options().degrade_deadline_seconds;
     std::vector<std::size_t> kept, shed;
     for (const std::size_t m : members) {
       const StreamResult& r = request_at_(m);
@@ -747,7 +716,7 @@ class StreamPlacer {
 
     std::vector<double> services;
     services.reserve(kept.size());
-    const double factor = injector_->service_factor(dev);
+    const double factor = injector_.service_factor(dev);
     for (const std::size_t m : kept)
       services.push_back(routing_.device_service_estimate(
                              dev, request_at_(m).service_seconds) *
@@ -780,7 +749,7 @@ class StreamPlacer {
   void finalize_sweep() {
     for (auto it = live_.begin(); it != live_.end();) {
       const Live& lv = it->second;
-      if (injector_->vulnerable(lv.device, lv.vfinish)) {
+      if (injector_.vulnerable(lv.device, lv.vfinish)) {
         ++it;
         continue;
       }
@@ -825,9 +794,8 @@ class StreamPlacer {
   RequestAt request_at_;
   EventsAt events_at_;
   bool cached_;
-  FaultInjector* injector_;
+  FaultInjector& injector_;
   std::function<void(std::size_t)> on_final_;
-  std::vector<double> services_;  // scratch, reused per batch
   std::size_t next_batch_id_ = 0;
   std::size_t placed_batches_ = 0;
   std::size_t placed_requests_ = 0;
@@ -842,7 +810,7 @@ class StreamPlacer {
   double sum_service_ = 0;
   double last_finish_ = 0;
   Timeline aggregate_;
-  // Fault-mode state. Every quantity here lives on the shadow clock /
+  // Fault state. Every quantity here lives on the shadow clock /
   // dispatch order, never on real lane state — the worker-invariance
   // pillar.
   std::vector<double> shadow_free_;  // per-device single-lane cursor
@@ -913,20 +881,17 @@ StreamStats schedule_stream_dispatch(
 
   // The injector outlives the placer (whose destructor detaches it
   // from the caller-owned group).
-  const bool faulty = fault_plan && !fault_plan->faults.empty();
-  std::optional<FaultInjector> injector;
-  if (faulty)
-    injector.emplace(*fault_plan,
-                     fault_tolerance ? *fault_tolerance
-                                     : FaultToleranceOptions{},
-                     group.size());
+  FaultInjector injector(
+      fault_plan ? *fault_plan : FaultPlan{},
+      fault_tolerance ? *fault_tolerance : FaultToleranceOptions{},
+      group.size());
   StreamPlacer placer(
       group, routing, workers_per_device, batch_overhead_seconds,
       [&requests](std::size_t i) -> StreamResult& { return requests[i]; },
       [events](std::size_t i) {
         return events ? &(*events)[i] : nullptr;
       },
-      events != nullptr, injector ? &*injector : nullptr, {}, num_models);
+      events != nullptr, injector, {}, num_models);
   for (const DispatchBatch& b : plan) placer.feed(b);
   placer.finish_stream();
   if (batches) *batches = placer.batch_records();
@@ -1083,8 +1048,9 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
       throw std::invalid_argument("serve_stream: model '" + m.name +
                                   "' has a null ModelFn");
   // Tuned-parameter restamping is per-request work on the hot path;
-  // skip it entirely (keeping the legacy single-model path bit- and
-  // work-identical) unless some entry actually overrides the store.
+  // skip it entirely (keeping single-model sessions bit- and
+  // work-identical to the RunOptions store) unless some entry actually
+  // overrides it.
   bool per_model_tuned = false;
   for (const ModelEntry& m : models)
     if (!m.tuned.empty()) per_model_tuned = true;
@@ -1128,19 +1094,15 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
   // is keyed on the configured snapshot alone (not on who owns the wall
   // cache): stats stay deterministic functions of the config + stream.
   if (cached && config.warm_snapshot) group.warm_start(config.warm_snapshot);
-  // A non-empty fault plan switches the placer into the fault-tolerant
-  // scheduler; fulfillment then runs through its on_final hook (under
-  // st.mu — feed/finish_stream are only ever called with it held),
-  // which may fire at deferred-finalization time or with a typed
-  // failure.
-  const bool faulty = config.fault_plan && !config.fault_plan->faults.empty();
-  std::optional<FaultInjector> injector;
-  if (faulty)
-    injector.emplace(*config.fault_plan, config.fault_tolerance, devices);
+  // Fulfillment runs through the placer's on_final hook (under st.mu —
+  // feed/finish_stream are only ever called with it held), which fires
+  // at placement, at deferred finalization, or with a typed failure.
+  FaultInjector injector(config.fault_plan ? *config.fault_plan : FaultPlan{},
+                         config.fault_tolerance, devices);
   StreamPlacer placer(group, routing, workers, config.batch_overhead_seconds,
                       SharedRequestAt{&st}, SharedEventsAt{&st, cached},
-                      cached, injector ? &*injector : nullptr,
-                      SharedOnFinal{&st}, static_cast<int>(models.size()));
+                      cached, injector, SharedOnFinal{&st},
+                      static_cast<int>(models.size()));
 
   // Batch membership only shapes the modeled schedule, so measurement
   // starts the moment a request is drained — no need to wait for its
@@ -1185,9 +1147,9 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
           // Per-request context restamp: every digest this request
           // resolves lives in its model's namespace, and the model's
           // tuned grouping parameters (when present) override the
-          // config-wide store. Entry namespace 0 (the legacy / model-0
-          // space) inherits the RunOptions namespace so single-model
-          // registries stay bit-identical to the ModelFn overload.
+          // config-wide store. Entry namespace 0 (model 0's space)
+          // inherits the RunOptions namespace, so a caller-salted
+          // RunOptions namespace still applies to single-model sessions.
           c.cache_namespace = entry.cache_namespace != 0
                                   ? entry.cache_namespace
                                   : run.cache_namespace;
@@ -1291,7 +1253,7 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
           // policies, from the drained tensor before any worker can
           // borrow it. Salted into the model's namespace so dedup can
           // never coalesce identical inputs across tenants (model 0's
-          // namespace is 0 — the digest is untouched on legacy paths).
+          // namespace is 0 — its digests are untouched).
           info.digest = salt_cache_key(
               input_content_digest(st.inputs.back().coords(),
                                    st.inputs.back().stride()),
@@ -1409,20 +1371,6 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
   return report;
 }
 
-StreamReport serve_stream(const ModelFn& model, RequestQueue& queue,
-                          const ServerConfig& config,
-                          BatchingPolicy& batching, RoutingPolicy& routing,
-                          std::vector<ExecContext>* context_pool) {
-  if (!model) throw std::invalid_argument("serve_stream: null model");
-  // One default entry in namespace 0 with no overrides: the registry
-  // path degenerates to exactly the legacy behavior (pinned by test).
-  std::vector<ModelEntry> models(1);
-  models[0].name = "default";
-  models[0].fn = model;
-  return serve_stream(models, queue, config, batching, routing,
-                      context_pool);
-}
-
 // ---------------------------------------------------------------------
 // Server
 // ---------------------------------------------------------------------
@@ -1462,8 +1410,8 @@ Server::Server(ServerConfig config) : cfg_(std::move(config)) {
   // Model-registry validation: every entry callable, uniquely and
   // non-emptily named, with finite knobs. Cache namespaces are forced to
   // the registry index regardless of what the caller stamped — digest
-  // isolation is structural, and entry 0 keeps the legacy namespace so
-  // a one-entry registry is bit-identical to start(model).
+  // isolation is structural, and entry 0 keeps the un-salted namespace
+  // so a one-entry registry is bit-identical to start(model).
   for (std::size_t i = 0; i < cfg_.models.size(); ++i) {
     ModelEntry& m = cfg_.models[i];
     if (!m.fn)
@@ -1514,7 +1462,7 @@ Server::Server(ServerConfig config) : cfg_(std::move(config)) {
 
 Server::~Server() { stop(); }
 
-void Server::launch_locked(ModelFn legacy_model) {
+void Server::launch_locked(std::vector<ModelEntry> models) {
   if (running_)
     throw std::logic_error(
         "Server::start: a session is already running (drain() or stop() "
@@ -1542,13 +1490,11 @@ void Server::launch_locked(ModelFn legacy_model) {
   // holds that lock across the join). The session owns *q until the
   // join in drain()/stop(), so the pointer outlives the thread.
   RequestQueue* q = queue_.get();
-  loop_ = std::thread([this, q, model = std::move(legacy_model), batching,
+  loop_ = std::thread([this, q, models = std::move(models), batching,
                        routing] {
     try {
-      report_ = model ? serve_stream(model, *q, cfg_, *batching, *routing,
-                                     &spare_contexts_)
-                      : serve_stream(cfg_.models, *q, cfg_, *batching,
-                                     *routing, &spare_contexts_);
+      report_ = serve_stream(models, *q, cfg_, *batching, *routing,
+                             &spare_contexts_);
     } catch (...) {
       error_ = std::current_exception();
     }
@@ -1563,7 +1509,11 @@ void Server::start(ModelFn model) {
         "Server::start(model): this server hosts a model registry "
         "(ServerConfig::with_model); open sessions with start() and "
         "submit with submit_to()");
-  launch_locked(std::move(model));
+  // One default entry in namespace 0 with every knob inherited.
+  std::vector<ModelEntry> models(1);
+  models[0].name = "default";
+  models[0].fn = std::move(model);
+  launch_locked(std::move(models));
 }
 
 void Server::start() {
@@ -1573,7 +1523,7 @@ void Server::start() {
         "Server::start(): no models registered (populate "
         "ServerConfig::with_model, or serve a single ModelFn through "
         "start(model))");
-  launch_locked(nullptr);
+  launch_locked(cfg_.models);
 }
 
 StreamHandle Server::submit(SparseTensor input, double arrival_seconds,

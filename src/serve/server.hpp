@@ -1,9 +1,7 @@
 // serve::Server — the unified, long-lived serving session API.
 //
-// PR 1-4 accreted four overlapping option structs (BatchOptions,
-// StreamOptions, QueueOptions, ShardOptions) around a one-shot
-// BatchRunner::serve entry point. This header replaces that surface
-// with one composable deployment object:
+// One composable deployment object configures every serving knob and
+// hosts streaming sessions:
 //
 //   ServerConfig cfg;                      // builder: unify every knob
 //   cfg.with_device(rtx2080ti())
@@ -18,7 +16,7 @@
 //   ... h.get() the moment its batch is placed (incremental) ...
 //   StreamReport report = server.drain();  // close, join, full stats
 //
-// What the lifecycle buys over one-shot serve():
+// What a session provides:
 //  * Pluggable policies — batch formation (BatchingPolicy) and device
 //    routing (RoutingPolicy) are interfaces (serve_policies.hpp), not
 //    enum switches; heterogeneous device groups plug in through the
@@ -31,12 +29,11 @@
 //    measured, so a StreamHandle resolves when its own batch completes
 //    in modeled submission order, not at stream end.
 //
-// The modeled-determinism contract is unchanged: every result is
+// The modeled-determinism contract: every result is
 // bit-identical to a serial run_model, and every modeled statistic
 // depends only on the submitted (input, arrival, priority) stream and
 // the configuration — never on thread timing, worker count, or when a
-// handle was observed. The legacy BatchRunner::serve remains as a thin
-// wrapper over serve_stream below and is pinned bit-identical by test.
+// handle was observed.
 #pragma once
 
 #include <atomic>
@@ -78,9 +75,9 @@ struct ModelEntry {
   double weight = 1.0;
   /// Kernel-map digest namespace (salt_cache_key): with_model stamps
   /// this to the registry index — and Server's constructor re-stamps it
-  /// — so model 0 keeps the legacy digest space (warm snapshots stay
-  /// valid, single-model registries are digest-identical to the
-  /// model-less path) while every later model gets an independent
+  /// — so model 0 keeps the un-salted digest space (warm snapshots stay
+  /// valid, single-model registries are digest-identical to
+  /// start(model) sessions) while every later model gets an independent
   /// remap, making cross-model cache collisions impossible by
   /// construction rather than by configuration discipline.
   uint64_t cache_namespace = 0;
@@ -95,12 +92,12 @@ struct ModelEntry {
 /// pluggable policies. Plain struct with chainable with_* setters —
 /// set fields directly or build fluently, both are fine.
 struct ServerConfig {
-  /// Deprecated single-spec delegate (still honored): the modeled device
-  /// spec of every shard when `fleet` is empty. With a fleet configured
-  /// this is the *reference* device — the spec every request is measured
-  /// on (with_fleet keeps it equal to fleet.front()); heterogeneous
-  /// tiers enter the schedule through the routing policy's
-  /// device_service_estimate scaling, never through measurement.
+  /// The measurement reference device: serve_stream's workers measure
+  /// every request on this spec, and it is the modeled spec of every
+  /// shard when `fleet` is empty. With a fleet configured with_fleet
+  /// keeps it equal to fleet.front(); heterogeneous tiers enter the
+  /// schedule through the routing policy's device_service_estimate
+  /// scaling, never through measurement.
   DeviceSpec device;
   /// Per-shard device specs of a heterogeneous fleet, in shard order;
   /// empty (the default) means shard.devices homogeneous copies of
@@ -150,25 +147,25 @@ struct ServerConfig {
   /// custom `batching` policy is set.
   bool dedup_batching = false;
   /// Deterministic fault schedule (see serve/fault.hpp); null or empty
-  /// (the default) = the fault-free scheduler, bit-identical to every
-  /// pre-fault release. With a non-empty plan the session runs the
-  /// fault-tolerant scheduler: shards go DOWN/DEGRADED on the modeled
-  /// clock, lost batches are redispatched through the routing policy
-  /// under `fault_tolerance`'s retry budget, and unservable requests
-  /// resolve with typed ServeError results. Populate through
-  /// with_fault_plan.
+  /// (the default) injects nothing: every shard stays UP and every
+  /// batch is final the moment it is placed. With faults in the plan,
+  /// shards go DOWN/DEGRADED on the modeled clock, lost batches are
+  /// redispatched through the routing policy under `fault_tolerance`'s
+  /// retry budget, and unservable requests resolve with typed
+  /// ServeError results. Populate through with_fault_plan.
   std::shared_ptr<const FaultPlan> fault_plan;
-  /// Retry / backoff / probation / degradation knobs consulted only
-  /// when `fault_plan` is active (validated at Server construction
-  /// either way).
+  /// Retry / backoff / probation / degradation knobs, validated at
+  /// Server construction. Retry, backoff and probation only act when
+  /// the plan injects faults; finite degrade_deadline_seconds shed
+  /// deadline-hopeless requests with or without a plan.
   FaultToleranceOptions fault_tolerance;
-  /// Multi-model registry (empty = the legacy single-model deployment:
+  /// Multi-model registry (empty = a single-model deployment:
   /// start(model) supplies the one ModelFn and every submission is
   /// model 0). With entries, sessions open with start() — no argument —
   /// and submissions target entries by index (submit_to) or name
-  /// (model_id). A one-entry registry is bit-identical to the same
-  /// deployment through start(model): namespace 0, inherited SLO, no
-  /// contending model, pinned by test. Populate through with_model.
+  /// (model_id). start(model) serves a one-entry registry (namespace 0,
+  /// inherited SLO), so it is bit-identical to the same deployment with
+  /// that one entry registered. Populate through with_model.
   std::vector<ModelEntry> models;
 
   ServerConfig& with_device(DeviceSpec d);
@@ -188,8 +185,8 @@ struct ServerConfig {
   ///                   {device_spec_by_name("3090"), 2}});
   /// Expands the tiers into `fleet` (expand_fleet validation:
   /// std::invalid_argument on an empty list, a non-positive count, or a
-  /// total past kMaxModeledDevices), points the deprecated `device`
-  /// delegate at the first tier's spec (the measurement reference), and
+  /// total past kMaxModeledDevices), points `device` at the first
+  /// tier's spec (the measurement reference), and
   /// sets shard.devices to the fleet size. A single-tier call is the
   /// homogeneous configuration with_device + with_devices builds —
   /// bit-identical schedules, pinned by test.
@@ -240,20 +237,25 @@ struct ServerConfig {
 std::vector<ModelBatchingInfo> model_batching_infos(
     const std::vector<ModelEntry>& models);
 
-/// Generalized one-shot modeled scheduler: places `plan` (explicit,
-/// possibly non-contiguous member lists, in dispatch order) over the
-/// device group under `routing`, replaying per-member cache events
-/// through each batch's routed device and filling every request's
-/// schedule fields. The generalization of schedule_stream_sharded that
-/// priority batching and custom routing need; the legacy contiguous
-/// entry points delegate here (bit-identical, pinned by test).
+/// One-shot modeled scheduler: places `plan` (explicit, possibly
+/// non-contiguous member lists, in dispatch order) over the device group
+/// under `routing`, replaying per-member cache events through each
+/// batch's routed device and filling every request's schedule fields.
+/// Runs the same placer as a serving session, so policy sweeps
+/// (bench/fig15, fig19) can reuse one set of measured service times
+/// across many batching and routing configurations. `requests` must be
+/// in submission order with id, arrival_seconds and service_seconds
+/// set; `events` (when non-null) must be parallel to requests, and null
+/// means the kernel-map cache is disabled. `group` is reset, so every
+/// call accounts from a cold modeled state. On a 1-device group with no
+/// events every batch goes to device 0's earliest-available lane.
 /// Preconditions (std::invalid_argument): plan members partition
 /// [0, requests.size()), every member arrived by its batch's dispatch
-/// stamp, overhead finite >= 0, `events` (when non-null) parallel to
-/// requests. A non-empty `fault_plan` (validated against the group
-/// size) runs the fault-tolerant scheduler under `fault_tolerance`
-/// (defaults when null); failed requests carry ServeErrorCode results
-/// and produce no batch record.
+/// stamp, overhead finite >= 0. `fault_plan` (validated against the
+/// group size; null = no faults) and `fault_tolerance` (defaults when
+/// null) configure the placer exactly as ServerConfig's fields do;
+/// failed requests carry ServeErrorCode results and produce no batch
+/// record.
 StreamStats schedule_stream_dispatch(
     std::vector<StreamResult>& requests,
     const std::vector<DispatchBatch>& plan, DeviceGroup& group,
@@ -265,39 +267,30 @@ StreamStats schedule_stream_dispatch(
     const FaultToleranceOptions* fault_tolerance = nullptr);
 
 /// One serving session over an externally owned queue with explicit
-/// policies — the engine room shared by Server (which runs it on a
-/// background thread) and the legacy BatchRunner::serve wrapper (which
-/// runs it on the caller's thread). Drains `queue` until closed and
-/// empty, measures every request on the worker pool, forms batches with
-/// `batching`, and places them incrementally: each batch is routed,
-/// cache-accounted, and laned as soon as all earlier batches are placed
-/// and its members measured, fulfilling the members' StreamHandles at
-/// that moment. `context_pool`, when non-null, supplies reusable
-/// ExecContexts handed back on return (Server keeps warm contexts
-/// across sessions this way).
+/// policies — the engine room Server runs on its background thread.
+/// Drains `queue` until closed and empty, measures every request on the
+/// worker pool, forms batches with `batching`, and places them
+/// incrementally: each batch is routed, cache-accounted, and laned as
+/// soon as all earlier batches are placed and its members measured,
+/// fulfilling the members' StreamHandles once their results are final.
+/// `context_pool`, when non-null, supplies reusable ExecContexts handed
+/// back on return (Server keeps warm contexts across sessions this
+/// way).
+///
+/// Requests resolve against `models` (by PendingRequest::model).
+/// Workers restamp their context per request — the entry's ModelFn,
+/// tuned parameters, and cache namespace — so every digest a request
+/// resolves lives in its model's namespace and two models can never
+/// alias each other's kernel-map entries. Dedup digests are salted the
+/// same way, keeping duplicate grouping within a model.
 ///
 /// Determinism: the report depends only on the drained (input, arrival,
-/// priority) stream, the config, and the policies. Exception guarantee:
-/// on a request failure (or a policy contract violation) the queue is
-/// closed, every unfulfilled handle receives the error, and the error
-/// is rethrown.
-StreamReport serve_stream(const ModelFn& model, RequestQueue& queue,
-                          const ServerConfig& config,
-                          BatchingPolicy& batching, RoutingPolicy& routing,
-                          std::vector<ExecContext>* context_pool = nullptr);
-
-/// Multi-model serving session: like serve_stream above, but requests
-/// resolve against `models` (by PendingRequest::model). Workers restamp
-/// their context per request — the entry's ModelFn, tuned parameters,
-/// and cache namespace — so every digest a request resolves lives in
-/// its model's namespace and two models can never alias each other's
-/// kernel-map entries. Dedup digests are salted the same way, keeping
-/// duplicate grouping within a model. The single-model overload above
-/// delegates here with one default entry (namespace 0, inherited
-/// everything) and is bit-identical by construction. Preconditions
-/// (std::invalid_argument): `models` non-empty with non-null fns; a
-/// drained request targeting an index outside the registry fails the
-/// stream (every unfulfilled handle receives the error).
+/// priority, model) stream, the config, and the policies. Preconditions
+/// (std::invalid_argument): `models` non-empty with non-null fns.
+/// Exception guarantee: on a request failure, a policy contract
+/// violation, or a drained request targeting an index outside the
+/// registry, the queue is closed, every unfulfilled handle receives the
+/// error, and the error is rethrown.
 StreamReport serve_stream(const std::vector<ModelEntry>& models,
                           RequestQueue& queue, const ServerConfig& config,
                           BatchingPolicy& batching, RoutingPolicy& routing,
@@ -309,9 +302,9 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
 /// Lifecycle: construct → start(model) → submit(...)* → drain() →
 /// (start again with the same or another model) → ... → stop().
 /// start/drain pairs are serving *sessions*; modeled statistics are
-/// per session (cold modeled caches each time, like the legacy path),
-/// while the wall-clock KernelMapCache and the worker contexts stay
-/// warm across sessions.
+/// per session (cold modeled caches each time, or warm-seeded from
+/// warm_snapshot), while the wall-clock KernelMapCache and the worker
+/// contexts stay warm across sessions.
 ///
 /// Thread-safety: submit/try_submit are safe from any number of
 /// producer threads while the session runs. start/drain/stop are
@@ -337,8 +330,9 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Opens a serving session over the single supplied model — the
-  /// legacy entry point, for deployments with no registry.
+  /// Opens a serving session over the single supplied model, for
+  /// deployments with no registry: the session serves a one-entry
+  /// registry ("default", namespace 0, every knob inherited).
   /// Preconditions: no session is running (std::logic_error); the
   /// config has no registered models (std::invalid_argument — a
   /// registry deployment opens sessions with the no-argument start()).
@@ -422,9 +416,9 @@ class Server {
 
  private:
   /// Shared session launcher behind start()/start(model): replaces the
-  /// queue, builds the session policies, and spawns the serving thread.
-  /// A null `legacy_model` serves the configured registry.
-  void launch_locked(ModelFn legacy_model) TS_REQUIRES(life_mu_);
+  /// queue, builds the session policies, and spawns the serving thread
+  /// over `models`.
+  void launch_locked(std::vector<ModelEntry> models) TS_REQUIRES(life_mu_);
   /// Validates a submission's model index against the registry and
   /// resolves its effective priority (explicit, or the entry default).
   Priority resolve_submission(int model,

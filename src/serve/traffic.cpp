@@ -45,20 +45,37 @@ void check_field(bool ok, const char* what) {
 /// `off`) starting ON at t = -phase (i.e. `phase` shifts the pattern
 /// left). Exact: the returned instant has consumed exactly `need`
 /// seconds of ON time past `t`.
+///
+/// Termination: when `t` already sits on a window boundary within
+/// rounding (fmod of a non-dyadic cycle can land a hair short of it),
+/// the jump to that boundary is below half an ulp of `t` and leaves it
+/// unchanged. Such a step marks `t` as the start of the next ON window
+/// instead, so the following iteration consumes a whole window and `t`
+/// reaches a strictly later boundary.
 double advance_on_time(double t, double need, double on, double off,
                        double phase) {
   const double cycle = on + off;
+  bool at_on_start = false;
   for (;;) {
-    double pos = std::fmod(t + phase, cycle);
-    if (pos < 0) pos += cycle;  // fmod keeps the dividend's sign
+    double pos = 0;
+    if (!at_on_start) {
+      pos = std::fmod(t + phase, cycle);
+      if (pos < 0) pos += cycle;  // fmod keeps the dividend's sign
+    }
+    at_on_start = false;
+    double next;
     if (pos < on) {
       const double avail = on - pos;
       if (need <= avail) return t + need;
       need -= avail;
-      t += avail + off;  // jump over the OFF window that follows
+      next = t + avail + off;  // jump over the OFF window that follows
     } else {
-      t += cycle - pos;  // inside an OFF window: jump to the next ON
+      next = t + (cycle - pos);  // inside an OFF window: jump to next ON
     }
+    if (next > t)
+      t = next;
+    else
+      at_on_start = true;  // already on the boundary within rounding
   }
 }
 

@@ -364,9 +364,25 @@ TEST(DeviceGroup, RecordLookupMatchesMapCacheReplayDecisions) {
 /// shared digest so the cache replay actually changes timelines.
 struct SyntheticStream {
   std::vector<serve::StreamResult> requests;
-  std::vector<serve::PlannedBatch> plan;
+  std::vector<serve::DispatchBatch> plan;
   std::vector<std::vector<MapCacheEvent>> events;
 };
+
+/// One-shot schedule of `plan` over `group` under a built-in routing
+/// policy.
+serve::StreamStats schedule_with(
+    std::vector<serve::StreamResult>& requests,
+    const std::vector<serve::DispatchBatch>& plan, serve::DeviceGroup& group,
+    serve::RoutePolicy policy, int workers_per_device,
+    double batch_overhead_seconds,
+    const std::vector<std::vector<MapCacheEvent>>* events,
+    std::vector<serve::StreamBatchRecord>* batches = nullptr) {
+  const auto routing = serve::make_routing_policy(policy);
+  return serve::schedule_stream_dispatch(requests, plan, group, *routing,
+                                         workers_per_device,
+                                         batch_overhead_seconds, events,
+                                         batches);
+}
 
 SyntheticStream make_synthetic() {
   SyntheticStream s;
@@ -383,19 +399,19 @@ SyntheticStream make_synthetic() {
     // {0,2,4} use key 7, {1,3,5} use key 9.
     s.events.push_back({event_of(7 + 2 * (i % 2), 200, 0.003, 0.0004)});
   }
-  s.plan = {{0, 2, 0.01}, {2, 2, 0.03}, {4, 2, 0.05}};
+  s.plan = {{{0, 1}, 0.01}, {{2, 3}, 0.03}, {{4, 5}, 0.05}};
   return s;
 }
 
-TEST(ScheduleStreamSharded, OneDeviceBitEqualsReplayPlusScheduleStream) {
+TEST(ScheduleStreamDispatch, OneDeviceBitEqualsReplayPlusCachelessSchedule) {
   for (const serve::RoutePolicy policy :
        {serve::RoutePolicy::kRoundRobin, serve::RoutePolicy::kLeastLoaded,
         serve::RoutePolicy::kCacheAffinity}) {
-    SyntheticStream pre = make_synthetic();   // pre-PR pipeline
-    SyntheticStream post = make_synthetic();  // sharded pipeline
+    SyntheticStream pre = make_synthetic();   // replay, then schedule
+    SyntheticStream post = make_synthetic();  // cached schedule
 
-    // Pre-sharding accounting: MapCacheReplay in submission order, then
-    // schedule_stream.
+    // Single-device accounting: MapCacheReplay in submission order, then
+    // a cache-less schedule of the replayed timelines.
     const std::size_t budget = 1 << 16;
     MapCacheReplay replay(budget);
     for (std::size_t i = 0; i < pre.requests.size(); ++i) {
@@ -403,14 +419,16 @@ TEST(ScheduleStreamSharded, OneDeviceBitEqualsReplayPlusScheduleStream) {
       pre.requests[i].service_seconds =
           pre.requests[i].timeline.total_seconds();
     }
+    serve::DeviceGroup plain(rtx2080ti(), 1, 0);
     std::vector<serve::StreamBatchRecord> pre_batches;
-    const serve::StreamStats ref = serve::schedule_stream(
-        pre.requests, pre.plan, /*workers=*/2,
-        /*batch_overhead_seconds=*/0.002, &pre_batches);
+    const serve::StreamStats ref = schedule_with(
+        pre.requests, pre.plan, plain, serve::RoutePolicy::kRoundRobin,
+        /*workers_per_device=*/2, /*batch_overhead_seconds=*/0.002, nullptr,
+        &pre_batches);
 
     serve::DeviceGroup group(rtx2080ti(), 1, budget);
     std::vector<serve::StreamBatchRecord> post_batches;
-    const serve::StreamStats got = serve::schedule_stream_sharded(
+    const serve::StreamStats got = schedule_with(
         post.requests, post.plan, group, policy, /*workers_per_device=*/2,
         /*batch_overhead_seconds=*/0.002, &post.events, &post_batches);
 
@@ -468,31 +486,29 @@ SyntheticStream singleton_batches(const std::vector<double>& services,
     r.arrival_seconds = 0.0;
     r.timeline.add(Stage::kMatMul, services[i]);
     r.service_seconds = services[i];
-    s.plan.push_back({i, 1, 0.0});
+    s.plan.push_back({{i}, 0.0});
     s.events.push_back({event_of(tags[i], 100, 0.0, 0.0)});
   }
   return s;
 }
 
-TEST(ScheduleStreamSharded, RoundRobinCyclesDevices) {
+TEST(ScheduleStreamDispatch, RoundRobinCyclesDevices) {
   SyntheticStream s = singleton_batches({1, 1, 1, 1, 1}, {1, 2, 3, 4, 5});
   serve::DeviceGroup group(rtx2080ti(), 3, 1 << 16);
-  serve::schedule_stream_sharded(s.requests, s.plan, group,
-                                 serve::RoutePolicy::kRoundRobin, 1, 0.0,
-                                 &s.events);
+  schedule_with(s.requests, s.plan, group, serve::RoutePolicy::kRoundRobin,
+                1, 0.0, &s.events);
   const int want[] = {0, 1, 2, 0, 1};
   for (std::size_t i = 0; i < 5; ++i)
     EXPECT_EQ(s.requests[i].device, want[i]) << "request " << i;
 }
 
-TEST(ScheduleStreamSharded, LeastLoadedBalancesAccumulatedWork) {
+TEST(ScheduleStreamDispatch, LeastLoadedBalancesAccumulatedWork) {
   // Batch 0 is heavy: everything after it should drain to device 1
   // until its accumulated work catches up.
   SyntheticStream s = singleton_batches({10, 1, 1, 1}, {1, 2, 3, 4});
   serve::DeviceGroup group(rtx2080ti(), 2, 0);
-  serve::schedule_stream_sharded(s.requests, s.plan, group,
-                                 serve::RoutePolicy::kLeastLoaded, 1, 0.0,
-                                 nullptr);
+  schedule_with(s.requests, s.plan, group, serve::RoutePolicy::kLeastLoaded,
+                1, 0.0, nullptr);
   const int want[] = {0, 1, 1, 1};
   for (std::size_t i = 0; i < 4; ++i)
     EXPECT_EQ(s.requests[i].device, want[i]) << "request " << i;
@@ -500,12 +516,12 @@ TEST(ScheduleStreamSharded, LeastLoadedBalancesAccumulatedWork) {
   EXPECT_DOUBLE_EQ(group.stats(1).busy_seconds, 3.0);
 }
 
-TEST(ScheduleStreamSharded, CacheAffinityRoutesToDigestOwner) {
+TEST(ScheduleStreamDispatch, CacheAffinityRoutesToDigestOwner) {
   // Digests AABB: affinity must co-locate the duplicates; round-robin
   // must split them (and therefore never hit).
   SyntheticStream aff = singleton_batches({1, 1, 1, 1}, {7, 7, 9, 9});
   serve::DeviceGroup g_aff(rtx2080ti(), 2, 1 << 16);
-  const serve::StreamStats s_aff = serve::schedule_stream_sharded(
+  const serve::StreamStats s_aff = schedule_with(
       aff.requests, aff.plan, g_aff, serve::RoutePolicy::kCacheAffinity, 1,
       0.0, &aff.events);
   // Request 0: no owner -> least-loaded -> device 0. Request 1: owner of
@@ -521,7 +537,7 @@ TEST(ScheduleStreamSharded, CacheAffinityRoutesToDigestOwner) {
 
   SyntheticStream rr = singleton_batches({1, 1, 1, 1}, {7, 7, 9, 9});
   serve::DeviceGroup g_rr(rtx2080ti(), 2, 1 << 16);
-  const serve::StreamStats s_rr = serve::schedule_stream_sharded(
+  const serve::StreamStats s_rr = schedule_with(
       rr.requests, rr.plan, g_rr, serve::RoutePolicy::kRoundRobin, 1, 0.0,
       &rr.events);
   EXPECT_EQ(s_rr.map_cache.hits, 0u);
@@ -541,12 +557,12 @@ SyntheticStream stage_stream(
     r.arrival_seconds = 0.0;
     r.timeline.add(reqs[i].first, reqs[i].second);
     r.service_seconds = r.timeline.total_seconds();
-    s.plan.push_back({i, 1, 0.0});
+    s.plan.push_back({{i}, 0.0});
   }
   return s;
 }
 
-TEST(ScheduleStreamSharded, EstimateAwareSplitsBatchesByStageMix) {
+TEST(ScheduleStreamDispatch, EstimateAwareSplitsBatchesByStageMix) {
   // Mixed 1080Ti+3090 fleet, 1080Ti first (the measurement reference).
   // Relative factors: MatMul scales with peak GEMM (11.3/35.6 ~ 0.317 on
   // the 3090), everything else with DRAM bandwidth (484/936 ~ 0.517).
@@ -561,9 +577,8 @@ TEST(ScheduleStreamSharded, EstimateAwareSplitsBatchesByStageMix) {
                                             {Stage::kMatMul, 1.0},
                                             {Stage::kMatMul, 1.0}});
   serve::DeviceGroup g1(fleet, 0);
-  serve::schedule_stream_sharded(gemm_tail.requests, gemm_tail.plan, g1,
-                                 serve::RoutePolicy::kEstimateAware, 1, 0.0,
-                                 nullptr);
+  schedule_with(gemm_tail.requests, gemm_tail.plan, g1,
+                serve::RoutePolicy::kEstimateAware, 1, 0.0, nullptr);
   const int want_gemm[] = {1, 1, 1};
   for (std::size_t i = 0; i < 3; ++i)
     EXPECT_EQ(gemm_tail.requests[i].device, want_gemm[i]) << "request " << i;
@@ -572,9 +587,8 @@ TEST(ScheduleStreamSharded, EstimateAwareSplitsBatchesByStageMix) {
                                            {Stage::kMatMul, 1.0},
                                            {Stage::kMapping, 1.0}});
   serve::DeviceGroup g2(fleet, 0);
-  serve::schedule_stream_sharded(map_tail.requests, map_tail.plan, g2,
-                                 serve::RoutePolicy::kEstimateAware, 1, 0.0,
-                                 nullptr);
+  schedule_with(map_tail.requests, map_tail.plan, g2,
+                serve::RoutePolicy::kEstimateAware, 1, 0.0, nullptr);
   const int want_map[] = {1, 1, 0};
   for (std::size_t i = 0; i < 3; ++i)
     EXPECT_EQ(map_tail.requests[i].device, want_map[i]) << "request " << i;
@@ -587,7 +601,7 @@ TEST(ScheduleStreamSharded, EstimateAwareSplitsBatchesByStageMix) {
   EXPECT_DOUBLE_EQ(g2.stats(0).busy_seconds, 1.0);
 }
 
-TEST(ScheduleStreamSharded, EstimateAwareDegeneratesToLeastLoadedHomogeneous) {
+TEST(ScheduleStreamDispatch, EstimateAwareDegeneratesToLeastLoadedHomogeneous) {
   // On a homogeneous group every estimate factor is exactly 1.0, so
   // estimate_aware must reproduce least_loaded bit-for-bit — routing
   // decisions, schedules, and stats.
@@ -596,10 +610,10 @@ TEST(ScheduleStreamSharded, EstimateAwareDegeneratesToLeastLoadedHomogeneous) {
     SyntheticStream ea = make_synthetic();
     serve::DeviceGroup g_ll(rtx2080ti(), devices, 1 << 16);
     serve::DeviceGroup g_ea(rtx2080ti(), devices, 1 << 16);
-    const serve::StreamStats s_ll = serve::schedule_stream_sharded(
+    const serve::StreamStats s_ll = schedule_with(
         ll.requests, ll.plan, g_ll, serve::RoutePolicy::kLeastLoaded, 2,
         0.002, &ll.events);
-    const serve::StreamStats s_ea = serve::schedule_stream_sharded(
+    const serve::StreamStats s_ea = schedule_with(
         ea.requests, ea.plan, g_ea, serve::RoutePolicy::kEstimateAware, 2,
         0.002, &ea.events);
     for (std::size_t i = 0; i < ll.requests.size(); ++i) {
@@ -617,27 +631,26 @@ TEST(ScheduleStreamSharded, EstimateAwareDegeneratesToLeastLoadedHomogeneous) {
 
 // --- End-to-end determinism stress matrix ------------------------------
 
-serve::StreamReport serve_stream(const ModelFn& model,
-                                 const std::vector<SparseTensor>& stream,
-                                 int devices, int workers,
-                                 serve::RoutePolicy policy,
-                                 std::size_t cache_bytes) {
-  serve::RequestQueue queue({/*max_depth=*/stream.size() + 1});
-  std::vector<serve::StreamHandle> handles;
+serve::StreamReport serve_session(const ModelFn& model,
+                                  const std::vector<SparseTensor>& stream,
+                                  int devices, int workers,
+                                  serve::RoutePolicy policy,
+                                  std::size_t cache_bytes) {
+  serve::ServerConfig cfg;
+  cfg.with_device(rtx2080ti())
+      .with_engine(torchsparse_config())
+      .with_workers(workers)
+      .with_map_cache_bytes(cache_bytes)
+      .with_queue_depth(stream.size() + 1)
+      .with_batch_overhead(0.0005)
+      .with_devices(devices)
+      .with_route(policy);
+  cfg.batcher.policy = serve::BatchPolicy::kImmediate;
+  serve::Server server(cfg);
+  server.start(model);
   for (std::size_t i = 0; i < stream.size(); ++i)
-    handles.push_back(
-        queue.submit(stream[i], 0.002 * static_cast<double>(i)));
-  queue.close();
-  serve::BatchOptions opt;
-  opt.workers = workers;
-  opt.map_cache_bytes = cache_bytes;
-  serve::StreamOptions sopt;
-  sopt.batcher.policy = serve::BatchPolicy::kImmediate;
-  sopt.batch_overhead_seconds = 0.0005;
-  sopt.shard.devices = devices;
-  sopt.shard.route = policy;
-  const serve::BatchRunner runner(rtx2080ti(), torchsparse_config(), opt);
-  return runner.serve(model, queue, sopt);
+    server.submit(stream[i], 0.002 * static_cast<double>(i));
+  return server.drain();
 }
 
 void expect_same_report(const serve::StreamReport& a,
@@ -690,17 +703,17 @@ TEST(ShardedServe, ModeledStatsIndependentOfWorkerCountPerDeviceCount) {
 
   for (const int devices : {1, 2, 4}) {
     const serve::StreamReport base =
-        serve_stream(model, stream, devices, /*workers=*/1,
-                     serve::RoutePolicy::kCacheAffinity, std::size_t(64)
-                                                             << 20);
+        serve_session(model, stream, devices, /*workers=*/1,
+                      serve::RoutePolicy::kCacheAffinity,
+                      std::size_t(64) << 20);
     EXPECT_EQ(base.stats.devices, devices);
     ASSERT_EQ(base.stats.per_device.size(),
               static_cast<std::size_t>(devices));
     for (const int workers : {2, 4}) {
       const serve::StreamReport got =
-          serve_stream(model, stream, devices, workers,
-                       serve::RoutePolicy::kCacheAffinity, std::size_t(64)
-                                                               << 20);
+          serve_session(model, stream, devices, workers,
+                        serve::RoutePolicy::kCacheAffinity,
+                        std::size_t(64) << 20);
       // Modeled serve stats and outputs are bit-identical for any
       // worker count at this device count; only the placement clocks
       // may change (same lanes-per-device math, more lanes).
@@ -729,9 +742,9 @@ TEST(ShardedServe, ModeledStatsIndependentOfWorkerCountPerDeviceCount) {
     // Re-running the identical configuration reproduces the whole
     // report bit-for-bit.
     const serve::StreamReport again =
-        serve_stream(model, stream, devices, /*workers=*/1,
-                     serve::RoutePolicy::kCacheAffinity, std::size_t(64)
-                                                             << 20);
+        serve_session(model, stream, devices, /*workers=*/1,
+                      serve::RoutePolicy::kCacheAffinity,
+                      std::size_t(64) << 20);
     expect_same_report(base, again);
   }
 }
@@ -745,13 +758,13 @@ TEST(ShardedServe, SingleDeviceMatchesUnshardedServeUnderEveryPolicy) {
 
   // Default options = pre-sharding single-device serve.
   const serve::StreamReport ref =
-      serve_stream(model, stream, 1, 2, serve::ShardOptions{}.route,
-                   std::size_t(64) << 20);
+      serve_session(model, stream, 1, 2, serve::ShardOptions{}.route,
+                    std::size_t(64) << 20);
   for (const serve::RoutePolicy policy :
        {serve::RoutePolicy::kRoundRobin, serve::RoutePolicy::kLeastLoaded,
         serve::RoutePolicy::kCacheAffinity}) {
     const serve::StreamReport got =
-        serve_stream(model, stream, 1, 2, policy, std::size_t(64) << 20);
+        serve_session(model, stream, 1, 2, policy, std::size_t(64) << 20);
     expect_same_report(ref, got);
   }
 }
@@ -762,10 +775,10 @@ TEST(ShardedServe, AggregateComputeInvariantToDeviceCountWithCacheOff) {
   for (int i = 0; i < 6; ++i)
     stream.push_back(random_tensor(120, 12, 4,
                                    4000 + static_cast<uint64_t>(i)));
-  const serve::StreamReport n1 = serve_stream(
+  const serve::StreamReport n1 = serve_session(
       model, stream, 1, 2, serve::RoutePolicy::kLeastLoaded, 0);
   for (const int devices : {2, 4}) {
-    const serve::StreamReport nd = serve_stream(
+    const serve::StreamReport nd = serve_session(
         model, stream, devices, 2, serve::RoutePolicy::kLeastLoaded, 0);
     // Sharding is a scheduling construct: per-request compute is
     // untouched, so the aggregate timeline is device-count invariant.
@@ -830,8 +843,8 @@ TEST(FleetServe, HomogeneousFleetBitEqualsDevicesConfig) {
     stream.push_back(random_tensor(130, 12, 4,
                                    5000 + static_cast<uint64_t>(i % 4)));
   const serve::StreamReport legacy =
-      serve_stream(model, stream, 2, 2, serve::RoutePolicy::kLeastLoaded,
-                   std::size_t(64) << 20);
+      serve_session(model, stream, 2, 2, serve::RoutePolicy::kLeastLoaded,
+                    std::size_t(64) << 20);
   const serve::StreamReport fleet =
       fleet_serve(model, stream, {{rtx2080ti(), 2}}, 2,
                   serve::RoutePolicy::kLeastLoaded, std::size_t(64) << 20);

@@ -253,10 +253,10 @@ TEST(FaultFree, EmptyPlanBitEqualsNoPlan) {
 }
 
 TEST(FaultFree, NonTriggeringPlanKeepsScheduleBitIdentical) {
-  // A non-empty plan routes the session through the fault-tolerant
-  // scheduler (shadow clock, deferred finalization, health-aware
-  // routing); with no fault landing inside the stream every schedule
-  // field must still match the legacy path bit-for-bit.
+  // A non-empty plan exercises the fault machinery (shadow clock,
+  // deferred finalization, health-aware routing) for real; with no
+  // fault landing inside the stream every schedule field must still
+  // match the no-plan session bit-for-bit.
   const ModelFn model = small_unet(81);
   const auto stream = duplicate_stream(8, 8100);
   for (const serve::RoutePolicy route :
@@ -573,6 +573,68 @@ TEST(FaultDegrade, ClassDeadlinesShedLowAndHoldHigh) {
         << i;
     EXPECT_THROW(s.handles[i].value(), serve::ServeError);
   }
+}
+
+TEST(FaultDegrade, FaultFreeOverloadShedsHopelessLowClassWorkerInvariant) {
+  // Degrade deadlines are a placer contract, not a fault-plan feature:
+  // with no plan at all, an overloaded single-device session still sheds
+  // the low-class requests whose projected start (on the worker-
+  // invariant shadow clock) blows their deadline, and serves every
+  // high-class request.
+  const ModelFn model = small_unet(90);
+  std::vector<SparseTensor> stream;
+  std::vector<serve::Priority> classes;
+  for (int i = 0; i < 12; ++i) {
+    stream.push_back(random_tensor(100, 12, 4, 9000 + i));
+    classes.push_back(i % 2 == 0 ? serve::Priority::kHigh
+                                 : serve::Priority::kLow);
+  }
+  const double service =
+      run_model(model, stream[0], rtx2080ti(), torchsparse_config())
+          .total_seconds();
+  serve::FaultToleranceOptions tol;
+  tol.degrade_deadline_seconds[static_cast<int>(serve::Priority::kLow)] =
+      1.5 * service;
+  auto run = [&](int workers) {
+    serve::ServerConfig cfg = base_cfg(stream.size() + 1)
+                                  .with_workers(workers)
+                                  .with_fault_tolerance(tol);
+    serve::Server server(cfg);
+    // Near-simultaneous arrivals: the device is overloaded from the
+    // first request on.
+    return serve_all(server, model, stream, 1e-7, &classes).report;
+  };
+  const serve::StreamReport w1 = run(1);
+  const serve::StreamReport w4 = run(4);
+
+  const int hi = static_cast<int>(serve::Priority::kHigh);
+  const int lo = static_cast<int>(serve::Priority::kLow);
+  EXPECT_EQ(w1.stats.faults_injected, 0u);
+  EXPECT_GT(w1.stats.failed, 0u);
+  EXPECT_EQ(w1.stats.per_class[hi].failed, 0u);
+  EXPECT_EQ(w1.stats.per_class[hi].completed, 6u);
+  EXPECT_EQ(w1.stats.per_class[lo].failed, w1.stats.failed);
+  EXPECT_TRUE(w1.requests[1].ok());  // the first low starts in time
+  for (const serve::StreamResult& r : w1.requests)
+    if (!r.ok()) {
+      EXPECT_EQ(r.priority, serve::Priority::kLow) << r.id;
+      EXPECT_EQ(r.error, serve::ServeErrorCode::kDeadlineHopeless) << r.id;
+    }
+
+  // Worker-invariant: the same requests shed, the same served.
+  EXPECT_EQ(w4.stats.completed, w1.stats.completed);
+  EXPECT_EQ(w4.stats.failed, w1.stats.failed);
+  ASSERT_EQ(w4.requests.size(), w1.requests.size());
+  for (std::size_t i = 0; i < w1.requests.size(); ++i) {
+    EXPECT_EQ(w4.requests[i].error, w1.requests[i].error) << i;
+    EXPECT_EQ(w4.requests[i].batch_id, w1.requests[i].batch_id) << i;
+  }
+  for (int c = 0; c < serve::kNumPriorityClasses; ++c) {
+    EXPECT_EQ(w4.stats.per_class[c].completed,
+              w1.stats.per_class[c].completed);
+    EXPECT_EQ(w4.stats.per_class[c].failed, w1.stats.per_class[c].failed);
+  }
+  expect_same_timeline(w4.stats.aggregate, w1.stats.aggregate);
 }
 
 // --- Warm replacement -------------------------------------------------

@@ -1,6 +1,5 @@
-// serve::Server session API: lifecycle, bit-equivalence of the legacy
-// BatchRunner::serve wrapper with a Server session, incremental
-// StreamHandle fulfillment, pluggable routing (heterogeneous
+// serve::Server session API: lifecycle, worker/device invariance,
+// incremental StreamHandle fulfillment, pluggable routing (heterogeneous
 // service-estimate hook), and warm-context hand-off across sessions.
 #include <gtest/gtest.h>
 
@@ -329,66 +328,11 @@ TEST(Server, SubmitRacingDrainStartCyclesNeverTouchesAFreedQueue) {
   EXPECT_FALSE(server.running());
 }
 
-// --- Legacy wrapper <-> Server session bit-equivalence ----------------
-
-TEST(ServeEquivalence, LegacyServeBitEqualsServerSession) {
-  const ModelFn model = small_unet(41);
-  const auto stream = duplicate_stream(10, 4100);
-  const DeviceSpec dev = rtx2080ti();
-  const EngineConfig engine = torchsparse_config();
-  const std::size_t cache_bytes = std::size_t(64) << 20;
-
-  // Legacy one-shot path: external queue + BatchRunner::serve.
-  serve::BatchOptions opt;
-  opt.workers = 2;
-  opt.map_cache_bytes = cache_bytes;
-  serve::StreamOptions sopt;
-  sopt.batcher.policy = serve::BatchPolicy::kSloAware;
-  sopt.batcher.max_batch = 3;
-  sopt.batcher.slo_budget_seconds = 0.004;
-  sopt.batch_overhead_seconds = 0.0005;
-  sopt.shard.devices = 2;
-  sopt.shard.route = serve::RoutePolicy::kCacheAffinity;
-  serve::RequestQueue queue({/*max_depth=*/stream.size() + 1});
-  for (std::size_t i = 0; i < stream.size(); ++i)
-    queue.submit(stream[i], 0.002 * static_cast<double>(i));
-  queue.close();
-  const serve::StreamReport legacy =
-      serve::BatchRunner(dev, engine, opt).serve(model, queue, sopt);
-
-  // Session path: the same deployment expressed as a ServerConfig.
-  serve::ServerConfig cfg;
-  cfg.with_device(dev)
-      .with_engine(engine)
-      .with_workers(2)
-      .with_map_cache_bytes(cache_bytes)
-      .with_queue_depth(stream.size() + 1)
-      .with_batcher(sopt.batcher)
-      .with_batch_overhead(sopt.batch_overhead_seconds)
-      .with_devices(2)
-      .with_route(serve::RoutePolicy::kCacheAffinity);
-  serve::Server server(cfg);
-  server.start(model);
-  std::vector<serve::StreamHandle> handles;
-  for (std::size_t i = 0; i < stream.size(); ++i)
-    handles.push_back(
-        server.submit(stream[i], 0.002 * static_cast<double>(i)));
-  const serve::StreamReport session = server.drain();
-
-  // Identical modeled outputs, schedule, and stats through either API.
-  expect_same_report(legacy, session);
-  EXPECT_EQ(session.stats.per_class[1].completed, stream.size());
-  for (std::size_t i = 0; i < handles.size(); ++i) {
-    const serve::StreamResult& r = handles[i].get();
-    EXPECT_DOUBLE_EQ(r.finish_seconds,
-                     legacy.requests[i].finish_seconds);
-    expect_same_timeline(r.timeline, legacy.requests[i].timeline);
-  }
-}
+// --- Modeled-stat invariance ------------------------------------------
 
 TEST(ServeEquivalence, WorkerAndDeviceCountsKeepModeledStatsInvariant) {
-  // The Server path inherits the legacy invariance: modeled accounting
-  // stats are independent of worker count at every device count.
+  // Modeled accounting stats are independent of worker count at every
+  // device count.
   const ModelFn model = small_unet(42);
   const auto stream = duplicate_stream(8, 4200);
   auto serve_with = [&](int workers, int devices) {
@@ -466,21 +410,13 @@ TEST(IncrementalFulfillment, EarlyHandleReadyWhileLaterBatchesPending) {
   EXPECT_DOUBLE_EQ(early.finish_seconds, report.requests[0].finish_seconds);
   EXPECT_DOUBLE_EQ(early.e2e_seconds, report.requests[0].e2e_seconds);
 
-  // ...and the whole stream is bit-identical to the legacy stream-end
-  // path on the same (input, arrival) stream.
-  serve::BatchOptions opt;
-  opt.workers = 2;
-  serve::StreamOptions sopt;
-  sopt.batcher.policy = serve::BatchPolicy::kImmediate;
-  serve::RequestQueue queue({/*max_depth=*/stream.size() + 1});
-  queue.submit(stream[0], 0.0);
-  for (std::size_t i = 1; i < stream.size(); ++i)
-    queue.submit(stream[i], 0.001 * static_cast<double>(i));
-  queue.close();
-  const serve::StreamReport legacy =
-      serve::BatchRunner(rtx2080ti(), torchsparse_config(), opt)
-          .serve(model, queue, sopt);
-  expect_same_report(legacy, report);
+  // ...and the whole stream is bit-identical to a session that never
+  // observed a handle early, on the same (input, arrival) stream.
+  serve::Server batch_server(cfg);
+  batch_server.start(model);
+  for (std::size_t i = 0; i < stream.size(); ++i)
+    batch_server.submit(stream[i], 0.001 * static_cast<double>(i));
+  expect_same_report(batch_server.drain(), report);
 }
 
 // --- Pluggable routing: heterogeneous service estimates ----------------

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <thread>
@@ -18,7 +19,7 @@
 #include "gpusim/device.hpp"
 #include "nn/layers.hpp"
 #include "serve/batch_runner.hpp"
-#include "serve/dynamic_batcher.hpp"
+#include "serve/device_group.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/serve_policies.hpp"
 #include "serve/server.hpp"
@@ -75,67 +76,97 @@ void expect_same_timeline(const Timeline& a, const Timeline& b) {
   EXPECT_DOUBLE_EQ(a.flops(), b.flops());
 }
 
-// --- DynamicBatcher: batch formation on the modeled clock -------------
+/// A single-device, cache-less schedule of `plan` — the plain modeled
+/// scheduler the offline sweeps (bench/fig15) run.
+serve::StreamStats schedule_one_device(
+    std::vector<serve::StreamResult>& reqs,
+    const std::vector<serve::DispatchBatch>& plan, int workers,
+    double batch_overhead_seconds,
+    std::vector<serve::StreamBatchRecord>* batches = nullptr) {
+  serve::DeviceGroup group(rtx2080ti(), 1, 0);
+  const auto routing =
+      serve::make_routing_policy(serve::RoutePolicy::kRoundRobin);
+  return serve::schedule_stream_dispatch(reqs, plan, group, *routing,
+                                         workers, batch_overhead_seconds,
+                                         nullptr, batches);
+}
 
-TEST(DynamicBatcher, SloAwareClosesOnDeadlineOrFullBatch) {
+/// Single-class arrival trace for the offline planner.
+std::vector<serve::ArrivalInfo> single_class(
+    const std::vector<double>& arrivals) {
+  std::vector<serve::ArrivalInfo> infos(arrivals.size());  // kNormal
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    infos[i].id = i;
+    infos[i].arrival_seconds = arrivals[i];
+  }
+  return infos;
+}
+
+// --- SloBatchingPolicy::plan: batch formation on the modeled clock -----
+
+TEST(SloBatchingPolicy, SloAwareClosesOnDeadlineOrFullBatch) {
   serve::BatcherOptions opt;
   opt.policy = serve::BatchPolicy::kSloAware;
   opt.max_batch = 3;
   opt.slo_budget_seconds = 1.0;
-  const auto plan = serve::DynamicBatcher::plan(
-      {0.0, 0.2, 5.0, 5.1, 5.2, 9.0}, opt);
+  const auto plan = serve::SloBatchingPolicy::plan(
+      single_class({0.0, 0.2, 5.0, 5.1, 5.2, 9.0}), opt);
 
   ASSERT_EQ(plan.size(), 3u);
   // [0, 0.2]: deadline 0.0 + 1.0 passed before the arrival at 5.0.
-  EXPECT_EQ(plan[0].first, 0u);
-  EXPECT_EQ(plan[0].count, 2u);
+  EXPECT_EQ(plan[0].members, (std::vector<std::size_t>{0, 1}));
   EXPECT_DOUBLE_EQ(plan[0].dispatch_seconds, 1.0);
   // [5.0, 5.1, 5.2]: filled to max_batch at the 5.2 arrival.
-  EXPECT_EQ(plan[1].first, 2u);
-  EXPECT_EQ(plan[1].count, 3u);
+  EXPECT_EQ(plan[1].members, (std::vector<std::size_t>{2, 3, 4}));
   EXPECT_DOUBLE_EQ(plan[1].dispatch_seconds, 5.2);
   // [9.0]: flushed at end of stream (modeled close = last arrival).
-  EXPECT_EQ(plan[2].first, 5u);
-  EXPECT_EQ(plan[2].count, 1u);
+  EXPECT_EQ(plan[2].members, (std::vector<std::size_t>{5}));
   EXPECT_DOUBLE_EQ(plan[2].dispatch_seconds, 9.0);
 }
 
-TEST(DynamicBatcher, ImmediateAndFullBatchPolicies) {
+TEST(SloBatchingPolicy, ImmediateAndFullBatchPolicies) {
   const std::vector<double> arrivals = {0.0, 1.0, 2.0, 3.0, 4.0};
 
   serve::BatcherOptions imm;
   imm.policy = serve::BatchPolicy::kImmediate;
   imm.max_batch = 8;
-  const auto plan_imm = serve::DynamicBatcher::plan(arrivals, imm);
+  const auto plan_imm =
+      serve::SloBatchingPolicy::plan(single_class(arrivals), imm);
   ASSERT_EQ(plan_imm.size(), 5u);
   for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(plan_imm[i].count, 1u);
+    EXPECT_EQ(plan_imm[i].members, (std::vector<std::size_t>{i}));
     EXPECT_DOUBLE_EQ(plan_imm[i].dispatch_seconds, arrivals[i]);
   }
 
   serve::BatcherOptions full;
   full.policy = serve::BatchPolicy::kFullBatch;
   full.max_batch = 2;
-  const auto plan_full = serve::DynamicBatcher::plan(arrivals, full);
+  const auto plan_full =
+      serve::SloBatchingPolicy::plan(single_class(arrivals), full);
   ASSERT_EQ(plan_full.size(), 3u);
-  EXPECT_EQ(plan_full[0].count, 2u);
+  EXPECT_EQ(plan_full[0].members, (std::vector<std::size_t>{0, 1}));
   EXPECT_DOUBLE_EQ(plan_full[0].dispatch_seconds, 1.0);
-  EXPECT_EQ(plan_full[1].count, 2u);
+  EXPECT_EQ(plan_full[1].members, (std::vector<std::size_t>{2, 3}));
   EXPECT_DOUBLE_EQ(plan_full[1].dispatch_seconds, 3.0);
   // Remainder flushed at the last arrival.
-  EXPECT_EQ(plan_full[2].count, 1u);
+  EXPECT_EQ(plan_full[2].members, (std::vector<std::size_t>{4}));
   EXPECT_DOUBLE_EQ(plan_full[2].dispatch_seconds, 4.0);
 }
 
-TEST(DynamicBatcher, RejectsNonMonotoneArrivals) {
-  serve::DynamicBatcher b(serve::BatcherOptions{});
-  b.on_arrival(1.0);
-  EXPECT_THROW(b.on_arrival(0.5), std::invalid_argument);
+TEST(SloBatchingPolicy, RejectsNonMonotoneArrivalsAndBadBudgets) {
+  EXPECT_THROW(
+      serve::SloBatchingPolicy::plan(single_class({1.0, 0.5}), {}),
+      std::invalid_argument);
+  serve::BatcherOptions bad;
+  bad.slo_budget_seconds = -1.0;
+  EXPECT_THROW(serve::SloBatchingPolicy{bad}, std::invalid_argument);
+  bad.slo_budget_seconds = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(serve::SloBatchingPolicy{bad}, std::invalid_argument);
 }
 
-// --- schedule_stream: the pure modeled scheduler ----------------------
+// --- schedule_stream_dispatch: the pure modeled scheduler --------------
 
-TEST(ScheduleStream, BackToBackWithPerBatchOverhead) {
+TEST(ScheduleStreamDispatch, BackToBackWithPerBatchOverhead) {
   std::vector<serve::StreamResult> reqs(4);
   const double arrivals[] = {0.0, 0.1, 0.2, 0.3};
   for (std::size_t i = 0; i < 4; ++i) {
@@ -143,11 +174,10 @@ TEST(ScheduleStream, BackToBackWithPerBatchOverhead) {
     reqs[i].arrival_seconds = arrivals[i];
     reqs[i].service_seconds = 1.0;
   }
-  const std::vector<serve::PlannedBatch> plan = {{0, 4, 0.3}};
+  const std::vector<serve::DispatchBatch> plan = {{{0, 1, 2, 3}, 0.3}};
   std::vector<serve::StreamBatchRecord> batches;
-  const serve::StreamStats s =
-      serve::schedule_stream(reqs, plan, /*workers=*/1,
-                             /*batch_overhead_seconds=*/0.5, &batches);
+  const serve::StreamStats s = schedule_one_device(
+      reqs, plan, /*workers=*/1, /*batch_overhead_seconds=*/0.5, &batches);
 
   // Batch starts at dispatch 0.3, pays 0.5 overhead once, then members
   // run back-to-back.
@@ -167,13 +197,12 @@ TEST(ScheduleStream, BackToBackWithPerBatchOverhead) {
   EXPECT_DOUBLE_EQ(batches[0].finish_seconds, 4.8);
 }
 
-TEST(ScheduleStream, RejectsPlanThatDoesNotCoverRequests) {
+TEST(ScheduleStreamDispatch, RejectsPlanThatDoesNotCoverRequests) {
   std::vector<serve::StreamResult> reqs(3);
+  EXPECT_THROW(schedule_one_device(reqs, {{{0, 1}, 0.0}}, 1, 0.0),
+               std::invalid_argument);
   EXPECT_THROW(
-      serve::schedule_stream(reqs, {{0, 2, 0.0}}, 1, 0.0),
-      std::invalid_argument);
-  EXPECT_THROW(
-      serve::schedule_stream(reqs, {{0, 2, 0.0}, {1, 2, 0.0}}, 1, 0.0),
+      schedule_one_device(reqs, {{{0, 1}, 0.0}, {{1, 2}, 0.0}}, 1, 0.0),
       std::invalid_argument);
 }
 
@@ -303,7 +332,14 @@ TEST(RequestQueue, CloseWakesBlockedSubmitWaitWithTypedError) {
   EXPECT_EQ(queue.depth(), 1u);  // the original admission is untouched
 }
 
-// --- BatchRunner::serve: the end-to-end streaming path ----------------
+// --- Server sessions: the end-to-end streaming path -------------------
+
+serve::ServerConfig session_config(const DeviceSpec& dev, int workers) {
+  serve::ServerConfig cfg;
+  cfg.with_device(dev).with_engine(torchsparse_config()).with_workers(
+      workers);
+  return cfg;
+}
 
 TEST(StreamingServe, ResultsAreBitIdenticalToSerialRunModel) {
   const ModelFn model = small_unet(21);
@@ -311,21 +347,16 @@ TEST(StreamingServe, ResultsAreBitIdenticalToSerialRunModel) {
   const DeviceSpec dev = rtx2080ti();
   const EngineConfig cfg = torchsparse_config();
 
-  serve::BatchOptions opt;
-  opt.workers = 3;
-  opt.run.numerics = true;
-  serve::StreamOptions sopt;
-  sopt.batcher.max_batch = 3;
-  sopt.batcher.slo_budget_seconds = 0.005;
-
-  serve::RequestQueue queue;
+  serve::ServerConfig scfg = session_config(dev, 3);
+  scfg.run.numerics = true;
+  scfg.batcher.max_batch = 3;
+  scfg.batcher.slo_budget_seconds = 0.005;
+  serve::Server server(scfg);
+  server.start(model);
   std::vector<serve::StreamHandle> handles;
   for (std::size_t i = 0; i < batch.size(); ++i)
-    handles.push_back(queue.submit(batch[i], 0.001 * double(i)));
-  queue.close();
-
-  const serve::BatchRunner runner(dev, cfg, opt);
-  const serve::StreamReport report = runner.serve(model, queue, sopt);
+    handles.push_back(server.submit(batch[i], 0.001 * double(i)));
+  const serve::StreamReport report = server.drain();
 
   ASSERT_EQ(report.requests.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -352,9 +383,10 @@ TEST(StreamingServe, ResultsAreBitIdenticalToSerialRunModel) {
 }
 
 TEST(StreamingServe, AdmissionRejectionsAreCountedInStats) {
-  const ModelFn model = small_unet(22);
   const auto batch = make_batch(5, 1100);
 
+  // A pre-filled, closed queue makes the rejection deterministic: the
+  // session cannot drain it while the producer is still submitting.
   serve::QueueOptions qopt;
   qopt.max_depth = 4;
   serve::RequestQueue queue(qopt);
@@ -363,10 +395,14 @@ TEST(StreamingServe, AdmissionRejectionsAreCountedInStats) {
   EXPECT_THROW(queue.submit(batch[4], 0.002), serve::AdmissionError);
   queue.close();
 
-  serve::BatchOptions opt;
-  opt.workers = 2;
-  const serve::BatchRunner runner(rtx2080ti(), torchsparse_config(), opt);
-  const serve::StreamReport report = runner.serve(model, queue);
+  const serve::ServerConfig cfg = session_config(rtx2080ti(), 2);
+  std::vector<serve::ModelEntry> models(1);
+  models[0].name = "default";
+  models[0].fn = small_unet(22);
+  serve::SloBatchingPolicy batching(cfg.batcher);
+  const auto routing = serve::make_routing_policy(cfg.shard.route);
+  const serve::StreamReport report =
+      serve::serve_stream(models, queue, cfg, batching, *routing);
   EXPECT_EQ(report.stats.completed, 4u);
   EXPECT_EQ(report.stats.rejected, 1u);
 }
@@ -392,19 +428,17 @@ TEST(StreamingServe, TightSloDispatchesSmallerBatchesAndMeetsBudget) {
                                   1200 + static_cast<uint64_t>(i)));
 
   auto serve_with = [&](double slo_budget) {
-    serve::RequestQueue queue;
-    for (int i = 0; i < n; ++i)
-      queue.submit(batch[static_cast<std::size_t>(i)], gap * i);
-    queue.close();
-    serve::BatchOptions opt;
     // Lanes >= dispatched batches, so queue wait is purely the batcher's
     // deadline wait and the SLO bound below is exact.
-    opt.workers = 12;
-    serve::StreamOptions sopt;
-    sopt.batcher.policy = serve::BatchPolicy::kSloAware;
-    sopt.batcher.max_batch = 6;
-    sopt.batcher.slo_budget_seconds = slo_budget;
-    return serve::BatchRunner(dev, cfg, opt).serve(model, queue, sopt);
+    serve::ServerConfig scfg = session_config(dev, 12);
+    scfg.batcher.policy = serve::BatchPolicy::kSloAware;
+    scfg.batcher.max_batch = 6;
+    scfg.batcher.slo_budget_seconds = slo_budget;
+    serve::Server server(scfg);
+    server.start(model);
+    for (int i = 0; i < n; ++i)
+      server.submit(batch[static_cast<std::size_t>(i)], gap * i);
+    return server.drain();
   };
 
   const serve::StreamReport tight = serve_with(1.0 * service);
@@ -442,21 +476,17 @@ TEST(StreamingServe, ProducerThreadSubmitsWhileServing) {
   const ModelFn model = small_unet(24);
   const auto batch = make_batch(8, 1300);
 
-  serve::RequestQueue queue;
+  serve::Server server(session_config(rtx3090(), 4));
+  server.start(model);
   // No wall-clock pacing: the modeled arrival stamps carry the stream's
   // timing, and the queue's own blocking hand-off provides the
   // producer/consumer interleaving this test is about.
   std::thread producer([&] {
     for (std::size_t i = 0; i < batch.size(); ++i)
-      queue.submit(batch[i], 0.002 * double(i));
-    queue.close();
+      server.submit(batch[i], 0.002 * double(i));
   });
-
-  serve::BatchOptions opt;
-  opt.workers = 4;
-  const serve::BatchRunner runner(rtx3090(), torchsparse_config(), opt);
-  const serve::StreamReport report = runner.serve(model, queue);
   producer.join();
+  const serve::StreamReport report = server.drain();
 
   EXPECT_EQ(report.stats.completed, batch.size());
   EXPECT_EQ(report.stats.rejected, 0u);
@@ -466,13 +496,10 @@ TEST(StreamingServe, ProducerThreadSubmitsWhileServing) {
   EXPECT_LE(report.stats.e2e_p50_seconds, report.stats.e2e_p99_seconds);
 }
 
-TEST(StreamingServe, EmptyClosedQueueYieldsEmptyReport) {
-  serve::RequestQueue queue;
-  queue.close();
-  serve::BatchOptions opt;
-  opt.workers = 2;
-  const serve::BatchRunner runner(rtx2080ti(), torchsparse_config(), opt);
-  const serve::StreamReport report = runner.serve(small_unet(25), queue);
+TEST(StreamingServe, EmptySessionYieldsEmptyReport) {
+  serve::Server server(session_config(rtx2080ti(), 2));
+  server.start(small_unet(25));
+  const serve::StreamReport report = server.drain();
   EXPECT_TRUE(report.requests.empty());
   EXPECT_TRUE(report.batches.empty());
   EXPECT_EQ(report.stats.completed, 0u);
@@ -481,41 +508,63 @@ TEST(StreamingServe, EmptyClosedQueueYieldsEmptyReport) {
 
 // --- Priority classes: batching policy --------------------------------
 
-TEST(SloBatchingPolicy, SingleClassPlanMatchesDynamicBatcher) {
-  // On a single-class stream the priority-aware policy must reproduce
-  // DynamicBatcher batch-for-batch and stamp-for-stamp — that is what
-  // keeps the legacy serve wrapper bit-identical. Randomized monotone
-  // trace, all three dispatch policies.
+TEST(SloBatchingPolicy, SingleClassPlanIsContiguousAndStampedByItsTrigger) {
+  // Randomized monotone single-class trace, all three dispatch policies:
+  // every batch is a contiguous run of arrival-order ids no larger than
+  // the cap, stamped by the rule that closed it — the arrival that
+  // filled it, its head's deadline, or (last batch only) the final
+  // arrival at flush. Bursts of short gaps make full batches happen,
+  // long gaps make deadlines fire.
   std::mt19937_64 rng(515);
-  std::uniform_real_distribution<double> gap(0.0, 0.02);
+  std::uniform_real_distribution<double> short_gap(0.0, 0.002);
+  std::uniform_real_distribution<double> long_gap(0.0, 0.04);
   std::vector<double> arrivals;
   double t = 0;
   for (int i = 0; i < 200; ++i) {
-    t += gap(rng);
+    t += (i / 10) % 2 == 0 ? short_gap(rng) : long_gap(rng);
     arrivals.push_back(t);
   }
-  std::vector<serve::ArrivalInfo> infos;
-  for (std::size_t i = 0; i < arrivals.size(); ++i)
-    infos.push_back({i, arrivals[i], serve::Priority::kNormal});
+  const auto infos = single_class(arrivals);
 
   for (const serve::BatchPolicy policy :
        {serve::BatchPolicy::kImmediate, serve::BatchPolicy::kFullBatch,
         serve::BatchPolicy::kSloAware}) {
+    SCOPED_TRACE(to_string(policy));
     serve::BatcherOptions opt;
     opt.policy = policy;
     opt.max_batch = 5;
     opt.slo_budget_seconds = 0.015;
-    const auto legacy = serve::DynamicBatcher::plan(arrivals, opt);
-    const auto priority = serve::SloBatchingPolicy::plan(infos, opt);
-    ASSERT_EQ(priority.size(), legacy.size()) << to_string(policy);
-    for (std::size_t k = 0; k < legacy.size(); ++k) {
-      EXPECT_DOUBLE_EQ(priority[k].dispatch_seconds,
-                       legacy[k].dispatch_seconds);
-      ASSERT_EQ(priority[k].members.size(), legacy[k].count);
-      for (std::size_t j = 0; j < legacy[k].count; ++j)
-        EXPECT_EQ(priority[k].members[j], legacy[k].first + j)
-            << to_string(policy) << " batch " << k;
+    const std::size_t cap =
+        policy == serve::BatchPolicy::kImmediate ? 1 : opt.max_batch;
+    const auto plan = serve::SloBatchingPolicy::plan(infos, opt);
+
+    std::size_t next = 0, filled = 0, expired = 0;
+    for (std::size_t k = 0; k < plan.size(); ++k) {
+      const std::vector<std::size_t>& members = plan[k].members;
+      ASSERT_FALSE(members.empty()) << "batch " << k;
+      ASSERT_LE(members.size(), cap) << "batch " << k;
+      for (const std::size_t m : members) ASSERT_EQ(m, next++);
+      const double head = arrivals[members.front()];
+      const double tail = arrivals[members.back()];
+      const double stamp = plan[k].dispatch_seconds;
+      const bool last = k + 1 == plan.size();
+      if (members.size() == cap) {
+        EXPECT_EQ(stamp, tail) << "full batch " << k;
+        ++filled;
+      } else if (last && stamp == arrivals.back()) {
+        // Flushed remainder.
+      } else {
+        ASSERT_EQ(policy, serve::BatchPolicy::kSloAware) << "batch " << k;
+        EXPECT_EQ(stamp, head + opt.slo_budget_seconds) << "batch " << k;
+        EXPECT_GE(stamp, tail) << "batch " << k;
+        // The deadline fired before the next request arrived.
+        if (!last) EXPECT_LE(stamp, arrivals[next]) << "batch " << k;
+        ++expired;
+      }
     }
+    EXPECT_EQ(next, arrivals.size());
+    EXPECT_GT(filled, 0u);
+    if (policy == serve::BatchPolicy::kSloAware) EXPECT_GT(expired, 0u);
   }
 }
 

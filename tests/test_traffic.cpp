@@ -85,6 +85,36 @@ TEST(Traffic, BurstyArrivalsStayInsideOnWindows) {
               0.08 / (spec.rate_hz * duty));
 }
 
+TEST(Traffic, BurstyNonDyadicWindowsTerminate) {
+  // Window lengths that are not binary fractions put fmod a hair short
+  // of a window boundary; the generator must still advance past it.
+  // Both specs used to hang for every seed.
+  const double windows[][2] = {{0.010, 0.020}, {0.010, 0.0}};
+  for (const auto& w : windows) {
+    TrafficSpec spec;
+    spec.process = ArrivalProcess::kBursty;
+    spec.rate_hz = 1500.0;
+    spec.on_seconds = w[0];
+    spec.off_seconds = w[1];
+    const double cycle = spec.on_seconds + spec.off_seconds;
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      const auto t = generate_arrivals(spec, 1000, seed);
+      ASSERT_EQ(t.size(), 1000u) << "seed " << seed;
+      for (std::size_t i = 0; i < t.size(); ++i) {
+        if (i > 0) {
+          EXPECT_GE(t[i], t[i - 1]) << "seed " << seed;
+        }
+        // In an ON window: past a window start by at most `on`, or a
+        // rounding hair short of the next start.
+        const double pos = std::fmod(t[i], cycle);
+        EXPECT_TRUE(pos <= spec.on_seconds + 1e-9 || pos >= cycle - 1e-9)
+            << "seed " << seed << " arrival " << t[i]
+            << " falls in an OFF window";
+      }
+    }
+  }
+}
+
 TEST(Traffic, BurstyZeroOffDegeneratesToPoisson) {
   TrafficSpec poisson;
   poisson.rate_hz = 30.0;
