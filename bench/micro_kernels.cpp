@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks for the substrate kernels: coordinate
 // hashing (conventional vs grid), map search, gather/scatter numerics,
-// blocked GEMM, the L2 cache simulator, and binary16 conversion.
+// GEMM on the segmentation workload's shapes, the L2 cache simulator, and
+// FP16 quantization of a feature matrix.
 //
 // These measure the *host implementation* (this repo runs the algorithms
 // on CPU); the paper-facing performance numbers come from the cost model
@@ -15,7 +16,6 @@
 #include "gpusim/cache.hpp"
 #include "hash/flat_hashmap.hpp"
 #include "hash/grid_hashmap.hpp"
-#include "tensor/half.hpp"
 #include "tensor/matrix.hpp"
 
 namespace {
@@ -82,17 +82,41 @@ void BM_SymmetricMapSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_SymmetricMapSearch);
 
+/// Random [-1,1) matrix with about half its entries exactly zero when
+/// `zero_half` is set (a gathered feature matrix after ReLU).
+ts::Matrix random_matrix(std::size_t r, std::size_t c, bool zero_half,
+                         uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
+  ts::Matrix m(r, c);
+  for (std::size_t i = 0; i < m.size(); ++i)
+    m.data()[i] = zero_half && (rng() & 1u) ? 0.0f : dist(rng);
+  return m;
+}
+
+// Args are {m, k, n}: the dominant GEMM shapes of MinkUNet-0.5x on
+// SemanticKITTI-like scans at scale 0.05 (the seg-numerics workload),
+// with half of A zero. 130x128x128 alone is 44% of its GEMM time.
 void BM_BlockedGemm(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  ts::Matrix a(n, 64, 0.5f), b(64, 64, 0.25f), out;
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto k = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(2));
+  const ts::Matrix a = random_matrix(m, k, true, 1);
+  const ts::Matrix b = random_matrix(k, n, false, 2);
+  ts::Matrix out;
   for (auto _ : state) {
     ts::mm(a, b, out);
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n) *
-                          64 * 64 * 2);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(m * k * n * 2));
 }
-BENCHMARK(BM_BlockedGemm)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_BlockedGemm)
+    ->Args({130, 128, 128})
+    ->Args({173, 192, 128})
+    ->Args({175, 48, 48})
+    ->Args({2425, 48, 19});
 
 void BM_GatherRows(benchmark::State& state) {
   const std::size_t n = 50000;
@@ -125,18 +149,21 @@ void BM_CacheSimAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheSimAccess);
 
-void BM_HalfRoundTrip(benchmark::State& state) {
-  std::mt19937_64 rng(5);
-  std::uniform_real_distribution<float> dist(-100.0f, 100.0f);
-  std::vector<float> vals(4096);
-  for (auto& v : vals) v = dist(rng);
-  std::size_t i = 0;
+// FP16 storage rounding of one gathered feature matrix (2500 voxels x 64
+// channels), as sparse_conv3d applies it to every gather and partial sum.
+// Rounding is idempotent and the kernel is branch-free, so re-rounding the
+// same matrix every iteration costs what the first rounding does.
+void BM_QuantizeFp16(benchmark::State& state) {
+  ts::Matrix m = random_matrix(2500, 64, true, 5);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ts::fp16_round(vals[i++ & 4095]));
+    m.quantize(ts::Precision::kFP16);
+    benchmark::DoNotOptimize(m.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(m.size()));
 }
-BENCHMARK(BM_HalfRoundTrip);
+BENCHMARK(BM_QuantizeFp16);
 
 }  // namespace
 

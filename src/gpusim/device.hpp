@@ -29,14 +29,17 @@ struct DeviceSpec {
   /// serve stats, per-device cache ownership) can name the instance a
   /// piece of work ran on.
   int device_index = 0;
-  double dram_bandwidth_gbps;   // GB/s, effective
-  double peak_fp32_tflops;      // dense GEMM peak, FP32
-  double peak_fp16_tflops;      // dense GEMM peak, FP16 (FP32 accumulate)
-  bool has_fp16_tensor_cores;
-  double l2_bytes;              // L2 cache capacity
-  double launch_overhead_us;    // per-kernel launch + tail overhead
-  double core_clock_ghz;        // for instruction-bound kernels
-  int num_sms;
+  // Every field has an initializer so a default-constructed spec (e.g.
+  // inside a default ServerConfig) copies without reading indeterminate
+  // values; the presets below set them all.
+  double dram_bandwidth_gbps = 0.0;  // GB/s, effective
+  double peak_fp32_tflops = 0.0;     // dense GEMM peak, FP32
+  double peak_fp16_tflops = 0.0;     // dense GEMM peak, FP16 (FP32 acc.)
+  bool has_fp16_tensor_cores = false;
+  double l2_bytes = 0.0;            // L2 cache capacity
+  double launch_overhead_us = 0.0;  // per-kernel launch + tail overhead
+  double core_clock_ghz = 0.0;      // for instruction-bound kernels
+  int num_sms = 0;
 
   // Matmul utilization model (see CostModel::mm_utilization): utilization
   // saturates with rows and with sqrt(C_in*C_out), and the half-saturation

@@ -8,6 +8,8 @@
 // CUDA tensor cores accumulate FP16 products in FP32.
 #pragma once
 
+#include <bit>
+#include <cfloat>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -117,7 +119,36 @@ class half_t {
 static_assert(sizeof(half_t) == 2, "half_t must be 2 bytes");
 
 /// Round-trips a float through binary16 (the quantization TorchSparse's
-/// FP16 mode applies to every feature value).
-inline float fp16_round(float f) { return half_t(f).to_float(); }
+/// FP16 mode applies to every feature value). Bit-identical to
+/// `half_t(f).to_float()` for every float input, but computed float to
+/// float without branches, so a loop over it auto-vectorizes:
+///   - normal range: round the magnitude bits to 10 mantissa bits, ties to
+///     even, by integer add-and-mask (a carry into the exponent is the
+///     correct rounding up to the next binade);
+///   - subnormal range (|f| < 2^-14): adding 0.5f puts the binary point of
+///     the sum at 2^-24, the binary16 subnormal spacing, so the float add
+///     itself rounds to nearest even on that grid, and subtracting 0.5f
+///     back is exact;
+///   - |f| >= 65520 (0x477ff000) rounds to Inf; NaN becomes the quiet NaN
+///     half_t produces;
+/// and the cases are selected with masks. The sign is OR-ed back in.
+inline float fp16_round(float f) {
+  static_assert(FLT_EVAL_METHOD == 0,
+                "the subnormal path needs float-precision arithmetic");
+  const uint32_t x = std::bit_cast<uint32_t>(f);
+  const uint32_t sign = x & 0x80000000u;
+  const uint32_t mag = x ^ sign;
+  const int32_t a = static_cast<int32_t>(mag);  // < 2^31: signed compares
+  const uint32_t normal = (mag + 0xfffu + ((mag >> 13) & 1u)) & ~0x1fffu;
+  const uint32_t subnormal =
+      std::bit_cast<uint32_t>((std::bit_cast<float>(mag) + 0.5f) - 0.5f);
+  const uint32_t is_sub = 0u - static_cast<uint32_t>(a < 0x38800000);
+  const uint32_t is_inf = 0u - static_cast<uint32_t>(a >= 0x477ff000);
+  const uint32_t is_nan = 0u - static_cast<uint32_t>(a > 0x7f800000);
+  uint32_t r = (subnormal & is_sub) | (normal & ~is_sub);
+  r = (0x7f800000u & is_inf) | (r & ~is_inf);
+  r = (0x7fc00000u & is_nan) | (r & ~is_nan);
+  return std::bit_cast<float>(r | sign);
+}
 
 }  // namespace ts

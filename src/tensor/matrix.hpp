@@ -1,4 +1,4 @@
-// Dense row-major matrix with blocked GEMM and padded batched GEMM.
+// Dense row-major matrix with register-panel GEMM and padded batched GEMM.
 //
 // This is the compute substrate under sparse convolution's
 // gather-matmul-scatter dataflow (paper §2.2): the gathered feature matrix
@@ -64,7 +64,8 @@ class Matrix {
 };
 
 /// out = a * b. a: [m,k], b: [k,n], out: [m,n] (overwritten).
-/// Blocked ikj loop order; FP32 accumulation.
+/// FP32 accumulation; each element sums its k products for p ascending,
+/// exactly like the naive ikj loop.
 void mm(const Matrix& a, const Matrix& b, Matrix& out);
 
 /// out += a * b.

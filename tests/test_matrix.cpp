@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
 #include <tuple>
 
@@ -19,16 +20,37 @@ Matrix random_matrix(std::size_t r, std::size_t c, uint64_t seed) {
   return m;
 }
 
-Matrix naive_mm(const Matrix& a, const Matrix& b) {
-  Matrix out(a.rows(), b.cols());
+/// out += a * b in the reference order: each element starts from its
+/// current value and adds a(i,k) * b(k,j) for k ascending.
+void naive_mm_accumulate(const Matrix& a, const Matrix& b, Matrix& out) {
   for (std::size_t i = 0; i < a.rows(); ++i)
     for (std::size_t j = 0; j < b.cols(); ++j) {
-      float acc = 0;
+      float acc = out.at(i, j);
       for (std::size_t k = 0; k < a.cols(); ++k)
         acc += a.at(i, k) * b.at(k, j);
       out.at(i, j) = acc;
     }
+}
+
+Matrix naive_mm(const Matrix& a, const Matrix& b) {
+  Matrix out(a.rows(), b.cols());
+  naive_mm_accumulate(a, b, out);
   return out;
+}
+
+/// Random [-1,1) matrix with about half its entries exactly zero, like a
+/// gathered feature matrix after ReLU.
+Matrix half_zero_matrix(std::size_t r, std::size_t c, uint64_t seed) {
+  Matrix m = random_matrix(r, c, seed);
+  std::mt19937_64 rng(seed ^ 0x5a5a5a5aull);
+  for (std::size_t i = 0; i < m.size(); ++i)
+    if (rng() & 1u) m.data()[i] = 0.0f;
+  return m;
+}
+
+bool same_bits(const Matrix& x, const Matrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
 }
 
 TEST(Matrix, ConstructionAndAccess) {
@@ -68,6 +90,47 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(100, 17, 129),
                       std::make_tuple(1, 128, 256),
                       std::make_tuple(200, 65, 33)));
+
+// The GEMM must reproduce the naive per-element summation order bit for
+// bit on every column-panel remainder (32/16/4, then 3/2/1), with half
+// of A zero, both overwriting (mm) and accumulating onto nonzero values
+// (mm_accumulate).
+class MatmulBitExact : public ::testing::TestWithParam<int> {};
+
+TEST_P(MatmulBitExact, MmMatchesNaiveOrder) {
+  const auto n = static_cast<std::size_t>(GetParam());
+  for (std::size_t k : {1u, 7u, 48u}) {
+    const Matrix a = half_zero_matrix(37, k, 100 + n + k);
+    const Matrix b = random_matrix(k, n, 200 + n + k);
+    Matrix out;
+    mm(a, b, out);
+    EXPECT_TRUE(same_bits(out, naive_mm(a, b))) << "k=" << k << " n=" << n;
+  }
+}
+
+TEST_P(MatmulBitExact, AccumulateMatchesNaiveOrder) {
+  const auto n = static_cast<std::size_t>(GetParam());
+  const Matrix a = half_zero_matrix(29, 48, 300 + n);
+  const Matrix b = random_matrix(48, n, 400 + n);
+  const Matrix start = random_matrix(29, n, 500 + n);
+  Matrix out = start, ref = start;
+  mm_accumulate(a, b, out);
+  naive_mm_accumulate(a, b, ref);
+  EXPECT_TRUE(same_bits(out, ref)) << "n=" << n;
+}
+
+INSTANTIATE_TEST_SUITE_P(PanelRemainders, MatmulBitExact,
+                         ::testing::Values(1, 2, 3, 4, 5, 16, 19, 31, 32, 33,
+                                           48, 64, 128, 129));
+
+TEST(Matrix, ThreadedMmMatchesNaiveOrder) {
+  // Large enough (m*k*n > 3e7) to take the row-sliced threaded path.
+  const Matrix a = half_zero_matrix(1900, 128, 600);
+  const Matrix b = random_matrix(128, 129, 601);
+  Matrix out;
+  mm(a, b, out);
+  EXPECT_TRUE(same_bits(out, naive_mm(a, b)));
+}
 
 TEST(Matrix, AccumulateAddsToExisting) {
   const Matrix a = random_matrix(9, 5, 1);
