@@ -14,6 +14,7 @@
 #include "core/gather_scatter.hpp"
 #include "core/kernel_map.hpp"
 #include "gpusim/cache.hpp"
+#include "gpusim/device.hpp"
 #include "hash/flat_hashmap.hpp"
 #include "hash/grid_hashmap.hpp"
 #include "tensor/matrix.hpp"
@@ -135,19 +136,47 @@ void BM_GatherRows(benchmark::State& state) {
 }
 BENCHMARK(BM_GatherRows);
 
-void BM_CacheSimAccess(benchmark::State& state) {
-  ts::CacheSim l2(5 * 1024 * 1024);
+// The L2 replay's two access shapes on the RTX 2080 Ti L2. Rows: the
+// locality-aware gather's stream of 32-256 B feature rows, a sequential
+// read of each input row interleaved with writes to its (scattered)
+// gather-buffer slots.
+void BM_CacheSimRows(benchmark::State& state) {
+  const std::size_t row = static_cast<std::size_t>(state.range(0));
+  const std::size_t n_in = 1 << 15;
+  const std::size_t fanout = 3;  // slot writes per input row
   std::mt19937_64 rng(4);
-  std::vector<uint64_t> addrs(1 << 16);
-  for (auto& a : addrs) a = (rng() % (1 << 20)) * 128;
-  std::size_t i = 0;
+  std::vector<uint64_t> slots(n_in * fanout);
+  for (auto& s : slots) s = rng() % (n_in * fanout);
+  ts::CacheSim l2(static_cast<std::size_t>(ts::rtx2080ti().l2_bytes));
+  const uint64_t x_base = 0, f_base = uint64_t{1} << 40;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        l2.access(addrs[i++ & (addrs.size() - 1)], 128, false));
+    std::size_t misses = 0;
+    for (std::size_t j = 0; j < n_in; ++j) {
+      misses += l2.access(x_base + j * row, row, false);
+      for (std::size_t t = j * fanout; t < (j + 1) * fanout; ++t)
+        misses += l2.access(f_base + slots[t] * row, row, true);
+    }
+    benchmark::DoNotOptimize(misses);
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(n_in * (fanout + 1)));
 }
-BENCHMARK(BM_CacheSimAccess);
+BENCHMARK(BM_CacheSimRows)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
+
+// Ranges: matmul_touch's shape, an 8 MiB read of the gather buffer then
+// an 8 MiB write of the partial sums, each larger than the whole L2.
+void BM_CacheSimRange(benchmark::State& state) {
+  const std::size_t bytes = std::size_t{8} << 20;
+  ts::CacheSim l2(static_cast<std::size_t>(ts::rtx2080ti().l2_bytes));
+  const uint64_t f_base = uint64_t{1} << 40, p_base = uint64_t{2} << 40;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(l2.access(f_base, bytes, false));
+    benchmark::DoNotOptimize(l2.access(p_base, bytes, true));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(2 * bytes / l2.line_bytes()));
+}
+BENCHMARK(BM_CacheSimRange);
 
 // FP16 storage rounding of one gathered feature matrix (2500 voxels x 64
 // channels), as sparse_conv3d applies it to every gather and partial sum.

@@ -79,8 +79,10 @@ def main():
     ap.add_argument("--build-dir", default="build")
     ap.add_argument("--preset", choices=sorted(PRESET_SCALE), default="ci")
     ap.add_argument("--check", action="store_true",
-                    help="fail on >%d%% modeled regression vs baseline"
-                         % int(TOLERANCE * 100))
+                    # argparse %-formats help text itself, so the
+                    # literal percent sign must reach it as "%%".
+                    help=f"fail on >{int(TOLERANCE * 100)}%% modeled "
+                         "regression vs baseline")
     ap.add_argument("--update-baseline", action="store_true")
     ap.add_argument("--out-dir", default=".")
     args = ap.parse_args()

@@ -2,6 +2,12 @@
 // matmul utilization, device specs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <stdexcept>
+#include <vector>
+
 #include "gpusim/cache.hpp"
 #include "gpusim/coalesce.hpp"
 #include "gpusim/cost_model.hpp"
@@ -70,6 +76,280 @@ TEST(CacheSim, ResetClearsState) {
   c.reset();
   EXPECT_EQ(c.hits() + c.read_misses() + c.write_misses(), 0u);
   EXPECT_EQ(c.dram_bytes(), 0.0);
+}
+
+// --- CacheSim against a naive tick-based LRU reference. ---
+
+/// The textbook model CacheSim must reproduce: every way carries a valid
+/// bit, its line address, a dirty bit and a last-use tick; a miss fills
+/// an invalid way if there is one, else evicts the smallest tick. Same
+/// geometry rounding and write semantics (write miss allocates without a
+/// fill; a dirty victim counts one write-back).
+class TickLru {
+ public:
+  TickLru(std::size_t capacity_bytes, int ways, std::size_t line_bytes) {
+    line_bytes_ = 1;
+    while (line_bytes_ * 2 <= std::max<std::size_t>(line_bytes, 1))
+      line_bytes_ *= 2;
+    ways_ = static_cast<std::size_t>(std::clamp(ways, 1, 64));
+    const std::size_t want =
+        std::max<std::size_t>(1, capacity_bytes / (line_bytes_ * ways_));
+    sets_ = 1;
+    while (sets_ * 2 <= want) sets_ *= 2;
+    reset();
+  }
+
+  void reset() {
+    ways_state_.assign(sets_ * ways_, Way{});
+    tick_ = 0;
+    hits = read_misses = write_misses = writebacks = 0;
+  }
+
+  std::size_t access(uint64_t addr, std::size_t bytes, bool is_write) {
+    if (bytes == 0) return 0;
+    std::size_t misses = 0;
+    for (uint64_t l = addr / line_bytes_; l <= (addr + bytes - 1) / line_bytes_;
+         ++l)
+      misses += access_line(l, is_write);
+    return misses;
+  }
+
+  std::size_t capacity_lines() const { return sets_ * ways_; }
+  std::size_t line_bytes() const { return line_bytes_; }
+  std::size_t hits = 0, read_misses = 0, write_misses = 0, writebacks = 0;
+
+ private:
+  struct Way {
+    bool valid = false;
+    bool dirty = false;
+    uint64_t line = 0;
+    uint64_t tick = 0;
+  };
+
+  std::size_t access_line(uint64_t line, bool is_write) {
+    Way* set = ways_state_.data() + (line % sets_) * ways_;
+    ++tick_;
+    for (std::size_t w = 0; w < ways_; ++w) {
+      if (set[w].valid && set[w].line == line) {
+        set[w].tick = tick_;
+        set[w].dirty = set[w].dirty || is_write;
+        ++hits;
+        return 0;
+      }
+    }
+    Way* victim = set;
+    for (std::size_t w = 0; w < ways_; ++w) {
+      if (!set[w].valid) {
+        victim = set + w;
+        break;
+      }
+      if (set[w].tick < victim->tick) victim = set + w;
+    }
+    if (victim->valid && victim->dirty) ++writebacks;
+    *victim = Way{true, is_write, line, tick_};
+    ++(is_write ? write_misses : read_misses);
+    return 1;
+  }
+
+  std::size_t line_bytes_, ways_, sets_;
+  std::vector<Way> ways_state_;
+  uint64_t tick_ = 0;
+};
+
+void expect_same_counters(const CacheSim& c, const TickLru& ref) {
+  EXPECT_EQ(c.hits(), ref.hits);
+  EXPECT_EQ(c.read_misses(), ref.read_misses);
+  EXPECT_EQ(c.write_misses(), ref.write_misses);
+  EXPECT_EQ(c.writebacks(), ref.writebacks);
+  EXPECT_EQ(c.dram_bytes(),
+            static_cast<double>((ref.read_misses + ref.writebacks) *
+                                ref.line_bytes()));
+}
+
+/// Touches the same bytes on both models; they must report the same
+/// number of missed lines.
+void access_both(CacheSim& c, TickLru& ref, uint64_t addr, std::size_t bytes,
+                 bool is_write) {
+  ASSERT_EQ(c.access(addr, bytes, is_write), ref.access(addr, bytes, is_write))
+      << "addr " << addr << " bytes " << bytes << " write " << is_write;
+}
+
+/// A seeded stream shaped like the engine replay: row-sized accesses (a
+/// sequential read sweep interleaved with scattered slot writes, as in the
+/// locality-aware gather), ranges below capacity, ranges spanning one to
+/// three whole caches (the matmul slab streams), ranges of exactly the
+/// capacity or one line more, and occasional resets.
+void run_random_stream(std::size_t capacity_bytes, int ways,
+                       std::size_t line_bytes, uint32_t seed, int steps) {
+  CacheSim c(capacity_bytes, ways, line_bytes);
+  TickLru ref(capacity_bytes, ways, line_bytes);
+  const std::size_t lb = ref.line_bytes();
+  const std::size_t cap_lines = ref.capacity_lines();
+  const uint64_t span = 4 * cap_lines * lb;
+  std::mt19937 rng(seed);
+  uint64_t sweep = 0;
+  for (int step = 0; step < steps; ++step) {
+    const uint32_t kind = rng() % 32;
+    const uint64_t base = (uint64_t{rng() % 4} << 28);  // distinct slabs
+    const uint64_t at = base + rng() % span;
+    if (kind == 0) {
+      c.reset();
+      ref.reset();
+    } else if (kind < 12) {  // sequential row read
+      const std::size_t row = 1 + rng() % (2 * lb);
+      access_both(c, ref, base + sweep * row, row, false);
+      ++sweep;
+    } else if (kind < 22) {  // scattered row write (or read)
+      access_both(c, ref, at, 1 + rng() % (2 * lb), rng() % 4 != 0);
+    } else if (kind < 25) {  // below capacity
+      access_both(c, ref, at, 1 + rng() % (cap_lines * lb), rng() % 2 != 0);
+    } else if (kind < 30) {  // one to three whole caches
+      const std::size_t lines = cap_lines + 1 + rng() % (2 * cap_lines);
+      access_both(c, ref, at, lines * lb - rng() % lb, rng() % 2 != 0);
+    } else {  // exactly the capacity, or one line more
+      access_both(c, ref, at - at % lb, (cap_lines + kind % 2) * lb,
+                  rng() % 2 != 0);
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  expect_same_counters(c, ref);
+}
+
+TEST(CacheSimDifferential, SmallCachesAllWaysAndLineSizes) {
+  uint32_t seed = 1;
+  for (int ways : {1, 2, 3, 4, 5, 16, 17, 64}) {
+    for (std::size_t line : {16u, 32u, 64u, 128u, 256u}) {
+      for (std::size_t sets : {1u, 4u, 32u}) {
+        SCOPED_TRACE(::testing::Message() << "ways " << ways << " line "
+                                          << line << " sets " << sets);
+        // Capacity a little above sets * ways * line: CacheSim rounds it
+        // down to the same geometry.
+        run_random_stream(sets * static_cast<std::size_t>(ways) * line +
+                              line / 2,
+                          ways, line, seed++, 400);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(CacheSimDifferential, FourMiBCaches) {
+  constexpr std::size_t k4MiB = std::size_t{4} << 20;
+  uint32_t seed = 100;
+  for (const auto& [ways, line] :
+       {std::pair{16, 128u}, std::pair{17, 256u}, std::pair{1, 256u},
+        std::pair{64, 256u}, std::pair{5, 128u}}) {
+    SCOPED_TRACE(::testing::Message() << "ways " << ways << " line " << line);
+    run_random_stream(k4MiB, ways, line, seed++, 60);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(CacheSimDifferential, RangesOfExactlyAndJustOverCapacity) {
+  for (int ways : {1, 3, 4, 16, 64}) {
+    const std::size_t sets = 8, line = 128;
+    const std::size_t cap_lines = sets * static_cast<std::size_t>(ways);
+    for (std::size_t lines : {cap_lines, cap_lines + 1}) {
+      SCOPED_TRACE(::testing::Message() << "ways " << ways << " lines "
+                                        << lines);
+      CacheSim c(cap_lines * line, ways, line);
+      TickLru ref(cap_lines * line, ways, line);
+      // Warm with a partly dirty stream, then the range twice (read and
+      // write) and a sweep that probes what stayed resident.
+      for (uint64_t i = 0; i < 2 * cap_lines; i += 3)
+        access_both(c, ref, i * line, line, i % 2 == 0);
+      access_both(c, ref, 0, lines * line, false);
+      access_both(c, ref, line * 5, lines * line, true);
+      for (uint64_t i = 0; i < 3 * cap_lines; ++i)
+        access_both(c, ref, i * line, 1, false);
+      expect_same_counters(c, ref);
+    }
+  }
+}
+
+TEST(CacheSimDifferential, RangeStartingMidSet) {
+  // 8 sets x 4 ways. The write range starts half way into line 5 (set
+  // 5) and covers lines [5, 75]: sets 5, 6, 7, 0, 1, 2 and 3 see nine
+  // touches, set 4 sees eight.
+  const std::size_t line = 64;
+  CacheSim c(8 * 4 * line, 4, line);
+  TickLru ref(8 * 4 * line, 4, line);
+  for (uint64_t i = 0; i < 40; ++i)
+    access_both(c, ref, i * line, 8, i % 3 == 0);
+  access_both(c, ref, 5 * line + line / 2, 70 * line, true);
+  access_both(c, ref, 13 * line + 1, 100 * line + 7, false);
+  for (uint64_t i = 0; i < 200; ++i) access_both(c, ref, i * line, 1, false);
+  expect_same_counters(c, ref);
+}
+
+TEST(CacheSim, ReadRangeWritesBackDirtyResidentLines) {
+  // 1 set x 4 ways: the four lines [0, 4) are written (all dirty). A read
+  // range starting at line 0 first hits all four, then each of its r
+  // further lines evicts the oldest: min(r, 4) dirty write-backs.
+  for (std::size_t r : {2u, 4u, 7u}) {
+    SCOPED_TRACE(::testing::Message() << "r " << r);
+    CacheSim c(4 * 128, 4, 128);
+    TickLru ref(4 * 128, 4, 128);
+    access_both(c, ref, 0, 4 * 128, true);
+    EXPECT_EQ(c.writebacks(), 0u);
+    access_both(c, ref, 0, (4 + r) * 128, false);
+    EXPECT_EQ(c.hits(), 4u);
+    EXPECT_EQ(c.read_misses(), r);
+    EXPECT_EQ(c.writebacks(), std::min<std::size_t>(r, 4));
+    expect_same_counters(c, ref);
+  }
+  // Partly dirty, 2 sets x 3 ways: lines 0, 2 and 4 of set 0 are resident,
+  // only 2 dirty. A read range over lines [0, 14) gives set 0 seven
+  // touches: three hits, then r = 4 > ways misses that evict the lines in
+  // the order 0, 2, 4, ...: exactly one write-back.
+  CacheSim c(2 * 3 * 128, 3, 128);
+  TickLru ref(2 * 3 * 128, 3, 128);
+  access_both(c, ref, 0 * 128, 1, false);
+  access_both(c, ref, 2 * 128, 1, true);
+  access_both(c, ref, 4 * 128, 1, false);
+  access_both(c, ref, 0, 14 * 128, false);
+  EXPECT_EQ(c.writebacks(), 1u);
+  expect_same_counters(c, ref);
+}
+
+TEST(CacheSim, WriteRangeCountsItsOwnWritebacks) {
+  // 1 set x 2 ways, a clean cold cache: a 10-line write range misses on
+  // every line and writes back the 8 lines it evicts itself.
+  CacheSim c(2 * 128, 2, 128);
+  EXPECT_EQ(c.access(0, 10 * 128, true), 10u);
+  EXPECT_EQ(c.write_misses(), 10u);
+  EXPECT_EQ(c.writebacks(), 8u);
+  EXPECT_EQ(c.dram_bytes(), 8.0 * 128);
+}
+
+TEST(CacheSim, TagOverflowThrowsOnTheLinePath) {
+  // 1 set: the stored tag is line + 1, so line 2^32 - 1 overflows.
+  CacheSim c(4 * 128, 4, 128);
+  const uint64_t bad_line = 0xffffffffull;
+  EXPECT_NO_THROW(c.access((bad_line - 1) * 128, 1, false));
+  EXPECT_THROW(c.access(bad_line * 128, 1, false), std::runtime_error);
+}
+
+TEST(CacheSim, TagOverflowThrowsOnTheRangePathWithoutSideEffects) {
+  // 2 sets x 4 ways: tag = (line >> 1) + 1. A 9-line range whose last
+  // line overflows must throw before touching any state.
+  CacheSim c(2 * 4 * 128, 4, 128);
+  CacheSim twin(2 * 4 * 128, 4, 128);
+  for (uint64_t i = 0; i < 12; ++i) {
+    c.access(i * 128, 1, i % 2 == 0);
+    twin.access(i * 128, 1, i % 2 == 0);
+  }
+  const uint64_t bad_line = uint64_t{0xffffffff} << 1;
+  EXPECT_THROW(c.access((bad_line - 8) * 128, 9 * 128, true),
+               std::runtime_error);
+  EXPECT_EQ(c.hits(), twin.hits());
+  EXPECT_EQ(c.read_misses(), twin.read_misses());
+  EXPECT_EQ(c.write_misses(), twin.write_misses());
+  EXPECT_EQ(c.writebacks(), twin.writebacks());
+  // The resident lines and their dirty bits are untouched too.
+  for (uint64_t i = 0; i < 16; ++i)
+    EXPECT_EQ(c.access(i * 128, 1, false), twin.access(i * 128, 1, false));
+  EXPECT_EQ(c.writebacks(), twin.writebacks());
 }
 
 // --- Transaction coalescing (paper Fig. 8). ---
