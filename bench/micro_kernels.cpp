@@ -1,18 +1,24 @@
 // google-benchmark microbenchmarks for the substrate kernels: coordinate
-// hashing (conventional vs grid), map search, gather/scatter numerics,
-// GEMM on the segmentation workload's shapes, the L2 cache simulator, and
-// FP16 quantization of a feature matrix.
+// hashing (conventional vs grid), map search (synthetic sets and a real
+// scan's layer stack), gather/scatter numerics, GEMM on the segmentation
+// workload's shapes, the L2 cache simulator, and FP16 quantization of a
+// feature matrix.
 //
 // These measure the *host implementation* (this repo runs the algorithms
 // on CPU); the paper-facing performance numbers come from the cost model
 // in the fig*/table* binaries.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <random>
 #include <vector>
 
+#include "core/downsample.hpp"
 #include "core/gather_scatter.hpp"
 #include "core/kernel_map.hpp"
+#include "data/lidar.hpp"
+#include "data/voxelize.hpp"
 #include "gpusim/cache.hpp"
 #include "gpusim/device.hpp"
 #include "hash/flat_hashmap.hpp"
@@ -82,6 +88,56 @@ void BM_SymmetricMapSearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SymmetricMapSearch);
+
+/// The coordinate levels of one fixed-seed scan at scale 0.05, as the
+/// workloads' layer stacks see them: level 0 in voxelizer order, each
+/// later level the key-sorted downsample_coords output of the one above
+/// (K=2 for MinkUNet's segmentation scans, K=3 for CenterPoint's
+/// detection scans).
+const std::vector<std::vector<ts::Coord>>& scan_levels(bool detection) {
+  static const auto build = [](bool det) {
+    ts::LidarSpec spec = det ? ts::waymo_spec(3) : ts::semantic_kitti_spec();
+    spec.azimuth_steps = std::max(
+        32, static_cast<int>(std::lround(spec.azimuth_steps * 0.05)));
+    const ts::VoxelSpec vox =
+        det ? ts::detection_voxels() : ts::segmentation_voxels();
+    std::vector<std::vector<ts::Coord>> levels(4);
+    levels[0] = ts::make_input(spec, vox, /*seed=*/1).coords();
+    for (std::size_t l = 1; l < levels.size(); ++l)
+      levels[l] =
+          ts::downsample_coords(levels[l - 1], det ? 3 : 2, 2, true, true);
+    return levels;
+  };
+  static const auto seg = build(false);
+  static const auto det = build(true);
+  return detection ? det : seg;
+}
+
+// Args are {detection, level, strided}: the grid-backend map builds of a
+// real scan's layer stack. strided = 0 is the symmetric submanifold K=3
+// layer at `level`; strided = 1 is the stride-2 downsample from `level`
+// to the next (K=2 on segmentation scans, K=3 on detection scans).
+void BM_MapSearchScan(benchmark::State& state) {
+  const bool det = state.range(0) != 0;
+  const auto level = static_cast<std::size_t>(state.range(1));
+  const bool strided = state.range(2) != 0;
+  const auto& levels = scan_levels(det);
+  const auto& in = levels[level];
+  const auto& out = strided ? levels[level + 1] : in;
+  const ts::ConvGeometry geom{strided && !det ? 2 : 3, strided ? 2 : 1,
+                              false};
+  const ts::MapSearchOptions opts{ts::MapBackend::kGrid, !strided};
+  for (auto _ : state) {
+    auto km = ts::build_kernel_map(in, out, geom, opts);
+    benchmark::DoNotOptimize(km.total());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(out.size()));
+}
+BENCHMARK(BM_MapSearchScan)
+    ->ArgNames({"det", "level", "strided"})
+    ->ArgsProduct({{0, 1}, {0, 1, 2, 3}, {0}})
+    ->ArgsProduct({{0, 1}, {0, 1, 2}, {1}});
 
 /// Random [-1,1) matrix with about half its entries exactly zero when
 /// `zero_half` is set (a gathered feature matrix after ReLU).

@@ -1,7 +1,8 @@
 #include "core/kernel_map.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace ts {
 
@@ -62,7 +63,8 @@ void search_offset(const std::vector<Coord>& out_coords, const Offset3& d,
 }
 
 // ---------------------------------------------------------------------
-// Grid-backend fast path: sorted merge-join instead of per-point probes.
+// Grid-backend fast path: column-fused sorted merge-join instead of
+// per-point probes.
 //
 // The collision-free grid models exactly one DRAM access per in-bounds
 // query, so its modeled cost is independent of how the host finds the
@@ -72,88 +74,175 @@ void search_offset(const std::vector<Coord>& out_coords, const Offset3& d,
 // lexicographic in (b, x, y, z), and the candidate map r = s*q + dil*delta
 // is componentwise monotone, so candidates generated from sorted outputs
 // are themselves sorted and one forward-only cursor over the sorted
-// inputs finds every match. Matches are then re-sorted by output position
-// so the emitted entries are byte-identical — content *and* order — to
-// the probe loop's, and every modeled counter (queries, index accesses,
-// build accesses) is accounted identically.
+// inputs finds every match.
+//
+// Offsets that differ only in dz form a column (offsets are enumerated
+// with z fastest, so a column is a run of consecutive offset indices).
+// The candidates of one output across a column share (b, x', y') and so
+// lie in one short window of packed keys: one merge pass per column
+// resolves all of them. The cursor advances to the window's first key
+// (monotone in output order); every input key inside the window is then
+// a match for the offset its z selects, and an empty window costs one
+// compare.
+//
+// Emission order is the probe loop's — ascending output position, one
+// entry per output at most — and every modeled counter (queries, index
+// accesses, build accesses) is accounted identically, so the maps are
+// byte-identical to the probe loop's.
 // ---------------------------------------------------------------------
 
-/// One side of the merge: coordinates sorted by packed key, remembering
-/// original positions. Ties (duplicate coordinates) keep ascending
-/// position order so the merge matches the first duplicate, like
-/// GridHashMap::insert keeping the first value.
-struct SortedCoords {
-  std::vector<uint64_t> keys;  // sorted packed coords
-  std::vector<int32_t> pos;    // original index of each sorted entry
-  std::vector<Coord> coords;   // coords in sorted order
+constexpr uint64_t kZFieldMask = 0x3ffff;  // z field of a packed key
+
+/// A coordinate set in packed-key order. A set that is already strictly
+/// ascending (every downsample_coords output) is used in place and `pos`
+/// stays empty; otherwise (key, position) pairs are sorted, so equal
+/// coordinates keep ascending position order. `keys` ends in a ~0
+/// sentinel, so a cursor looking for a smaller key needs no end check.
+struct KeyOrder {
+  std::vector<uint64_t> keys;  // ascending packed keys, then the sentinel
+  std::vector<int32_t> pos;    // original index of each key (if re-sorted)
+
+  std::size_t size() const { return keys.size() - 1; }
+  int32_t position(std::size_t i) const {
+    return pos.empty() ? static_cast<int32_t>(i) : pos[i];
+  }
 };
 
-SortedCoords sort_by_key(const std::vector<Coord>& coords) {
-  SortedCoords s;
+KeyOrder key_order(const std::vector<Coord>& coords) {
+  KeyOrder s;
   const std::size_t n = coords.size();
+  s.keys.resize(n + 1);
+  bool ascending = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    s.keys[i] = pack_coord(coords[i]);
+    if (i > 0) ascending &= s.keys[i - 1] < s.keys[i];
+  }
+  s.keys[n] = ~uint64_t{0};
+  if (ascending) return s;
   std::vector<std::pair<uint64_t, int32_t>> order(n);
   for (std::size_t i = 0; i < n; ++i)
-    order[i] = {pack_coord(coords[i]), static_cast<int32_t>(i)};
+    order[i] = {s.keys[i], static_cast<int32_t>(i)};
   std::sort(order.begin(), order.end());
-  s.keys.resize(n);
   s.pos.resize(n);
-  s.coords.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     s.keys[i] = order[i].first;
     s.pos[i] = order[i].second;
-    s.coords[i] = coords[order[i].second];
   }
   return s;
 }
 
-/// Merge-join for one offset (non-transposed). Counts queries and grid
-/// accesses exactly like the probe loop: one query and one modeled
-/// access per output candidate (CoordIndex charges the grid access
-/// whether or not the candidate is in bounds).
-void search_offset_grid_merge(const SortedCoords& in, const SortedCoords& out,
+/// Merge-join for one column: offsets `col[0..nz)` share (dx, dy), and
+/// their candidates for output q are s*q + dil*delta. `sq` holds the
+/// outputs in key order, scaled by the stride (s*q). The matches of
+/// col[iz] go to `maps[iz]` in ascending output position, at exact
+/// capacity (`count` holds the nz tallies): staged in `found` (`n_out`
+/// slots per offset) when `out_pos` is empty (outputs in place), else
+/// scattered into `scratch` (nz slots per output, all -1 on entry and on
+/// return) and gathered by output position.
+void search_column_grid_merge(const KeyOrder& in, const Coord* sq,
+                              std::size_t n_out,
+                              const std::vector<int32_t>& out_pos,
                               const Coord& lo, const Coord& hi,
-                              const Offset3& d, int s, int dil,
-                              std::vector<MapEntry>& entries,
-                              std::vector<int32_t>& match_scratch,
-                              std::size_t& queries, std::size_t& accesses) {
-  const int32_t ox = dil * d.dx, oy = dil * d.dy, oz = dil * d.dz;
-  const std::size_t n_out = out.coords.size();
-  const std::size_t n_in = in.keys.size();
-  queries += n_out;
-  accesses += n_out;
+                              const Offset3* col, int nz, int dil,
+                              std::vector<MapEntry>* maps, std::size_t* count,
+                              std::vector<MapEntry>& found,
+                              std::vector<int32_t>& scratch) {
+  const int32_t ox = dil * col[0].dx, oy = dil * col[0].dy;
+  int32_t oz_min = dil * col[0].dz, oz_max = oz_min;
+  for (int iz = 1; iz < nz; ++iz) {
+    oz_min = std::min(oz_min, dil * col[iz].dz);
+    oz_max = std::max(oz_max, dil * col[iz].dz);
+  }
+  // Offset selected by a window key, indexed by z - (s*q.z + oz_min); -1
+  // for z values between dilated candidates.
+  std::vector<int> slot_of(static_cast<std::size_t>(oz_max - oz_min) + 1, -1);
+  for (int iz = 0; iz < nz; ++iz)
+    slot_of[static_cast<std::size_t>(dil * col[iz].dz - oz_min)] = iz;
+
+  // In-bounds tests as one unsigned compare per axis.
+  const auto span = [](int32_t l, int32_t h) {
+    return static_cast<uint32_t>(h) - static_cast<uint32_t>(l);
+  };
+  const auto inside = [](int32_t v, int32_t l, uint32_t width) {
+    return static_cast<uint32_t>(v) - static_cast<uint32_t>(l) <= width;
+  };
+  const uint32_t wb = span(lo.b, hi.b), wx = span(lo.x, hi.x),
+                 wy = span(lo.y, hi.y);
+  const auto field = [](int32_t v) {
+    return static_cast<uint32_t>(v) - static_cast<uint32_t>(kCoordSpatialMin);
+  };
+
+  const std::size_t n_in = in.size();
+  const uint64_t* keys = in.keys.data();
+  const bool direct = out_pos.empty();
+  MapEntry* const staged = found.data();
+  int32_t* const slots = scratch.data();
+  std::fill(count, count + nz, std::size_t{0});
   std::size_t ip = 0;
-  std::size_t n_match = 0;
   for (std::size_t t = 0; t < n_out; ++t) {
-    const Coord& q = out.coords[t];
-    const Coord r{q.b, s * q.x + ox, s * q.y + oy, s * q.z + oz};
-    if (r.x < lo.x || r.x > hi.x || r.y < lo.y || r.y > hi.y ||
-        r.z < lo.z || r.z > hi.z || r.b < lo.b || r.b > hi.b)
+    const Coord& q = sq[t];
+    const int32_t x = q.x + ox, y = q.y + oy;
+    const int32_t z_first = std::max(q.z + oz_min, lo.z);
+    const int32_t z_last = std::min(q.z + oz_max, hi.z);
+    if (!inside(q.b, lo.b, wb) || !inside(x, lo.x, wx) ||
+        !inside(y, lo.y, wy) || z_first > z_last)
       continue;  // out of bounds: no possible match
-    const uint64_t key = pack_coord(r);
-    while (ip < n_in && in.keys[ip] < key) ++ip;
-    if (ip < n_in && in.keys[ip] == key) {
-      match_scratch[static_cast<std::size_t>(out.pos[t])] = in.pos[ip];
-      ++n_match;
+    // Packed key layout (pack_coord); every field is in range here.
+    const uint64_t row = static_cast<uint64_t>(q.b) << 54 |
+                         uint64_t{field(x)} << 36 | uint64_t{field(y)} << 18;
+    const uint64_t first = row | field(z_first);
+    const uint64_t last = row | field(z_last);
+    // The cursor usually moves a key or two per output: step without
+    // branches first, then finish any longer skip in a loop.
+    ip += keys[ip] < first;
+    ip += keys[ip] < first;
+    while (keys[ip] < first) ++ip;
+    // z - (s*q.z + oz_min) of a window key, exact modulo 2^32 even where
+    // s*q.z + oz_min lies below the packable range (the window itself
+    // is clamped to lo.z).
+    const uint32_t z_base = field(q.z + oz_min);
+    for (std::size_t p = ip; p < n_in && keys[p] <= last; ++p) {
+      const int iz =
+          slot_of[static_cast<uint32_t>(keys[p] & kZFieldMask) - z_base];
+      // A duplicated input coordinate matches at its first (lowest)
+      // position only, as GridHashMap::insert keeps the first value.
+      if (iz < 0 || (p > ip && keys[p] == keys[p - 1])) continue;
+      const int32_t j = in.position(p);
+      const auto k = static_cast<std::size_t>(iz);
+      if (direct)
+        staged[k * n_out + count[k]] = {j, static_cast<int32_t>(t)};
+      else
+        slots[static_cast<std::size_t>(out_pos[t]) *
+                  static_cast<std::size_t>(nz) + k] = j;
+      ++count[k];
     }
   }
-  // Restore the probe loop's emission order — ascending output position,
-  // at most one entry per output — with a linear sweep over the match
-  // scratch (reset to -1 behind us for the next offset).
-  entries.reserve(n_match);
-  for (std::size_t k = 0; k < n_out; ++k) {
-    const int32_t j = match_scratch[k];
-    if (j < 0) continue;
-    entries.push_back({j, static_cast<int32_t>(k)});
-    match_scratch[k] = -1;
+  if (direct) {
+    for (std::size_t k = 0; k < static_cast<std::size_t>(nz); ++k)
+      maps[k].assign(staged + k * n_out, staged + k * n_out + count[k]);
+    return;
+  }
+  for (std::size_t k = 0; k < static_cast<std::size_t>(nz); ++k)
+    maps[k].reserve(count[k]);
+  for (std::size_t t = 0; t < n_out; ++t) {
+    int32_t* slot = slots + t * static_cast<std::size_t>(nz);
+    for (std::size_t k = 0; k < static_cast<std::size_t>(nz); ++k) {
+      if (slot[k] < 0) continue;
+      maps[k].push_back({slot[k], static_cast<int32_t>(t)});
+      slot[k] = -1;
+    }
   }
 }
 
 KernelMap build_kernel_map_grid_merge(const std::vector<Coord>& in_coords,
                                       const std::vector<Coord>& out_coords,
                                       const ConvGeometry& geom,
-                                      const MapSearchOptions& opts) {
+                                      const MapSearchOptions& opts,
+                                      bool symmetric, bool same_sets) {
   const auto offsets = kernel_offsets(geom.kernel_size);
   const int volume = static_cast<int>(offsets.size());
+  const int mid = volume / 2;
+  const int searched = symmetric ? mid : volume;
 
   KernelMap km;
   km.kernel_size = geom.kernel_size;
@@ -162,60 +251,77 @@ KernelMap build_kernel_map_grid_merge(const std::vector<Coord>& in_coords,
   // Grid construction: exactly one access per entry (paper §4.4), charged
   // analytically — the host never materializes the grid on this path.
   km.stats.build_accesses = in_coords.size();
-
-  const bool symmetric = opts.use_symmetry && geom.is_submanifold();
   km.stats.used_symmetry = symmetric;
+  // Each searched offset issues (and charges) one query per output —
+  // bounds-rejected ones included, as in the probe loop.
+  km.stats.queries =
+      static_cast<std::size_t>(searched) * out_coords.size();
+  km.stats.index_accesses = km.stats.queries;
 
   Coord lo{}, hi{};
-  std::size_t queries = 0, accesses = 0;
-  if (!coord_bounds(in_coords, lo, hi)) {
-    // Empty input: the probe loop still issues (and charges) one
-    // bounds-rejected query per output per searched offset.
-    km.stats.queries =
-        static_cast<std::size_t>(symmetric ? volume / 2 : volume) *
-        out_coords.size();
-    km.stats.index_accesses = km.stats.queries;
-    return km;
-  }
+  if (!coord_bounds(in_coords, lo, hi)) return km;  // empty input
   {
-    const SortedCoords in = sort_by_key(in_coords);
+    const KeyOrder in = key_order(in_coords);
     // Submanifold layers search the input set against itself; share the
-    // sorted view by reference instead of re-sorting (or copying) it.
-    const bool same_sets =
-        &in_coords == &out_coords || in_coords == out_coords;
-    SortedCoords out_distinct;
-    if (!same_sets) out_distinct = sort_by_key(out_coords);
-    const SortedCoords& out = same_sets ? in : out_distinct;
-    const int mid = volume / 2;
-    const int searched = symmetric ? mid : volume;
-    std::vector<int32_t> match_scratch(out_coords.size(), -1);
-    for (int n = 0; n < searched; ++n)
-      search_offset_grid_merge(in, out, lo, hi,
-                               offsets[static_cast<std::size_t>(n)],
-                               geom.stride, geom.dilation,
-                               km.maps[static_cast<std::size_t>(n)],
-                               match_scratch, queries, accesses);
-    if (symmetric) {
-      // Mirror each searched map (swap in/out, negated offset) and emit
-      // the center offset as the identity map with zero queries.
-      assert(in_coords.size() == out_coords.size());
-      for (int n = 0; n < mid; ++n) {
-        const auto& m = km.maps[static_cast<std::size_t>(n)];
-        auto& mm = km.maps[static_cast<std::size_t>(
-            mirror_offset_index(volume, n))];
-        mm.reserve(m.size());
-        for (const MapEntry& e : m) mm.push_back({e.out, e.in});
+    // key order instead of packing (or sorting) it twice.
+    KeyOrder out_distinct;
+    if (!same_sets) out_distinct = key_order(out_coords);
+    const KeyOrder& out = same_sets ? in : out_distinct;
+
+    const std::size_t n_out = out_coords.size();
+    // A column groups the offsets sharing (dx, dy); a zero dilation
+    // collapses each column onto one z, so it searches offsets singly.
+    const int kz = geom.dilation == 0 ? 1 : geom.kernel_size;
+    // Outputs in key order, scaled by the stride: used in place when
+    // already sorted at stride 1, else copied. Matches of sorted outputs
+    // are staged per offset; others are scattered by output position.
+    const int st = geom.stride;
+    std::vector<Coord> scaled;
+    if (!out.pos.empty() || st != 1) {
+      scaled.resize(n_out);
+      for (std::size_t t = 0; t < n_out; ++t) {
+        const Coord& q =
+            out_coords[static_cast<std::size_t>(out.position(t))];
+        scaled[t] = {q.b, st * q.x, st * q.y, st * q.z};
       }
-      auto& center = km.maps[static_cast<std::size_t>(mid)];
-      center.reserve(out_coords.size());
-      for (std::size_t i = 0; i < out_coords.size(); ++i)
-        center.push_back(
-            {static_cast<int32_t>(i), static_cast<int32_t>(i)});
+    }
+    const Coord* sq = scaled.empty() ? out_coords.data() : scaled.data();
+    std::vector<MapEntry> found;
+    std::vector<int32_t> scratch;
+    std::vector<std::size_t> count(static_cast<std::size_t>(kz));
+    if (out.pos.empty())
+      found.resize(static_cast<std::size_t>(kz) * n_out);
+    else
+      scratch.assign(n_out * static_cast<std::size_t>(kz), -1);
+    for (int n = 0; n < searched;) {
+      const Offset3& d = offsets[static_cast<std::size_t>(n)];
+      int nz = 1;
+      while (nz < kz && n + nz < searched &&
+             offsets[static_cast<std::size_t>(n + nz)].dx == d.dx &&
+             offsets[static_cast<std::size_t>(n + nz)].dy == d.dy)
+        ++nz;
+      search_column_grid_merge(in, sq, n_out, out.pos, lo, hi, &d, nz,
+                               geom.dilation,
+                               &km.maps[static_cast<std::size_t>(n)],
+                               count.data(), found, scratch);
+      n += nz;
     }
   }
-
-  km.stats.queries = queries;
-  km.stats.index_accesses = accesses;
+  if (symmetric) {
+    // Mirror each searched map (swap in/out, negated offset) and emit
+    // the center offset as the identity map with zero queries.
+    for (int n = 0; n < mid; ++n) {
+      const auto& m = km.maps[static_cast<std::size_t>(n)];
+      auto& mm = km.maps[static_cast<std::size_t>(
+          mirror_offset_index(volume, n))];
+      mm.reserve(m.size());
+      for (const MapEntry& e : m) mm.push_back({e.out, e.in});
+    }
+    auto& center = km.maps[static_cast<std::size_t>(mid)];
+    center.reserve(out_coords.size());
+    for (std::size_t i = 0; i < out_coords.size(); ++i)
+      center.push_back({static_cast<int32_t>(i), static_cast<int32_t>(i)});
+  }
   return km;
 }
 
@@ -225,12 +331,25 @@ KernelMap build_kernel_map(const std::vector<Coord>& in_coords,
                            const std::vector<Coord>& out_coords,
                            const ConvGeometry& geom,
                            const MapSearchOptions& opts) {
+  const bool symmetric = opts.use_symmetry && geom.is_submanifold();
+  const bool same_sets =
+      &in_coords == &out_coords || in_coords == out_coords;
+  // Mirroring a searched map is only valid when P_in == P_out; with
+  // distinct sets it would emit entries indexing past the input set.
+  if (symmetric && !same_sets)
+    throw std::invalid_argument(
+        "build_kernel_map: symmetric map search needs identical input and "
+        "output coordinate sets (got " +
+        std::to_string(in_coords.size()) + " inputs, " +
+        std::to_string(out_coords.size()) + " outputs)");
+
   // Grid backend, forward convs: probe-free merge-join (identical maps,
   // identical modeled counters, much cheaper host-side). The hashmap
   // backend keeps the real probe loop — its modeled cost depends on the
   // actual collision/probe counts of the table.
   if (opts.backend == MapBackend::kGrid && !geom.transposed)
-    return build_kernel_map_grid_merge(in_coords, out_coords, geom, opts);
+    return build_kernel_map_grid_merge(in_coords, out_coords, geom, opts,
+                                       symmetric, same_sets);
 
   const auto offsets = kernel_offsets(geom.kernel_size);
   const int volume = static_cast<int>(offsets.size());
@@ -244,14 +363,12 @@ KernelMap build_kernel_map(const std::vector<Coord>& in_coords,
   km.stats.build_accesses = index.build_accesses();
 
   std::size_t queries = 0;
-  const bool symmetric = opts.use_symmetry && geom.is_submanifold();
   km.stats.used_symmetry = symmetric;
 
   if (symmetric) {
     // Submanifold: P_in == P_out. Search the first half of the offsets,
     // mirror each map (swap in/out, negated offset), and emit the center
     // offset as the identity map with zero queries.
-    assert(in_coords.size() == out_coords.size());
     const int mid = volume / 2;
     for (int n = 0; n < mid; ++n) {
       auto& m = km.maps[static_cast<std::size_t>(n)];

@@ -70,7 +70,9 @@ struct MapSearchOptions {
 /// convolutions the relation is inverted: candidate input (q - delta)/s.
 ///
 /// `in_coords` and `out_coords` are both expressed at their own stride
-/// level (i.e. already divided by tensor stride).
+/// level (i.e. already divided by tensor stride). Throws
+/// std::invalid_argument when symmetric search applies (`use_symmetry`
+/// on a submanifold geometry) but the two coordinate sets differ.
 KernelMap build_kernel_map(const std::vector<Coord>& in_coords,
                            const std::vector<Coord>& out_coords,
                            const ConvGeometry& geom,

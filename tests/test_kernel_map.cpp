@@ -3,8 +3,10 @@
 
 #include <algorithm>
 #include <random>
+#include <stdexcept>
 #include <unordered_set>
 
+#include "core/downsample.hpp"
 #include "core/kernel_map.hpp"
 #include "core/kernel_offsets.hpp"
 #include "hash/coords.hpp"
@@ -12,14 +14,17 @@
 namespace ts {
 namespace {
 
+/// `n` distinct random coordinates in generation order, with batch
+/// indices spread over [0, batches).
 std::vector<Coord> random_coords(int n, int extent, uint64_t seed,
-                                 int batch = 0) {
+                                 int batches = 1) {
   std::mt19937_64 rng(seed);
   std::uniform_int_distribution<int32_t> d(0, extent);
+  std::uniform_int_distribution<int32_t> b(0, batches - 1);
   std::vector<Coord> coords;
   std::unordered_set<uint64_t> seen;
   while (static_cast<int>(coords.size()) < n) {
-    const Coord c{batch, d(rng), d(rng), d(rng)};
+    const Coord c{b(rng), d(rng), d(rng), d(rng)};
     if (seen.insert(pack_coord(c)).second) coords.push_back(c);
   }
   return coords;
@@ -56,11 +61,13 @@ TEST(KernelOffsets, MirrorSymmetryProperty) {
   }
 }
 
-/// Brute-force map search (quadratic; oracle for Alg. 1).
+/// Brute-force map search (quadratic; oracle for Alg. 1). Entries come
+/// out per offset in ascending output position, like the builders'.
 KernelMap brute_force_map(const std::vector<Coord>& in,
                           const std::vector<Coord>& out,
                           const ConvGeometry& geom) {
   const auto offs = kernel_offsets(geom.kernel_size);
+  const int dil = geom.dilation;
   KernelMap km;
   km.kernel_size = geom.kernel_size;
   km.maps.resize(offs.size());
@@ -68,9 +75,9 @@ KernelMap brute_force_map(const std::vector<Coord>& in,
     for (std::size_t k = 0; k < out.size(); ++k) {
       Coord r;
       if (!geom.transposed) {
-        r = Coord{out[k].b, geom.stride * out[k].x + offs[n].dx,
-                  geom.stride * out[k].y + offs[n].dy,
-                  geom.stride * out[k].z + offs[n].dz};
+        r = Coord{out[k].b, geom.stride * out[k].x + dil * offs[n].dx,
+                  geom.stride * out[k].y + dil * offs[n].dy,
+                  geom.stride * out[k].z + dil * offs[n].dz};
       } else {
         const int s = geom.stride;
         const int32_t ux = out[k].x - offs[n].dx;
@@ -89,59 +96,129 @@ KernelMap brute_force_map(const std::vector<Coord>& in,
   return km;
 }
 
-void expect_same_maps(const KernelMap& a, const KernelMap& b) {
+/// Compares two maps offset by offset. Direct search must match entry
+/// for entry in emission order; maps produced by mirroring or
+/// transposition are compared as sets (`ordered` = false).
+void expect_same_maps(const KernelMap& a, const KernelMap& b,
+                      bool ordered = false) {
   ASSERT_EQ(a.maps.size(), b.maps.size());
   for (std::size_t n = 0; n < a.maps.size(); ++n) {
     auto sa = a.maps[n];
     auto sb = b.maps[n];
-    auto lt = [](const MapEntry& x, const MapEntry& y) {
-      return std::tie(x.out, x.in) < std::tie(y.out, y.in);
-    };
-    std::sort(sa.begin(), sa.end(), lt);
-    std::sort(sb.begin(), sb.end(), lt);
+    if (!ordered) {
+      auto lt = [](const MapEntry& x, const MapEntry& y) {
+        return std::tie(x.out, x.in) < std::tie(y.out, y.in);
+      };
+      std::sort(sa.begin(), sa.end(), lt);
+      std::sort(sb.begin(), sb.end(), lt);
+    }
     ASSERT_EQ(sa.size(), sb.size()) << "offset " << n;
     EXPECT_EQ(sa, sb) << "offset " << n;
   }
 }
+
+/// How the oracle case orders its coordinate sets.
+enum class CoordOrder {
+  kGenerated,  // inputs in generation order, outputs in first-seen order
+  kSorted,     // key-sorted inputs and outputs (downsample_coords output)
+  kShuffled,   // generation-order inputs, shuffled outputs
+};
 
 struct MapCase {
   int n_points;
   int extent;
   int kernel;
   int stride;
+  int dilation = 1;
+  int batches = 1;
+  CoordOrder order = CoordOrder::kGenerated;
+  int32_t origin = 0;  // added to every spatial axis of the inputs
 };
 
 class MapSearchOracle : public ::testing::TestWithParam<MapCase> {};
 
 TEST_P(MapSearchOracle, MatchesBruteForce) {
   const MapCase c = GetParam();
-  const auto in = random_coords(c.n_points, c.extent, 99);
+  auto in = random_coords(c.n_points, c.extent, 99, c.batches);
+  for (Coord& p : in) {
+    p.x += c.origin;
+    p.y += c.origin;
+    p.z += c.origin;
+  }
+  if (c.order == CoordOrder::kSorted) std::sort(in.begin(), in.end());
   std::vector<Coord> out;
   if (c.stride == 1) {
     out = in;
-  } else {
-    // Valid downsampled coords: floor-div of a sample of inputs, deduped.
+  } else if (c.order == CoordOrder::kGenerated) {
+    // Valid downsampled coords: floor-div of the inputs, first-seen order.
+    const auto down = [&](int32_t v) {
+      return (v >= 0 ? v : v - (c.stride - 1)) / c.stride;
+    };
     std::unordered_set<uint64_t> seen;
     for (const Coord& p : in) {
-      const Coord q{p.b, p.x / c.stride, p.y / c.stride, p.z / c.stride};
+      const Coord q{p.b, down(p.x), down(p.y), down(p.z)};
       if (seen.insert(pack_coord(q)).second) out.push_back(q);
     }
+  } else {
+    out = downsample_coords(in, std::max(c.kernel, 2), c.stride, true, true);
   }
-  ConvGeometry geom{c.kernel, c.stride, false};
+  if (c.order == CoordOrder::kShuffled) {
+    std::mt19937_64 rng(7);
+    std::shuffle(out.begin(), out.end(), rng);
+  }
+  ConvGeometry geom{c.kernel, c.stride, false, c.dilation};
+  const KernelMap want = brute_force_map(in, out, geom);
   MapSearchOptions opts;
   for (MapBackend backend : {MapBackend::kHashMap, MapBackend::kGrid}) {
     opts.backend = backend;
     opts.use_symmetry = false;
-    expect_same_maps(build_kernel_map(in, out, geom, opts),
-                     brute_force_map(in, out, geom));
+    const KernelMap got = build_kernel_map(in, out, geom, opts);
+    expect_same_maps(got, want, /*ordered=*/true);
+    if (backend != MapBackend::kGrid) continue;
+    // The grid builder returns every map at exact capacity.
+    for (std::size_t n = 0; n < got.maps.size(); ++n)
+      EXPECT_EQ(got.maps[n].capacity(), got.maps[n].size()) << "offset " << n;
+    if (!geom.is_submanifold() || in != out) continue;
+    // Symmetric search mirrors half the offsets: same entries as sets.
+    opts.use_symmetry = true;
+    expect_same_maps(build_kernel_map(in, out, geom, opts), want);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, MapSearchOracle,
-    ::testing::Values(MapCase{40, 6, 3, 1}, MapCase{150, 10, 3, 1},
-                      MapCase{60, 8, 5, 1}, MapCase{80, 9, 2, 2},
-                      MapCase{120, 12, 3, 2}, MapCase{50, 8, 1, 1}));
+    ::testing::Values(
+        MapCase{40, 6, 3, 1}, MapCase{150, 10, 3, 1}, MapCase{60, 8, 5, 1},
+        MapCase{80, 9, 2, 2}, MapCase{120, 12, 3, 2}, MapCase{50, 8, 1, 1},
+        // Dilation 2 and stride 3.
+        MapCase{150, 10, 3, 1, 2}, MapCase{120, 12, 3, 2, 2},
+        MapCase{150, 14, 3, 3}, MapCase{150, 14, 2, 3, 2},
+        // Key-sorted inputs with downsample_coords outputs.
+        MapCase{150, 10, 3, 1, 1, 1, CoordOrder::kSorted},
+        MapCase{150, 10, 2, 2, 1, 1, CoordOrder::kSorted},
+        MapCase{150, 12, 3, 2, 1, 1, CoordOrder::kSorted},
+        MapCase{150, 14, 3, 3, 2, 1, CoordOrder::kSorted},
+        // Shuffled outputs.
+        MapCase{150, 10, 3, 1, 1, 1, CoordOrder::kShuffled},
+        MapCase{150, 10, 2, 2, 1, 1, CoordOrder::kShuffled},
+        MapCase{150, 12, 3, 2, 2, 1, CoordOrder::kShuffled},
+        // Multiple batches.
+        MapCase{200, 8, 3, 1, 1, 3},
+        MapCase{200, 8, 2, 2, 1, 3, CoordOrder::kSorted},
+        MapCase{200, 8, 3, 2, 1, 3, CoordOrder::kShuffled},
+        MapCase{200, 8, 5, 1, 2, 4, CoordOrder::kSorted},
+        // Coordinates at the edges of the packable range: candidates
+        // (and strided outputs s*q, floored below the range) fall outside.
+        MapCase{150, 10, 3, 1, 1, 1, CoordOrder::kGenerated, kCoordSpatialMin},
+        MapCase{150, 10, 3, 1, 2, 2, CoordOrder::kSorted, kCoordSpatialMin},
+        MapCase{150, 8, 3, 3, 1, 1, CoordOrder::kGenerated, kCoordSpatialMin},
+        MapCase{150, 8, 3, 3, 1, 1, CoordOrder::kSorted, kCoordSpatialMin},
+        MapCase{150, 8, 3, 2, 1, 1, CoordOrder::kSorted, kCoordSpatialMin},
+        MapCase{150, 14, 2, 3, 2, 2, CoordOrder::kShuffled, kCoordSpatialMin},
+        MapCase{150, 10, 3, 1, 1, 1, CoordOrder::kSorted,
+                kCoordSpatialMax - 10},
+        MapCase{150, 14, 3, 3, 1, 2, CoordOrder::kShuffled,
+                kCoordSpatialMax - 14}));
 
 TEST(MapSearch, SymmetryMatchesDirectSearch) {
   const auto coords = random_coords(300, 12, 5);
@@ -155,6 +232,30 @@ TEST(MapSearch, SymmetryMatchesDirectSearch) {
   EXPECT_FALSE(a.stats.used_symmetry);
   // Symmetry halves queries and skips the center entirely.
   EXPECT_LE(b.stats.queries, a.stats.queries / 2);
+}
+
+TEST(MapSearch, SymmetryOnDistinctSetsThrows) {
+  // Mirroring is only valid for P_in == P_out: a 10-point input searched
+  // against a 20-point output used to emit entries past the input set.
+  const auto out = random_coords(20, 6, 12);
+  const std::vector<Coord> in(out.begin(), out.begin() + 10);
+  const ConvGeometry geom{3, 1, false};
+  for (MapBackend backend : {MapBackend::kHashMap, MapBackend::kGrid}) {
+    EXPECT_THROW(build_kernel_map(in, out, geom, {backend, true}),
+                 std::invalid_argument);
+    // Same size, different content.
+    auto moved = out;
+    moved[0].x += 100;
+    EXPECT_THROW(build_kernel_map(out, moved, geom, {backend, true}),
+                 std::invalid_argument);
+    // Equal content in a distinct vector is fine.
+    const auto copy = out;
+    EXPECT_NO_THROW(build_kernel_map(out, copy, geom, {backend, true}));
+    // Direct search and non-submanifold geometries never mirror.
+    EXPECT_NO_THROW(build_kernel_map(in, out, geom, {backend, false}));
+    EXPECT_NO_THROW(
+        build_kernel_map(in, out, ConvGeometry{2, 1, false}, {backend, true}));
+  }
 }
 
 TEST(MapSearch, SymmetryIgnoredForStridedLayers) {
