@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks for the substrate kernels: coordinate
 // hashing (conventional vs grid), map search (synthetic sets and a real
 // scan's layer stack), gather/scatter numerics, GEMM on the segmentation
-// workload's shapes, the L2 cache simulator, and FP16 quantization of a
-// feature matrix.
+// workload's shapes, the L2 cache simulator, FP16 quantization of a
+// feature matrix, and ReLU on one.
 //
 // These measure the *host implementation* (this repo runs the algorithms
 // on CPU); the paper-facing performance numbers come from the cost model
@@ -19,10 +19,12 @@
 #include "core/kernel_map.hpp"
 #include "data/lidar.hpp"
 #include "data/voxelize.hpp"
+#include "engines/presets.hpp"
 #include "gpusim/cache.hpp"
 #include "gpusim/device.hpp"
 #include "hash/flat_hashmap.hpp"
 #include "hash/grid_hashmap.hpp"
+#include "nn/layers.hpp"
 #include "tensor/matrix.hpp"
 
 namespace {
@@ -153,7 +155,9 @@ ts::Matrix random_matrix(std::size_t r, std::size_t c, bool zero_half,
 
 // Args are {m, k, n}: the dominant GEMM shapes of MinkUNet-0.5x on
 // SemanticKITTI-like scans at scale 0.05 (the seg-numerics workload),
-// with half of A zero. 130x128x128 alone is 44% of its GEMM time.
+// with half of A zero. 130x128x128 alone is 44% of its GEMM time. The
+// last three are the time-weighted median row counts of the 128x128,
+// 192x128 and 64x48 GEMMs as they run inside that workload.
 void BM_BlockedGemm(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const auto k = static_cast<std::size_t>(state.range(1));
@@ -173,7 +177,10 @@ BENCHMARK(BM_BlockedGemm)
     ->Args({130, 128, 128})
     ->Args({173, 192, 128})
     ->Args({175, 48, 48})
-    ->Args({2425, 48, 19});
+    ->Args({2425, 48, 19})
+    ->Args({282, 128, 128})
+    ->Args({321, 192, 128})
+    ->Args({1858, 64, 48});
 
 void BM_GatherRows(benchmark::State& state) {
   const std::size_t n = 50000;
@@ -249,6 +256,31 @@ void BM_QuantizeFp16(benchmark::State& state) {
                           static_cast<int64_t>(m.size()));
 }
 BENCHMARK(BM_QuantizeFp16);
+
+// ReLU on a 2500x64 feature matrix with half of its entries negative,
+// like post-BN activations: the tensor copy plus the clamp loop.
+void BM_ReluForward(benchmark::State& state) {
+  std::mt19937_64 rng(6);
+  std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
+  std::vector<ts::Coord> coords(2500);
+  for (std::size_t i = 0; i < coords.size(); ++i)
+    coords[i] = {0, static_cast<int32_t>(i), 0, 0};
+  ts::Matrix f(coords.size(), 64);
+  for (std::size_t i = 0; i < f.size(); ++i) f.data()[i] = dist(rng);
+  const ts::SparseTensor x(std::move(coords), std::move(f));
+  ts::EngineConfig cfg = ts::torchsparse_config();
+  cfg.precision = ts::Precision::kFP32;
+  ts::ExecContext ctx(ts::rtx2080ti(), cfg);
+  ts::spnn::ReLU relu;
+  for (auto _ : state) {
+    ts::SparseTensor y = relu.forward(x, ctx);
+    benchmark::DoNotOptimize(y.feats().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(x.feats().size()));
+}
+BENCHMARK(BM_ReluForward);
 
 }  // namespace
 

@@ -93,9 +93,12 @@ SparseTensor ReLU::forward(const SparseTensor& x, ExecContext& ctx) {
   charge_elementwise(x.num_points(), x.channels(), ctx);
   SparseTensor y = x;
   if (ctx.compute_numerics) {
-    Matrix& f = y.feats();
-    for (std::size_t i = 0; i < f.size(); ++i)
-      if (f.data()[i] < 0.0f) f.data()[i] = 0.0f;
+    // A select, not a branch: post-BN signs are random, so a branch
+    // would mispredict. It keeps -0 and NaN bits as they are;
+    // std::max(0.0f, x) would turn -0 into +0.
+    float* d = y.feats().data();
+    const std::size_t n = y.feats().size();
+    for (std::size_t i = 0; i < n; ++i) d[i] = d[i] < 0.0f ? 0.0f : d[i];
   }
   return y;
 }

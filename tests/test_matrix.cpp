@@ -4,8 +4,13 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <random>
+#include <stdexcept>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "tensor/matrix.hpp"
 
@@ -92,9 +97,11 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(200, 65, 33)));
 
 // The GEMM must reproduce the naive per-element summation order bit for
-// bit on every column-panel remainder (32/16/4, then 3/2/1), with half
-// of A zero, both overwriting (mm) and accumulating onto nonzero values
-// (mm_accumulate).
+// bit on every column-panel remainder (32/16/4, then 3/2/1), on every
+// row remainder of the 6-row tile, with half of A zero, both overwriting
+// (mm) and accumulating onto nonzero values (mm_accumulate). On a host
+// with FMA this also fails if the kernel is contracted into fused
+// multiply-adds.
 class MatmulBitExact : public ::testing::TestWithParam<int> {};
 
 TEST_P(MatmulBitExact, MmMatchesNaiveOrder) {
@@ -119,6 +126,79 @@ TEST_P(MatmulBitExact, AccumulateMatchesNaiveOrder) {
   EXPECT_TRUE(same_bits(out, ref)) << "n=" << n;
 }
 
+TEST_P(MatmulBitExact, RowTailsMatchNaiveOrder) {
+  // m = 1..13: every remainder of a 6-row tile, two full tiles, and one
+  // more row; k up to the 192-deep GEMMs of the segmentation workload.
+  const auto n = static_cast<std::size_t>(GetParam());
+  for (std::size_t m = 1; m <= 13; ++m)
+    for (std::size_t k : {1u, 7u, 128u, 192u}) {
+      const uint64_t seed = 1000 * m + 10 * k + n;
+      const Matrix a = half_zero_matrix(m, k, seed);
+      const Matrix b = random_matrix(k, n, seed + 1);
+      Matrix out;
+      mm(a, b, out);
+      EXPECT_TRUE(same_bits(out, naive_mm(a, b)))
+          << "mm m=" << m << " k=" << k << " n=" << n;
+      const Matrix start = random_matrix(m, n, seed + 2);
+      Matrix acc = start, ref = start;
+      mm_accumulate(a, b, acc);
+      naive_mm_accumulate(a, b, ref);
+      EXPECT_TRUE(same_bits(acc, ref))
+          << "mm_accumulate m=" << m << " k=" << k << " n=" << n;
+    }
+}
+
+/// Random matrix whose entries are drawn from ±0, ±Inf, subnormals and
+/// ordinary [-1,1) values.
+Matrix special_matrix(std::size_t r, std::size_t c, uint64_t seed) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  const float sub = std::numeric_limits<float>::min() / 3.0f;
+  const float pool[] = {0.0f, -0.0f, inf, -inf, tiny, -tiny, sub, -sub};
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
+  Matrix m(r, c);
+  for (std::size_t i = 0; i < m.size(); ++i)
+    m.data()[i] = rng() % 4 == 0 ? pool[rng() % std::size(pool)] : dist(rng);
+  return m;
+}
+
+/// Bitwise equality, except that a NaN only has to meet a NaN: the
+/// compiler may commute `acc + a * b`, which moves a NaN payload.
+void expect_same_bits_or_both_nan(const Matrix& x, const Matrix& ref,
+                                  const std::string& what) {
+  ASSERT_EQ(x.rows(), ref.rows());
+  ASSERT_EQ(x.cols(), ref.cols());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    const float got = x.data()[i], want = ref.data()[i];
+    if (std::isnan(want)) {
+      EXPECT_TRUE(std::isnan(got)) << what << " element " << i;
+    } else {
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+          << what << " element " << i << ": " << got << " vs " << want;
+    }
+  }
+}
+
+TEST_P(MatmulBitExact, SpecialValuesMatchNaive) {
+  const auto n = static_cast<std::size_t>(GetParam());
+  for (std::size_t m : {5u, 13u}) {
+    const uint64_t seed = 7000 + 100 * m + n;
+    const Matrix a = special_matrix(m, 40, seed);
+    const Matrix b = special_matrix(40, n, seed + 1);
+    Matrix out;
+    mm(a, b, out);
+    expect_same_bits_or_both_nan(out, naive_mm(a, b),
+                                 "mm m=" + std::to_string(m));
+    const Matrix start = special_matrix(m, n, seed + 2);
+    Matrix acc = start, ref = start;
+    mm_accumulate(a, b, acc);
+    naive_mm_accumulate(a, b, ref);
+    expect_same_bits_or_both_nan(acc, ref,
+                                 "mm_accumulate m=" + std::to_string(m));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(PanelRemainders, MatmulBitExact,
                          ::testing::Values(1, 2, 3, 4, 5, 16, 19, 31, 32, 33,
                                            48, 64, 128, 129));
@@ -130,6 +210,28 @@ TEST(Matrix, ThreadedMmMatchesNaiveOrder) {
   Matrix out;
   mm(a, b, out);
   EXPECT_TRUE(same_bits(out, naive_mm(a, b)));
+}
+
+TEST(Matrix, MismatchedShapesThrow) {
+  // The shape contract holds in every build type: the kernel would read
+  // past the buffers otherwise.
+  const Matrix a(4, 3), b(5, 2), b_ok(3, 2);
+  Matrix out;
+  EXPECT_THROW(mm(a, b, out), std::invalid_argument);
+  Matrix wrong_rows(5, 2), wrong_cols(4, 3);
+  EXPECT_THROW(mm_accumulate(a, b, wrong_rows), std::invalid_argument);
+  EXPECT_THROW(mm_accumulate(a, b_ok, wrong_rows), std::invalid_argument);
+  EXPECT_THROW(mm_accumulate(a, b_ok, wrong_cols), std::invalid_argument);
+  EXPECT_EQ(wrong_cols, Matrix(4, 3));  // untouched on throw
+
+  std::vector<Matrix> outs;
+  EXPECT_THROW(bmm({a, a}, {b_ok}, outs), std::invalid_argument);
+  EXPECT_THROW(bmm({a, Matrix(4, 5)}, {b_ok, b}, outs),
+               std::invalid_argument);
+  EXPECT_THROW(bmm({a}, {b}, outs), std::invalid_argument);
+  EXPECT_TRUE(outs.empty());
+  bmm({a, a}, {b_ok, b_ok}, outs);
+  EXPECT_EQ(outs.size(), 2u);
 }
 
 TEST(Matrix, AccumulateAddsToExisting) {

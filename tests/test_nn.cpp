@@ -2,6 +2,10 @@
 // U-Net wiring, CenterPoint pipeline, dense 2-D substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <random>
 #include <unordered_set>
 
@@ -48,6 +52,46 @@ TEST(Layers, ReluClampsNegatives) {
     EXPECT_GE(y.feats().data()[i], 0.0f);
     EXPECT_EQ(y.feats().data()[i], std::max(0.0f, x.feats().data()[i]));
   }
+}
+
+TEST(Layers, ReluKeepsSignedZeroAndNaN) {
+  // Bit semantics of the clamp: only values that compare < 0 become +0.
+  auto from_bits = [](uint32_t u) {
+    float f;
+    std::memcpy(&f, &u, sizeof f);
+    return f;
+  };
+  auto bits = [](float f) {
+    uint32_t u;
+    std::memcpy(&u, &f, sizeof u);
+    return u;
+  };
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> in = {
+      -0.0f,                   // kept: -0 < 0 is false
+      from_bits(0x7fc12345u),  // quiet NaN with a payload, kept
+      from_bits(0xffc00001u),  // negative quiet NaN, kept
+      -inf,                    // -> +0
+      from_bits(0x80000001u),  // smallest negative subnormal -> +0
+      from_bits(0x807fffffu),  // largest negative subnormal -> +0
+      inf,                     // kept
+      -2.5f,                   // -> +0
+      0.75f};                  // kept
+  const std::vector<uint32_t> want = {
+      0x80000000u, 0x7fc12345u, 0xffc00001u, 0u, 0u, 0u,
+      bits(inf),   0u,          bits(0.75f)};
+  std::vector<Coord> coords;
+  for (int i = 0; i < static_cast<int>(in.size()); ++i)
+    coords.push_back({0, i, 0, 0});
+  Matrix feats(in.size(), 1);
+  std::copy(in.begin(), in.end(), feats.data());
+  const SparseTensor x(std::move(coords), std::move(feats));
+  ExecContext ctx = fp32_ctx();
+  spnn::ReLU relu;
+  const SparseTensor y = relu.forward(x, ctx);
+  ASSERT_EQ(y.feats().size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_EQ(bits(y.feats().data()[i]), want[i]) << "element " << i;
 }
 
 TEST(Layers, BatchNormAffine) {
