@@ -3,13 +3,15 @@
 // preset on the MinkUNet segmentation workload.
 //
 // Per-request timelines are independent of how the batch is scheduled, so
-// each engine measures its 16 scans once (through BatchRunner's worker
-// pool) and the (batch, workers) grid is then swept over deterministic
-// earliest-available-worker schedules of those timelines. Sanity anchor
-// checked at the end: on the MinkUNet preset, 4 workers must deliver
-// > 1.5x the throughput of 1 worker.
+// each engine measures its 16 scans once (Server::run_batch, a
+// zero-arrival serving session) and the (batch, workers) grid is then
+// swept with schedule_stream_dispatch over singleton batches at t = 0:
+// every request takes the earliest-available worker lane in input order.
+// Sanity anchor checked at the end: on the MinkUNet preset, 4 workers
+// must deliver > 1.5x the throughput of 1 worker.
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "bench/bench_util.hpp"
@@ -17,7 +19,9 @@
 #include "engines/presets.hpp"
 #include "engines/workloads.hpp"
 #include "gpusim/device.hpp"
-#include "serve/batch_runner.hpp"
+#include "serve/device_group.hpp"
+#include "serve/serve_policies.hpp"
+#include "serve/server.hpp"
 #include "serve/tuned_param_store.hpp"
 
 using namespace ts;
@@ -52,18 +56,24 @@ int main() {
   const std::vector<int> batch_sizes = {1, 4, 8, 16};
   const std::vector<int> worker_counts = {1, 2, 4, 8};
   serve::TunedParamStore store;
+  // Every cell schedules on one device (no map cache); the group is
+  // reset by each schedule pass.
+  serve::DeviceGroup group(dev, 1, 0);
+  const std::unique_ptr<serve::RoutingPolicy> routing =
+      serve::make_routing_policy(serve::RoutePolicy::kRoundRobin);
   const bench::WallTimer total_wall;
 
   double mink_fps_w1 = 0, mink_fps_w4 = 0;
   for (const EngineConfig& cfg : paper_engines()) {
-    serve::BatchOptions opt;
-    opt.workers = 8;  // thread pool for measurement wall time only
+    // 8 workers size the measurement pool: wall time only.
+    serve::ServerConfig scfg;
+    scfg.with_device(dev).with_engine(cfg).with_workers(8);
     if (cfg.grouping == GroupingStrategy::kAdaptive)
-      opt.run.tuned =
+      scfg.run.tuned =
           store.get_or_tune(serve::tuned_key(w.name, dev, cfg), w.model,
                             w.tune_samples, dev, cfg);
-    const serve::BatchRunner runner(dev, cfg, opt);
-    const serve::BatchReport measured = runner.run(w.model, scans);
+    const serve::StreamReport measured =
+        serve::Server(scfg).run_batch(w.model, scans);
 
     std::printf("\n=== %s on %s ===\n", cfg.name.c_str(), dev.name.c_str());
     std::printf("%-8s", "batch");
@@ -72,13 +82,17 @@ int main() {
     std::printf("\n");
 
     for (int batch : batch_sizes) {
-      std::vector<serve::RequestResult> subset(
+      std::vector<serve::StreamResult> subset(
           measured.requests.begin(), measured.requests.begin() + batch);
+      std::vector<serve::DispatchBatch> singletons(subset.size());
+      for (std::size_t i = 0; i < singletons.size(); ++i)
+        singletons[i].members = {i};
       std::printf("%-8d", batch);
       for (int workers : worker_counts) {
-        const serve::BatchStats s = serve::schedule_stats(subset, workers);
+        const serve::StreamStats s = serve::schedule_stream_dispatch(
+            subset, singletons, group, *routing, workers, 0.0);
         std::printf("   %8.1f (%5.1f)", s.throughput_fps,
-                    s.latency_p99_seconds * 1e3);
+                    s.e2e_p99_seconds * 1e3);
         if (cfg.name == "TorchSparse" && batch == 16) {
           if (workers == 1) mink_fps_w1 = s.throughput_fps;
           if (workers == 4) mink_fps_w4 = s.throughput_fps;

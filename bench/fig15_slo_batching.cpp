@@ -3,7 +3,7 @@
 // budget x offered load x dispatch overhead on the MinkUNet segmentation
 // workload.
 //
-// Per-request service times are measured once through the worker pool;
+// Per-request service times are measured once (Server::run_batch);
 // every (policy, SLO, load, overhead) cell is then a deterministic
 // modeled schedule of those same timelines (SloBatchingPolicy::plan +
 // schedule_stream_dispatch on a 1-device group), exactly how bench/fig14
@@ -22,6 +22,8 @@
 //      out-throughputs immediate dispatch (amortization),
 //   4. with cheap dispatch, immediate dispatch has the lower p99
 //      end-to-end latency (batching's latency cost).
+// The six values behind anchors 2-4 are also emitted as fig15.* metrics
+// for scripts/bench_report.py.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -35,7 +37,6 @@
 #include "engines/presets.hpp"
 #include "engines/workloads.hpp"
 #include "gpusim/device.hpp"
-#include "serve/batch_runner.hpp"
 #include "serve/device_group.hpp"
 #include "serve/serve_policies.hpp"
 #include "serve/server.hpp"
@@ -97,16 +98,16 @@ int main() {
 
   // Measure every scan's modeled service time once (tuned engine).
   serve::TunedParamStore store;
-  serve::BatchOptions bopt;
-  bopt.workers = 8;
-  bopt.run.tuned = store.get_or_tune(serve::tuned_key(w.name, dev, cfg),
+  serve::ServerConfig scfg;
+  scfg.with_device(dev).with_engine(cfg).with_workers(8);
+  scfg.run.tuned = store.get_or_tune(serve::tuned_key(w.name, dev, cfg),
                                      w.model, w.tune_samples, dev, cfg);
-  const serve::BatchReport measured =
-      serve::BatchRunner(dev, cfg, bopt).run(w.model, scans);
+  const serve::StreamReport measured =
+      serve::Server(scfg).run_batch(w.model, scans);
   const double mean_service = measured.stats.mean_service_seconds;
   std::printf("\nmeasured %zu scans, mean service %.2f ms (tuned %zu "
               "layers)\n",
-              n, mean_service * 1e3, bopt.run.tuned.size());
+              n, mean_service * 1e3, scfg.run.tuned.size());
 
   const int workers = 4;
   const int max_batch = 8;
@@ -229,5 +230,13 @@ int main() {
               "full-batch %.2f ms (batching latency cost): %s\n",
               a.imm_e2e * 1e3, a.full_e2e * 1e3,
               latency_cost ? "OK" : "FAIL");
+  bench::metric("fig15.costly_overload_immediate_fps", a.imm_fps);
+  bench::metric("fig15.costly_overload_full_batch_fps", a.full_fps);
+  bench::metric("fig15.costly_overload_tight_slo_mean_batch", a.tight_batch);
+  bench::metric("fig15.costly_overload_loose_slo_mean_batch", a.loose_batch);
+  bench::metric("fig15.cheap_underload_immediate_e2e_p99_ms",
+                a.imm_e2e * 1e3);
+  bench::metric("fig15.cheap_underload_full_batch_e2e_p99_ms",
+                a.full_e2e * 1e3);
   return (a.batch_monotone && smaller && amortize && latency_cost) ? 0 : 1;
 }

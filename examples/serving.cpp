@@ -2,10 +2,10 @@
 // deployment. Tuned grouping parameters are computed once per
 // deployment key in a shared TunedParamStore and reused by every
 // request; the ServerConfig carries every serving knob, and
-// Server::run_batch shards the pre-collected batch across worker
-// threads while keeping each request's result identical to a serial
-// run. (For the streaming session API — priority classes, incremental
-// handles, sharding — see examples/streaming.cpp.)
+// Server::run_batch serves the pre-collected batch as a zero-arrival
+// session across worker threads while keeping each request's result
+// identical to a serial run. (For the streaming session API — priority
+// classes, incremental handles, sharding — see examples/streaming.cpp.)
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -54,24 +54,25 @@ int main() {
   serve::ServerConfig scfg;
   scfg.with_device(dev).with_engine(cfg).with_workers(4).with_run(run);
   const serve::Server server(scfg);
-  const serve::BatchReport report = server.run_batch(w.model, batch);
-  const serve::BatchStats& s = report.stats;
+  const serve::StreamReport report = server.run_batch(w.model, batch);
+  const serve::StreamStats& s = report.stats;
 
-  std::printf("\n%zu requests on %d workers (%s, %s)\n", s.requests,
+  // Every request arrives at t = 0, so e2e latency is completion time.
+  std::printf("\n%zu requests on %d workers (%s, %s)\n", s.completed,
               s.workers, dev.name.c_str(), cfg.name.c_str());
   std::printf("  makespan    %8.2f ms\n", s.makespan_seconds * 1e3);
   std::printf("  throughput  %8.1f scans/s\n", s.throughput_fps);
   std::printf("  latency     p50 %.2f ms / p90 %.2f ms / p99 %.2f ms\n",
-              s.latency_p50_seconds * 1e3, s.latency_p90_seconds * 1e3,
-              s.latency_p99_seconds * 1e3);
+              s.e2e_p50_seconds * 1e3, s.e2e_p90_seconds * 1e3,
+              s.e2e_p99_seconds * 1e3);
   std::printf("  mean service %7.2f ms per scan\n",
               s.mean_service_seconds * 1e3);
 
   // Per-request view of the schedule (first few).
   std::printf("\nrequest  service(ms)  start(ms)  finish(ms)\n");
-  for (std::size_t i = 0; i < std::min<std::size_t>(6, s.requests); ++i) {
-    const serve::RequestResult& r = report.requests[i];
-    std::printf("%7zu  %11.2f  %9.2f  %10.2f\n", r.index,
+  for (std::size_t i = 0; i < std::min<std::size_t>(6, s.completed); ++i) {
+    const serve::StreamResult& r = report.requests[i];
+    std::printf("%7zu  %11.2f  %9.2f  %10.2f\n", r.id,
                 r.service_seconds * 1e3, r.start_seconds * 1e3,
                 r.finish_seconds * 1e3);
   }

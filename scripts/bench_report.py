@@ -3,11 +3,11 @@
 
 Each tracked bench prints machine-readable "@metric <name> <value>" lines
 (see bench/bench_util.hpp).  This script runs the fig13 (mapping), fig14
-(serving throughput), fig16 (kernel-map cache), fig17 (multi-device
-sharding), fig18 (priority classes), fig19 (heterogeneous fleets), fig20
-(warm-start serving), fig21 (fault-tolerant serving), and fig22
-(multi-model serving) binaries, collects their metrics, and writes one
-BENCH_<fig>.json per bench.
+(serving throughput), fig15 (SLO-aware batching), fig16 (kernel-map
+cache), fig17 (multi-device sharding), fig18 (priority classes), fig19
+(heterogeneous fleets), fig20 (warm-start serving), fig21 (fault-tolerant
+serving), and fig22 (multi-model serving) binaries, collects their
+metrics, and writes one BENCH_<fig>.json per bench.
 
 Modeled metrics are produced by the deterministic cost model, so they are
 bit-reproducible across machines; the CI regression gate (--check)
@@ -36,6 +36,7 @@ import time
 BENCHES = {
     "fig13": "bench_fig13_mapping",
     "fig14": "bench_fig14_throughput",
+    "fig15": "bench_fig15_slo_batching",
     "fig16": "bench_fig16_map_cache",
     "fig17": "bench_fig17_sharding",
     "fig18": "bench_fig18_priority",

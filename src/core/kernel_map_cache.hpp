@@ -18,14 +18,16 @@
 // Accounting happens on two clocks:
 //  * Host wall clock: a hit skips the real build (the fig13 hotspot).
 //    The cache tracks per-entry build wall time and bytes, and evicts
-//    LRU entries beyond a byte budget. Thread-safe; BatchRunner shares
-//    one cache across its whole worker pool.
+//    LRU entries beyond a byte budget. Thread-safe; a serving session
+//    shares one cache across its whole measurement pool.
 //  * Modeled clock: a hit charges a small re-key cost instead of the
 //    full map-build kernels. Under concurrent serving the *wall* order
 //    of lookups is racy, so modeled accounting is deferred: requests
-//    measure cold and record MapCacheEvents, and MapCacheReplay re-runs
-//    the cache decisions in submission order — deterministic for any
-//    worker count (see docs/PERFORMANCE.md).
+//    measure cold and record MapCacheEvents, and each routed device's
+//    record-mode cache (record_lookup) re-runs the cache decisions in
+//    submission order — deterministic for any worker count.
+//    MapCacheReplay is the single-device reference that replay must
+//    match bit for bit (see docs/PERFORMANCE.md).
 #pragma once
 
 #include <cstdint>

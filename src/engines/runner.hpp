@@ -30,7 +30,7 @@ struct RunOptions {
   std::unordered_map<int, GroupParams> tuned;  // per-layer (epsilon, S)
   /// Optional cross-request kernel-map cache shared by every context built
   /// from these options (null = disabled). See core/kernel_map_cache.hpp;
-  /// serving pools size it via serve::BatchOptions::map_cache_bytes.
+  /// serving deployments size it via serve::ServerConfig::map_cache_bytes.
   std::shared_ptr<KernelMapCache> map_cache;
   /// Cache-digest namespace salt (ExecContext::cache_namespace): every
   /// digest resolved under these options is remapped by salt_cache_key.

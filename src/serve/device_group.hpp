@@ -97,7 +97,7 @@ inline constexpr int kMaxModeledDevices = 4096;
 struct ShardOptions {
   /// Modeled device instances in the group; clamped to >= 1, rejected
   /// past kMaxModeledDevices. Each gets its own worker lanes
-  /// (BatchOptions::workers *per device*), its own modeled kernel-map
+  /// (ServerConfig::workers *per device*), its own modeled kernel-map
   /// cache, and its own clock/utilization counters. Ignored when
   /// ServerConfig::fleet names per-shard specs explicitly.
   int devices = 1;

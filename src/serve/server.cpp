@@ -61,10 +61,6 @@ ServerConfig& ServerConfig::with_batch_overhead(double seconds) {
   batch_overhead_seconds = seconds;
   return *this;
 }
-ServerConfig& ServerConfig::with_reuse_context(bool on) {
-  reuse_context = on;
-  return *this;
-}
 ServerConfig& ServerConfig::with_devices(int n) {
   shard.devices = n;
   return *this;
@@ -1117,7 +1113,7 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
     DeviceSpec shard_dev = config.device;
     shard_dev.device_index = device_index;
     std::optional<ExecContext> ctx;
-    if (context_pool && config.reuse_context) {
+    if (context_pool) {
       // Context hand-off: adopt a warm context from a previous session,
       // restamped to this worker's device pool. st.mu doubles as the
       // pool's lock — hand-offs only happen at worker start/exit.
@@ -1138,40 +1134,35 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
         st.work.pop_front();
       }
       try {
-        Timeline t;
         // The coordinator validated the model index before queuing the
         // work item, so this resolution cannot be out of range.
         const ModelEntry& entry =
             models[static_cast<std::size_t>(item.result->model)];
-        auto run_one = [&](ExecContext& c) {
-          // Per-request context restamp: every digest this request
-          // resolves lives in its model's namespace, and the model's
-          // tuned grouping parameters (when present) override the
-          // config-wide store. Entry namespace 0 (model 0's space)
-          // inherits the RunOptions namespace, so a caller-salted
-          // RunOptions namespace still applies to single-model sessions.
-          c.cache_namespace = entry.cache_namespace != 0
-                                  ? entry.cache_namespace
-                                  : run.cache_namespace;
-          if (per_model_tuned)
-            c.tuned = entry.tuned.empty() ? run.tuned : entry.tuned;
-          if (item.events) c.cache_events = item.events;
-          // borrow_input: the queue owns the drained tensor and nothing
-          // reads it after measurement, so steal it instead of copying.
-          return run.borrow_input
-                     ? run_in_context(entry.fn, std::move(*item.input), c)
-                     : run_in_context(entry.fn, *item.input, c);
-        };
-        if (config.reuse_context) {
-          if (!ctx)
-            ctx.emplace(make_run_context(shard_dev, config.engine, run));
-          else
-            reset_context(*ctx);
-          t = run_one(*ctx);
-        } else {
-          ExecContext fresh = make_run_context(shard_dev, config.engine, run);
-          t = run_one(fresh);
-        }
+        // One reusable context per worker, reset between requests
+        // (bit-identical to a fresh context; skips repeated cost-model
+        // construction).
+        if (!ctx)
+          ctx.emplace(make_run_context(shard_dev, config.engine, run));
+        else
+          reset_context(*ctx);
+        // Per-request context restamp: every digest this request
+        // resolves lives in its model's namespace, and the model's tuned
+        // grouping parameters (when present) override the config-wide
+        // store. Entry namespace 0 (model 0's space) inherits the
+        // RunOptions namespace, so a caller-salted RunOptions namespace
+        // still applies to single-model sessions.
+        ctx->cache_namespace = entry.cache_namespace != 0
+                                   ? entry.cache_namespace
+                                   : run.cache_namespace;
+        if (per_model_tuned)
+          ctx->tuned = entry.tuned.empty() ? run.tuned : entry.tuned;
+        if (item.events) ctx->cache_events = item.events;
+        // borrow_input: the queue owns the drained tensor and nothing
+        // reads it after measurement, so steal it instead of copying.
+        const Timeline t =
+            run.borrow_input
+                ? run_in_context(entry.fn, std::move(*item.input), *ctx)
+                : run_in_context(entry.fn, *item.input, *ctx);
         item.result->timeline = t;
         item.result->service_seconds = t.total_seconds();
         {
@@ -1385,13 +1376,15 @@ Server::Server(ServerConfig config) : cfg_(std::move(config)) {
   cfg_.shard.devices = std::max(cfg_.shard.devices, 1);
   if (!cfg_.fleet.empty()) {
     // A directly-populated fleet (bypassing with_fleet) gets the same
-    // loud bound check, and shard.devices is forced consistent so every
-    // observer of the config sees the fleet's true size.
+    // loud bound check and the same consistency rule: the first tier is
+    // the measurement reference, and shard.devices is the fleet's true
+    // size for every observer of the config.
     if (cfg_.fleet.size() > static_cast<std::size_t>(kMaxModeledDevices))
       throw std::invalid_argument(
           "Server: fleet of " + std::to_string(cfg_.fleet.size()) +
           " devices exceeds kMaxModeledDevices (" +
           std::to_string(kMaxModeledDevices) + ")");
+    cfg_.device = cfg_.fleet.front();
     cfg_.shard.devices = static_cast<int>(cfg_.fleet.size());
   }
   if (!std::isfinite(cfg_.batch_overhead_seconds) ||
@@ -1630,13 +1623,30 @@ void Server::stop() {
   error_ = nullptr;
 }
 
-BatchReport Server::run_batch(const ModelFn& model,
-                              const std::vector<SparseTensor>& inputs) const {
-  BatchOptions opt;
-  opt.workers = cfg_.workers;
-  opt.run = cfg_.run;  // map_cache already resolved in the constructor
-  const BatchRunner runner(cfg_.device, cfg_.engine, opt);
-  return runner.run(model, inputs);
+StreamReport Server::run_batch(const ModelFn& model,
+                               const std::vector<SparseTensor>& inputs) const {
+  // A zero-arrival session: every input is queued at t = 0 and dispatches
+  // alone, so the placer puts each request, in input order, on the
+  // earliest-free lane of the one device.
+  ServerConfig batch;
+  batch.device = cfg_.device;
+  batch.engine = cfg_.engine;
+  batch.workers = cfg_.workers;
+  batch.run = cfg_.run;  // map_cache already resolved in the constructor
+  batch.run.borrow_input = true;  // the queue owns its copies
+  batch.batcher.policy = BatchPolicy::kImmediate;
+  QueueOptions qopt;
+  qopt.max_depth = std::max<std::size_t>(inputs.size(), 1);
+  RequestQueue queue(qopt);
+  for (const SparseTensor& x : inputs) queue.submit(x, 0.0);
+  queue.close();
+  std::vector<ModelEntry> models(1);
+  models[0].name = "default";
+  models[0].fn = model;
+  SloBatchingPolicy batching(batch.batcher, batch.priority);
+  const std::unique_ptr<RoutingPolicy> routing =
+      make_routing_policy(batch.shard.route);
+  return serve_stream(models, queue, batch, batching, *routing);
 }
 
 std::size_t Server::depth() const {

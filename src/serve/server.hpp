@@ -46,9 +46,11 @@
 #include <vector>
 
 #include "core/sync.hpp"
-#include "serve/batch_runner.hpp"
+#include "engines/runner.hpp"
 #include "serve/fault.hpp"
+#include "serve/request_queue.hpp"
 #include "serve/serve_policies.hpp"
+#include "serve/serve_stats.hpp"
 
 namespace ts::serve {
 
@@ -102,14 +104,20 @@ struct ServerConfig {
   /// Per-shard device specs of a heterogeneous fleet, in shard order;
   /// empty (the default) means shard.devices homogeneous copies of
   /// `device`. Populate through with_fleet — it validates the tier list
-  /// and keeps `device` and shard.devices consistent.
+  /// and keeps `device` and shard.devices consistent; a fleet set
+  /// directly gets the same treatment from Server's constructor.
   std::vector<DeviceSpec> fleet;
   EngineConfig engine;
   int workers = 1;                 // worker threads and lanes per device
   RunOptions run;                  // numerics, tuned params, map_cache...
   /// Byte budget for a server-owned cross-request KernelMapCache (0 =
-  /// disabled; ignored when run.map_cache is already set). See
-  /// BatchOptions::map_cache_bytes.
+  /// disabled; ignored when run.map_cache is already set, which is how
+  /// deployments share one cache). Near-duplicate scans then reuse each
+  /// other's kernel maps and downsampled coordinate sets: results stay
+  /// bit-identical to the cold path, map-build wall time is skipped on
+  /// hits, and the modeled mapping charge is replaced by a small re-key
+  /// cost through each device's deterministic record-mode replay
+  /// (worker-count independent; docs/PERFORMANCE.md).
   std::size_t map_cache_bytes = 0;
   QueueOptions queue;              // admission depth + priority preemption
   BatcherOptions batcher;          // default batching policy's knobs
@@ -117,9 +125,6 @@ struct ServerConfig {
   /// Fixed modeled setup cost charged once per dispatched batch; the
   /// amortizable slice that makes larger batches cheaper per request.
   double batch_overhead_seconds = 0;
-  /// Reuse one ExecContext per worker across requests (bit-identical
-  /// either way; reuse skips repeated cost-model construction).
-  bool reuse_context = true;
   ShardOptions shard;              // device count + built-in route policy
   /// Custom batch formation; when null the server builds a
   /// SloBatchingPolicy(batcher, priority) per session. Stateful and
@@ -178,7 +183,6 @@ struct ServerConfig {
   ServerConfig& with_batcher(BatcherOptions b);
   ServerConfig& with_priority(PriorityOptions p);
   ServerConfig& with_batch_overhead(double seconds);
-  ServerConfig& with_reuse_context(bool on);
   ServerConfig& with_devices(int n);
   /// Describes a heterogeneous fleet as {spec, count} tiers, e.g.
   ///   cfg.with_fleet({{device_spec_by_name("1080ti"), 2},
@@ -320,9 +324,9 @@ class Server {
   /// Validates the configuration (std::invalid_argument): workers
   /// clamped to >= 1, shard.devices clamped to >= 1 and bounded by
   /// kMaxModeledDevices, a non-empty fleet bounded by kMaxModeledDevices
-  /// (shard.devices is then forced to the fleet size), overhead finite
-  /// >= 0; builds the shared kernel-map cache from map_cache_bytes when
-  /// run.map_cache is null.
+  /// (device is then set to fleet.front() and shard.devices to the fleet
+  /// size, as with_fleet does), overhead finite >= 0; builds the shared
+  /// kernel-map cache from map_cache_bytes when run.map_cache is null.
   explicit Server(ServerConfig config);
 
   /// Joins a running session (discarding its report) before destroying.
@@ -395,12 +399,18 @@ class Server {
   /// called by the destructor.
   void stop();
 
-  /// Convenience for the offline fixed-batch path under the same
-  /// deployment (BatchRunner::run semantics): shards `inputs` across
-  /// the worker pool and returns the deterministic batch report. Does
-  /// not interact with the streaming session.
-  BatchReport run_batch(const ModelFn& model,
-                        const std::vector<SparseTensor>& inputs) const;
+  /// The offline fixed-batch path under the same deployment: serves
+  /// `inputs` as a zero-arrival session on serve_stream — every input
+  /// arrives at t = 0 and dispatches alone (BatchPolicy::kImmediate) on
+  /// one `device` with `workers` lanes, no batch overhead, faults or
+  /// warm snapshot — so each request takes the earliest-free lane in
+  /// input order. Measures with the deployment's engine and RunOptions
+  /// (including the shared kernel-map cache); requests are in input
+  /// order and bit-identical to a serial run_model. Does not interact
+  /// with the streaming session. Exception guarantee: the first request
+  /// failure is rethrown after the session's workers drain.
+  StreamReport run_batch(const ModelFn& model,
+                         const std::vector<SparseTensor>& inputs) const;
 
   /// Admission-side observers of the running session (0 when idle).
   std::size_t depth() const;

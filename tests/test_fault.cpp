@@ -21,9 +21,9 @@
 #include "gpusim/device.hpp"
 #include "io/serialize.hpp"
 #include "nn/layers.hpp"
-#include "serve/batch_runner.hpp"
 #include "serve/fault.hpp"
 #include "serve/request_queue.hpp"
+#include "serve/serve_stats.hpp"
 #include "serve/server.hpp"
 
 namespace ts {

@@ -16,8 +16,8 @@
 #include "engines/workloads.hpp"
 #include "gpusim/device.hpp"
 #include "nn/layers.hpp"
-#include "serve/batch_runner.hpp"
 #include "serve/serve_stats.hpp"
+#include "serve/server.hpp"
 #include "serve/tuned_param_store.hpp"
 
 namespace ts {
@@ -72,48 +72,53 @@ void expect_same_timeline(const Timeline& a, const Timeline& b) {
   EXPECT_DOUBLE_EQ(a.flops(), b.flops());
 }
 
-TEST(BatchRunner, MatchesSerialRunModelPerInput) {
+serve::ServerConfig batch_config(DeviceSpec dev, int workers) {
+  serve::ServerConfig cfg;
+  cfg.with_device(std::move(dev))
+      .with_engine(torchsparse_config())
+      .with_workers(workers);
+  return cfg;
+}
+
+TEST(RunBatch, MatchesSerialRunModelPerInput) {
   const ModelFn model = small_unet(11);
   const auto batch = make_batch(6, 100);
   const DeviceSpec dev = rtx2080ti();
   const EngineConfig cfg = torchsparse_config();
 
-  serve::BatchOptions opt;
-  opt.workers = 4;
-  opt.run.numerics = true;
-  const serve::BatchRunner runner(dev, cfg, opt);
-  const serve::BatchReport report = runner.run(model, batch);
+  serve::ServerConfig scfg = batch_config(dev, 4);
+  scfg.run.numerics = true;
+  const serve::StreamReport report =
+      serve::Server(scfg).run_batch(model, batch);
 
   ASSERT_EQ(report.requests.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     RunOptions serial;
     serial.numerics = true;
     const Timeline ref = run_model(model, batch[i], dev, cfg, serial);
-    EXPECT_EQ(report.requests[i].index, i);
+    EXPECT_EQ(report.requests[i].id, i);
     expect_same_timeline(report.requests[i].timeline, ref);
   }
 }
 
-TEST(BatchRunner, StatsAreSaneUnderManyWorkers) {
+TEST(RunBatch, StatsAreSaneUnderManyWorkers) {
   const ModelFn model = small_unet(12);
   const auto batch = make_batch(8, 200);
-  serve::BatchOptions opt;
-  opt.workers = 4;
-  const serve::BatchRunner runner(rtx3090(), torchsparse_config(), opt);
-  const serve::BatchReport report = runner.run(model, batch);
-  const serve::BatchStats& s = report.stats;
+  const serve::StreamReport report =
+      serve::Server(batch_config(rtx3090(), 4)).run_batch(model, batch);
+  const serve::StreamStats& s = report.stats;
 
-  EXPECT_EQ(s.requests, batch.size());
+  EXPECT_EQ(s.completed, batch.size());
   EXPECT_EQ(s.workers, 4);
   EXPECT_GT(s.makespan_seconds, 0.0);
   EXPECT_GT(s.throughput_fps, 0.0);
   EXPECT_GT(s.mean_service_seconds, 0.0);
-  EXPECT_LE(s.latency_p50_seconds, s.latency_p90_seconds);
-  EXPECT_LE(s.latency_p90_seconds, s.latency_p99_seconds);
-  EXPECT_LE(s.latency_p99_seconds, s.makespan_seconds + 1e-12);
+  EXPECT_LE(s.e2e_p50_seconds, s.e2e_p90_seconds);
+  EXPECT_LE(s.e2e_p90_seconds, s.e2e_p99_seconds);
+  EXPECT_LE(s.e2e_p99_seconds, s.makespan_seconds + 1e-12);
 
   double sum_service = 0, max_service = 0;
-  for (const serve::RequestResult& r : report.requests) {
+  for (const serve::StreamResult& r : report.requests) {
     EXPECT_GT(r.service_seconds, 0.0);
     EXPECT_GE(r.start_seconds, 0.0);
     EXPECT_DOUBLE_EQ(r.finish_seconds,
@@ -133,17 +138,13 @@ TEST(BatchRunner, StatsAreSaneUnderManyWorkers) {
   }());
 }
 
-TEST(BatchRunner, MoreWorkersImproveModeledThroughput) {
+TEST(RunBatch, MoreWorkersImproveModeledThroughput) {
   const ModelFn model = small_unet(13);
   const auto batch = make_batch(8, 300);
-  const DeviceSpec dev = rtx2080ti();
-  const EngineConfig cfg = torchsparse_config();
 
   auto throughput_with = [&](int workers) {
-    serve::BatchOptions opt;
-    opt.workers = workers;
-    return serve::BatchRunner(dev, cfg, opt)
-        .run(model, batch)
+    return serve::Server(batch_config(rtx2080ti(), workers))
+        .run_batch(model, batch)
         .stats.throughput_fps;
   };
   const double one = throughput_with(1);
@@ -151,14 +152,13 @@ TEST(BatchRunner, MoreWorkersImproveModeledThroughput) {
   EXPECT_GT(four, 1.5 * one);
 }
 
-TEST(BatchRunner, EmptyBatchAndWorkerClamping) {
-  serve::BatchOptions opt;
-  opt.workers = 0;  // clamped to 1
-  const serve::BatchRunner runner(rtx2080ti(), torchsparse_config(), opt);
-  EXPECT_EQ(runner.options().workers, 1);
-  const serve::BatchReport report = runner.run(small_unet(14), {});
+TEST(RunBatch, EmptyBatchAndWorkerClamping) {
+  const serve::Server server(batch_config(rtx2080ti(), 0));  // clamped to 1
+  EXPECT_EQ(server.config().workers, 1);
+  const serve::StreamReport report = server.run_batch(small_unet(14), {});
   EXPECT_TRUE(report.requests.empty());
-  EXPECT_EQ(report.stats.requests, 0u);
+  EXPECT_EQ(report.stats.completed, 0u);
+  EXPECT_EQ(report.stats.workers, 1);
   EXPECT_DOUBLE_EQ(report.stats.throughput_fps, 0.0);
 }
 

@@ -18,9 +18,9 @@
 #include "gpusim/device.hpp"
 #include "io/serialize.hpp"
 #include "nn/layers.hpp"
-#include "serve/batch_runner.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/serve_policies.hpp"
+#include "serve/serve_stats.hpp"
 #include "serve/server.hpp"
 
 namespace ts {
@@ -168,7 +168,6 @@ TEST(ServerConfig, BuilderChainsAndSetsEveryKnob) {
       .with_queue_depth(7)
       .with_priority_preemption(true)
       .with_batch_overhead(0.002)
-      .with_reuse_context(false)
       .with_devices(2)
       .with_route(serve::RoutePolicy::kCacheAffinity);
   serve::BatcherOptions b;
@@ -186,7 +185,6 @@ TEST(ServerConfig, BuilderChainsAndSetsEveryKnob) {
   EXPECT_EQ(cfg.batcher.max_batch, 5);
   EXPECT_DOUBLE_EQ(cfg.priority.aging_seconds, 0.25);
   EXPECT_DOUBLE_EQ(cfg.batch_overhead_seconds, 0.002);
-  EXPECT_FALSE(cfg.reuse_context);
   EXPECT_EQ(cfg.shard.devices, 2);
   EXPECT_EQ(cfg.shard.route, serve::RoutePolicy::kCacheAffinity);
 }
@@ -837,33 +835,40 @@ TEST(ServerWarmStart, DedupWarmStatsInvariantAcrossWorkersAndDevices) {
   }
 }
 
-TEST(Server, RunBatchMatchesBatchRunnerRun) {
+TEST(Server, DirectFleetMatchesWithFleet) {
+  // A fleet written straight into the config (bypassing with_fleet) is
+  // the same deployment as with_fleet's: the first tier becomes the
+  // measurement reference, so both serve bit for bit alike.
   const ModelFn model = small_unet(47);
-  std::vector<SparseTensor> inputs;
-  for (int i = 0; i < 4; ++i)
-    inputs.push_back(random_tensor(100 + 10 * i, 12, 4,
+  std::vector<SparseTensor> stream;
+  for (int i = 0; i < 6; ++i)
+    stream.push_back(random_tensor(100 + 10 * i, 12, 4,
                                    4700 + static_cast<uint64_t>(i)));
-  serve::ServerConfig cfg;
-  cfg.with_device(rtx2080ti())
-      .with_engine(torchsparse_config())
-      .with_workers(2);
-  const serve::Server server(cfg);
-  const serve::BatchReport via_server = server.run_batch(model, inputs);
+  auto base = [&] {
+    serve::ServerConfig cfg;
+    cfg.with_engine(torchsparse_config())
+        .with_workers(2)
+        .with_queue_depth(stream.size() + 1)
+        .with_route(serve::RoutePolicy::kEstimateAware);
+    return cfg;
+  };
+  serve::ServerConfig built = base();
+  built.with_fleet({{rtx3090(), 1}, {rtx2080ti(), 1}});
+  serve::ServerConfig direct = base();
+  direct.fleet = {rtx3090(), rtx2080ti()};
 
-  serve::BatchOptions opt;
-  opt.workers = 2;
-  const serve::BatchReport direct =
-      serve::BatchRunner(rtx2080ti(), torchsparse_config(), opt)
-          .run(model, inputs);
-  ASSERT_EQ(via_server.requests.size(), direct.requests.size());
-  for (std::size_t i = 0; i < direct.requests.size(); ++i) {
-    expect_same_timeline(via_server.requests[i].timeline,
-                         direct.requests[i].timeline);
-    EXPECT_DOUBLE_EQ(via_server.requests[i].finish_seconds,
-                     direct.requests[i].finish_seconds);
+  serve::Server via_builder(built);
+  serve::Server via_field(direct);
+  EXPECT_EQ(via_field.config().device.name, direct.fleet.front().name);
+  const serve::StreamReport a = serve_all(via_builder, model, stream);
+  const serve::StreamReport b = serve_all(via_field, model, stream);
+  ASSERT_EQ(a.requests.size(), stream.size());
+  ASSERT_EQ(b.requests.size(), stream.size());
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    EXPECT_EQ(a.requests[i].service_seconds, b.requests[i].service_seconds);
+    EXPECT_EQ(a.requests[i].e2e_seconds, b.requests[i].e2e_seconds);
+    EXPECT_EQ(a.requests[i].device, b.requests[i].device);
   }
-  EXPECT_DOUBLE_EQ(via_server.stats.makespan_seconds,
-                   direct.stats.makespan_seconds);
 }
 
 // --- Multi-model registry ---------------------------------------------

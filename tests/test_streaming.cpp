@@ -18,10 +18,10 @@
 #include "engines/runner.hpp"
 #include "gpusim/device.hpp"
 #include "nn/layers.hpp"
-#include "serve/batch_runner.hpp"
 #include "serve/device_group.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/serve_policies.hpp"
+#include "serve/serve_stats.hpp"
 #include "serve/server.hpp"
 
 namespace ts {
