@@ -12,7 +12,8 @@
 // worth to a capacity-bounded cache.
 // Sanity anchors (nonzero exit on failure):
 //   A1  a one-entry registry served through submit_to is bit-equal to
-//       the legacy single-model server on the same arrival schedule
+//       a start(model) session fed through submit on the same arrival
+//       schedule
 //   A2  DRR fairness bounds the per-model e2e p99 spread between two
 //       symmetric-cost models under bursty overload, and a 4x DRR
 //       weight buys the weighted model a no-worse p99
@@ -229,10 +230,10 @@ int main() {
     return serve::build_traffic_mix(streams, seed + 21);
   };
 
-  // --- A1: one-entry registry vs the legacy single-model server. ------
+  // --- A1: one-entry registry vs a start(model) + submit session. ----
   const std::vector<double> solo_arrivals =
       serve::generate_arrivals(poisson, per_model, seed + 33);
-  Cell solo_legacy, solo_registry;
+  Cell solo_start, solo_registry;
   {
     serve::ServerConfig cfg = base_cfg(4, 2);
     cfg.with_queue_depth(per_model + 1);
@@ -242,7 +243,7 @@ int main() {
     server.start(seg.model);
     for (std::size_t i = 0; i < per_model; ++i)
       server.submit(seg_frames[i], solo_arrivals[i]);
-    solo_legacy = summarize(server.drain(), wall.seconds());
+    solo_start = summarize(server.drain(), wall.seconds());
   }
   {
     serve::ServerConfig cfg =
@@ -366,7 +367,7 @@ int main() {
     ok = ok && pass;
   };
   anchor("A1: one-entry registry bit-equal to legacy server",
-         same_modeled(solo_legacy, solo_registry) &&
+         same_modeled(solo_start, solo_registry) &&
              solo_registry.per_model.size() == 1 &&
              solo_registry.per_model[0].completed == per_model);
   anchor("A2: DRR bounds p99 spread; 4x weight buys no-worse p99",

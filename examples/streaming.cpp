@@ -207,7 +207,7 @@ int main() {
               "%s routing (reference tier: %s)\n",
               fleet.stats.completed, fleet.stats.devices,
               fleet.stats.workers, to_string(fleet_cfg.shard.route),
-              fleet_cfg.device.name.c_str());
+              fleet_cfg.fleet.front().name.c_str());
   std::printf("  throughput    %8.1f scans/s (makespan %.2f ms)\n",
               fleet.stats.throughput_fps,
               fleet.stats.makespan_seconds * 1e3);

@@ -93,14 +93,12 @@ const char* to_string(RoutePolicy p);
 /// allocating billions of shards.
 inline constexpr int kMaxModeledDevices = 4096;
 
-/// Sharding knobs of a serving deployment (ServerConfig::shard).
+/// Sharding knobs of a serving deployment (ServerConfig::shard). The
+/// shards themselves are ServerConfig::fleet, one DeviceSpec each; every
+/// shard gets its own worker lanes (ServerConfig::workers *per device*),
+/// its own modeled kernel-map cache, and its own clock/utilization
+/// counters.
 struct ShardOptions {
-  /// Modeled device instances in the group; clamped to >= 1, rejected
-  /// past kMaxModeledDevices. Each gets its own worker lanes
-  /// (ServerConfig::workers *per device*), its own modeled kernel-map
-  /// cache, and its own clock/utilization counters. Ignored when
-  /// ServerConfig::fleet names per-shard specs explicitly.
-  int devices = 1;
   RoutePolicy route = RoutePolicy::kLeastLoaded;
 };
 

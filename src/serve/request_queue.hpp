@@ -92,7 +92,7 @@ struct StreamResult {
   double arrival_seconds = 0;      // modeled submit stamp
   Priority priority = Priority::kNormal;  // submitted priority class
   /// Registry index of the model that served this request (0 on a
-  /// single-model deployment — the legacy value, bit-identical paths).
+  /// start(model) session, whose registry is that one model).
   int model = 0;
   double service_seconds = 0;      // modeled single-request runtime
   double start_seconds = 0;        // modeled execution start on its lane
@@ -230,7 +230,7 @@ class RequestQueue {
   explicit RequestQueue(QueueOptions opt = {});
 
   /// Enqueues a request with a modeled arrival stamp, priority class,
-  /// and target model (registry index; 0 = single-model legacy), and
+  /// and target model (registry index; 0 on a one-model session), and
   /// returns its handle. Preconditions (std::invalid_argument):
   /// `arrival_seconds` is finite, non-negative, and non-decreasing
   /// across submissions; `model` >= 0. Throws AdmissionError when the

@@ -35,6 +35,8 @@ SloBatchingPolicy::SloBatchingPolicy(BatcherOptions opt,
                                      PriorityOptions priority,
                                      std::vector<ModelBatchingInfo> models)
     : opt_(opt), prio_(priority), models_(std::move(models)) {
+  // No table is a registry of one model that inherits every setting.
+  if (models_.empty()) models_.emplace_back();
   if (opt_.max_batch < 1) opt_.max_batch = 1;
   if (!(opt_.slo_budget_seconds >= 0) ||
       !std::isfinite(opt_.slo_budget_seconds))
@@ -66,12 +68,8 @@ SloBatchingPolicy::SloBatchingPolicy(BatcherOptions opt,
 }
 
 double SloBatchingPolicy::budget(int model) const {
-  if (model >= 0 && static_cast<std::size_t>(model) < models_.size()) {
-    const double b = models_[static_cast<std::size_t>(model)]
-                         .slo_budget_seconds;
-    if (b >= 0) return b;
-  }
-  return opt_.slo_budget_seconds;
+  const double b = models_[static_cast<std::size_t>(model)].slo_budget_seconds;
+  return b >= 0 ? b : opt_.slo_budget_seconds;
 }
 
 int SloBatchingPolicy::effective_class(const Pending& p, double now) const {
@@ -136,13 +134,12 @@ void SloBatchingPolicy::dispatch_at(double when,
                      std::make_tuple(effective_class(pb, stamp), pb.arrival,
                                      pb.id);
             });
-  // Cross-model arbitration (registries of 2+ models only — the legacy
-  // single-model path never enters this block, keeping its plans
-  // structurally untouched): confine the batch to one model, chosen by
+  // Cross-model arbitration: confine the batch to one model, chosen by
   // deficit round-robin within the top eligible effective class, unless
-  // a deadline firing forces the model.
+  // a deadline firing forces the model. A one-model table always chooses
+  // model 0 and keeps every eligible request.
   int chosen = 0;
-  if (multi_model() && !eligible.empty()) {
+  if (!eligible.empty()) {
     // Dispatch opportunity: every model with eligible work in the top
     // effective class earns its weight. The class gate keeps strict
     // priority dominant — a model with only low-class pending work
@@ -198,9 +195,8 @@ void SloBatchingPolicy::dispatch_at(double when,
     throw std::logic_error(
         "BatchingPolicy: select_members took no member from a non-empty "
         "eligible set — the dispatch sweep would never terminate");
-  if (multi_model())
-    credit_[static_cast<std::size_t>(chosen)] -=
-        static_cast<double>(taken.size());
+  credit_[static_cast<std::size_t>(chosen)] -=
+      static_cast<double>(taken.size());
   DispatchBatch batch;
   batch.dispatch_seconds = stamp;
   batch.model = taken.empty() ? chosen : pending_[taken.front()].model;
@@ -230,53 +226,34 @@ std::vector<DispatchBatch> SloBatchingPolicy::on_arrival(
         " after " + std::to_string(last_arrival_) + ")");
   // Model ids index the registry table (and the credit ledger); an
   // unregistered id would corrupt both, so it dies at the feed boundary.
-  if (models_.empty()) {
-    if (arrival.model != 0)
-      throw std::invalid_argument(
-          "SloBatchingPolicy::on_arrival: model " +
-          std::to_string(arrival.model) +
-          " on a single-model policy (only model 0 exists)");
-  } else if (arrival.model < 0 ||
-             static_cast<std::size_t>(arrival.model) >= models_.size()) {
+  if (arrival.model < 0 ||
+      static_cast<std::size_t>(arrival.model) >= models_.size())
     throw std::invalid_argument(
         "SloBatchingPolicy::on_arrival: model " +
         std::to_string(arrival.model) + " outside the registry [0, " +
         std::to_string(models_.size()) + ")");
-  }
 
   std::vector<DispatchBatch> out;
   // Deadline sweep: any pending request whose wait budget ran out
   // strictly before this arrival forces a (back-stamped) dispatch; the
-  // loop drains a backlog one priority-selected batch at a time. Each
-  // dispatched batch is guaranteed at least one member (the request
-  // whose deadline fired), so the sweep terminates.
-  if (opt_.policy == BatchPolicy::kSloAware) {
-    if (multi_model()) {
-      // Per-model budgets: the earliest (arrival + budget(model)) expiry
-      // fires, and the dispatch is forced onto the firing request's
-      // model — a quiet model's deadline can never be out-credited.
-      while (!pending_.empty()) {
-        double deadline = std::numeric_limits<double>::infinity();
-        int firing = -1;
-        for (const Pending& p : pending_) {
-          const double d = p.arrival + budget(p.model);
-          if (d < deadline) {  // strict: ties keep the earliest-fed
-            deadline = d;
-            firing = p.model;
-          }
-        }
-        if (!(arrival.arrival_seconds > deadline)) break;
-        dispatch_at(deadline, out, firing);
-      }
-    } else {
-      while (!pending_.empty()) {
-        double oldest = pending_.front().arrival;
-        for (const Pending& p : pending_) oldest = std::min(oldest, p.arrival);
-        const double deadline = oldest + opt_.slo_budget_seconds;
-        if (!(arrival.arrival_seconds > deadline)) break;
-        dispatch_at(deadline, out);
+  // loop drains a backlog one priority-selected batch at a time. The
+  // earliest (arrival + budget(model)) expiry fires, and the dispatch is
+  // forced onto the firing request's model — a quiet model's deadline
+  // can never be out-credited. Each dispatched batch is guaranteed at
+  // least one member (the request whose deadline fired), so the sweep
+  // terminates.
+  while (opt_.policy == BatchPolicy::kSloAware && !pending_.empty()) {
+    double deadline = std::numeric_limits<double>::infinity();
+    int firing = -1;
+    for (const Pending& p : pending_) {
+      const double d = p.arrival + budget(p.model);
+      if (d < deadline) {  // strict: ties keep the earliest-fed
+        deadline = d;
+        firing = p.model;
       }
     }
+    if (!(arrival.arrival_seconds > deadline)) break;
+    dispatch_at(deadline, out, firing);
   }
 
   pending_.push_back({arrival.id, arrival.arrival_seconds, arrival.priority,
@@ -466,8 +443,8 @@ class CacheAffinityRouting final : public RoutingPolicy {
 ///
 /// The batch's measured timeline lives on the reference device —
 /// spec(0), the fleet's first tier, which is also the spec every request
-/// is measured on (ServerConfig::device). route() splits the batch's
-/// modeled seconds into its MatMul stage and everything else, then
+/// is measured on (ServerConfig::fleet.front()). route() splits the
+/// batch's modeled seconds into its MatMul stage and everything else, then
 /// scales each slice to every tier: MatMul with the tiers' peak GEMM
 /// throughput ratio (max of FP32/FP16 peaks — a 1080Ti has no tensor
 /// cores, so its deficit is large and grouped-GEMM-heavy batches

@@ -62,7 +62,7 @@ struct ArrivalInfo {
   std::size_t id = 0;
   double arrival_seconds = 0;
   Priority priority = Priority::kNormal;
-  /// Registry index of the request's target model (0 on single-model
+  /// Registry index of the request's target model (0 on one-model
   /// streams). Validated against the policy's model table on feed.
   int model = 0;
   /// input_content_digest of the request's tensor; meaningful only when
@@ -85,7 +85,7 @@ struct DispatchBatch {
   /// Registry index of the model every member targets. Batches never mix
   /// models — one batch is one kernel launch group under one model's
   /// tuned parameters and cache namespace — so this is a batch-level
-  /// field, not per member. 0 on single-model streams.
+  /// field, not per member. 0 on one-model streams.
   int model = 0;
 };
 
@@ -170,10 +170,10 @@ class SloBatchingPolicy : public BatchingPolicy {
   /// ModelBatchingInfo has finite weight > 0 and a finite-or-negative
   /// SLO budget.
   ///
-  /// `models` describes the multi-model registry. Empty (the default)
-  /// or a single entry keeps the legacy single-model discipline —
-  /// structurally bit-identical dispatch plans, pinned by test. With
-  /// two or more entries the policy becomes model-aware:
+  /// `models` describes the model registry, one entry per model; empty
+  /// (the default) is one entry that inherits every setting. The policy
+  /// is model-aware (with one model every rule below reduces to the
+  /// plain deadline and strict-priority rules):
   ///  * Batches are single-model (DispatchBatch::model): one batch is
   ///    one launch group under one model's tuned parameters.
   ///  * Cross-model fairness is deficit round-robin *within* the top
@@ -237,24 +237,20 @@ class SloBatchingPolicy : public BatchingPolicy {
  private:
   /// Dispatches one batch at `when`: strict-priority-plus-aging
   /// selection among requests arrived by `when`, through the
-  /// select_members hook. On a multi-model policy the batch is confined
-  /// to one model — `forced_model` (a deadline firing) when valid, the
+  /// select_members hook. The batch is confined to one model —
+  /// `forced_model` (a deadline firing) when valid, the
   /// deficit-round-robin winner otherwise; -1 always means "let DRR
-  /// decide". Single-model policies ignore the parameter entirely.
+  /// decide".
   void dispatch_at(double when, std::vector<DispatchBatch>& out,
                    int forced_model = -1);
 
-  /// True when the policy arbitrates across a real registry (two or
-  /// more models); single-entry and empty tables run the legacy path.
-  bool multi_model() const { return models_.size() > 1; }
-
-  /// Effective SLO wait budget for `model` (the per-model override, or
-  /// BatcherOptions::slo_budget_seconds when inherited / unregistered).
+  /// Effective SLO wait budget for registered `model` (the per-model
+  /// override, or BatcherOptions::slo_budget_seconds when inherited).
   double budget(int model) const;
 
   BatcherOptions opt_;
   PriorityOptions prio_;
-  /// Registry-aligned model table (empty = legacy single-model).
+  /// Registry-aligned model table; never empty.
   std::vector<ModelBatchingInfo> models_;
   /// Deficit-round-robin credit per model (parallel to models_): earned
   /// at each dispatch opportunity, spent by winning members. Reset by

@@ -22,7 +22,7 @@ namespace ts::serve {
 // ---------------------------------------------------------------------
 
 ServerConfig& ServerConfig::with_device(DeviceSpec d) {
-  device = std::move(d);
+  fleet.assign(std::max<std::size_t>(fleet.size(), 1), std::move(d));
   return *this;
 }
 ServerConfig& ServerConfig::with_engine(EngineConfig e) {
@@ -62,13 +62,17 @@ ServerConfig& ServerConfig::with_batch_overhead(double seconds) {
   return *this;
 }
 ServerConfig& ServerConfig::with_devices(int n) {
-  shard.devices = n;
+  if (n > kMaxModeledDevices)
+    throw std::invalid_argument(
+        "ServerConfig::with_devices: " + std::to_string(n) +
+        " devices exceeds kMaxModeledDevices (" +
+        std::to_string(kMaxModeledDevices) + ")");
+  const DeviceSpec base = fleet.empty() ? DeviceSpec{} : fleet.front();
+  fleet.assign(static_cast<std::size_t>(std::max(n, 1)), base);
   return *this;
 }
 ServerConfig& ServerConfig::with_fleet(const std::vector<FleetTier>& tiers) {
   fleet = expand_fleet(tiers);  // validates; throws invalid_argument
-  device = fleet.front();       // the measurement reference spec
-  shard.devices = static_cast<int>(fleet.size());
   return *this;
 }
 ServerConfig& ServerConfig::with_route(RoutePolicy r) {
@@ -1051,16 +1055,6 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
   for (const ModelEntry& m : models)
     if (!m.tuned.empty()) per_model_tuned = true;
   const int workers = std::max(config.workers, 1);
-  // A non-empty fleet names the shards explicitly; otherwise the group
-  // is shard.devices homogeneous copies of the reference device.
-  const int devices = config.fleet.empty()
-                          ? std::max(config.shard.devices, 1)
-                          : static_cast<int>(config.fleet.size());
-  if (devices > kMaxModeledDevices)
-    throw std::invalid_argument(
-        "serve_stream: " + std::to_string(devices) +
-        " devices exceeds kMaxModeledDevices (" +
-        std::to_string(kMaxModeledDevices) + ")");
   RunOptions run = config.run;
   const bool fresh_cache = !run.map_cache && config.map_cache_bytes > 0;
   if (fresh_cache)
@@ -1079,12 +1073,9 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
   // all guarded by st.mu.
   StreamShared st;
 
-  DeviceGroup group =
-      config.fleet.empty()
-          ? DeviceGroup(config.device, devices,
-                        cached ? run.map_cache->byte_budget() : 0)
-          : DeviceGroup(config.fleet,
-                        cached ? run.map_cache->byte_budget() : 0);
+  // Validates the fleet (non-empty, within kMaxModeledDevices).
+  DeviceGroup group(config.fleet, cached ? run.map_cache->byte_budget() : 0);
+  const int devices = group.size();
   // Install the warm-start manifest before the placer's begin_schedule
   // call, so the session's modeled caches seed from it. Modeled warming
   // is keyed on the configured snapshot alone (not on who owns the wall
@@ -1106,11 +1097,12 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
   auto worker = [&](int device_index) {
     // Each device shard contributes its own measurement pool; a worker
     // carries its pool's identity in its (reusable) context as host-side
-    // provenance. Measurement itself is device-agnostic — the group is
-    // homogeneous at measurement time and cache accounting is deferred —
-    // and the modeled placement (StreamResult::device) is decided by the
-    // routing pass, independently of which pool measured a request.
-    DeviceSpec shard_dev = config.device;
+    // provenance. Measurement itself is device-agnostic — every request
+    // is measured on the reference spec fleet.front() and cache
+    // accounting is deferred — and the modeled placement
+    // (StreamResult::device) is decided by the routing pass,
+    // independently of which pool measured a request.
+    DeviceSpec shard_dev = config.fleet.front();
     shard_dev.device_index = device_index;
     std::optional<ExecContext> ctx;
     if (context_pool) {
@@ -1366,27 +1358,27 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
 // Server
 // ---------------------------------------------------------------------
 
+namespace {
+
+/// The one-entry registry a bare ModelFn is served as: "default",
+/// namespace 0, every knob inherited.
+std::vector<ModelEntry> default_registry(ModelFn fn) {
+  std::vector<ModelEntry> models(1);
+  models[0].name = "default";
+  models[0].fn = std::move(fn);
+  return models;
+}
+
+}  // namespace
+
 Server::Server(ServerConfig config) : cfg_(std::move(config)) {
   cfg_.workers = std::max(cfg_.workers, 1);
-  if (cfg_.shard.devices > kMaxModeledDevices)
+  if (cfg_.fleet.empty() ||
+      cfg_.fleet.size() > static_cast<std::size_t>(kMaxModeledDevices))
     throw std::invalid_argument(
-        "Server: shard.devices = " + std::to_string(cfg_.shard.devices) +
-        " exceeds kMaxModeledDevices (" +
-        std::to_string(kMaxModeledDevices) + ")");
-  cfg_.shard.devices = std::max(cfg_.shard.devices, 1);
-  if (!cfg_.fleet.empty()) {
-    // A directly-populated fleet (bypassing with_fleet) gets the same
-    // loud bound check and the same consistency rule: the first tier is
-    // the measurement reference, and shard.devices is the fleet's true
-    // size for every observer of the config.
-    if (cfg_.fleet.size() > static_cast<std::size_t>(kMaxModeledDevices))
-      throw std::invalid_argument(
-          "Server: fleet of " + std::to_string(cfg_.fleet.size()) +
-          " devices exceeds kMaxModeledDevices (" +
-          std::to_string(kMaxModeledDevices) + ")");
-    cfg_.device = cfg_.fleet.front();
-    cfg_.shard.devices = static_cast<int>(cfg_.fleet.size());
-  }
+        "Server: fleet of " + std::to_string(cfg_.fleet.size()) +
+        " devices outside [1, kMaxModeledDevices = " +
+        std::to_string(kMaxModeledDevices) + "]");
   if (!std::isfinite(cfg_.batch_overhead_seconds) ||
       cfg_.batch_overhead_seconds < 0)
     throw std::invalid_argument(
@@ -1398,7 +1390,8 @@ Server::Server(ServerConfig config) : cfg_(std::move(config)) {
   // tolerance knobs are validated even without a plan (a later
   // with_fault_plan on a copied config should not resurrect bad knobs).
   if (cfg_.fault_plan)
-    validate_fault_plan(*cfg_.fault_plan, cfg_.shard.devices);
+    validate_fault_plan(*cfg_.fault_plan,
+                        static_cast<int>(cfg_.fleet.size()));
   validate_fault_tolerance(cfg_.fault_tolerance);
   // Model-registry validation: every entry callable, uniquely and
   // non-emptily named, with finite knobs. Cache namespaces are forced to
@@ -1464,16 +1457,15 @@ void Server::launch_locked(std::vector<ModelEntry> models) {
   queue_ = std::make_unique<RequestQueue>(cfg_.queue);
   report_ = StreamReport{};
   error_ = nullptr;
+  session_models_ = models;
   std::shared_ptr<BatchingPolicy> batching = cfg_.batching;
   if (!batching) {
-    // An empty registry contributes an empty info vector, which keeps
-    // the policies on their (bit-identical) single-model code paths.
     if (cfg_.dedup_batching)
       batching = std::make_shared<DedupBatchingPolicy>(
-          cfg_.batcher, cfg_.priority, model_batching_infos(cfg_.models));
+          cfg_.batcher, cfg_.priority, model_batching_infos(models));
     else
       batching = std::make_shared<SloBatchingPolicy>(
-          cfg_.batcher, cfg_.priority, model_batching_infos(cfg_.models));
+          cfg_.batcher, cfg_.priority, model_batching_infos(models));
   }
   std::shared_ptr<RoutingPolicy> routing = cfg_.routing;
   if (!routing) routing = make_routing_policy(cfg_.shard.route);
@@ -1502,11 +1494,7 @@ void Server::start(ModelFn model) {
         "Server::start(model): this server hosts a model registry "
         "(ServerConfig::with_model); open sessions with start() and "
         "submit with submit_to()");
-  // One default entry in namespace 0 with every knob inherited.
-  std::vector<ModelEntry> models(1);
-  models[0].name = "default";
-  models[0].fn = std::move(model);
-  launch_locked(std::move(models));
+  launch_locked(default_registry(std::move(model)));
 }
 
 void Server::start() {
@@ -1521,49 +1509,35 @@ void Server::start() {
 
 StreamHandle Server::submit(SparseTensor input, double arrival_seconds,
                             Priority priority) {
-  // life_mu_ (not just the running_ atomic): a submit racing drain()'s
-  // start()-replacement of queue_ must never dereference the old queue
-  // after its session freed it. Admission never blocks inside the
-  // queue, so the lock hold is short; a submit arriving while drain()
-  // joins simply waits and then gets the typed error.
-  MutexLock lock(life_mu_);
-  if (!running_ || !queue_)
-    throw std::logic_error(
-        "Server::submit: no session is running (call start() before "
-        "submitting; a drained or stopped session does not admit)");
-  return queue_->submit(std::move(input), arrival_seconds, priority);
+  return submit_to(0, std::move(input), arrival_seconds, priority);
 }
 
 std::optional<StreamHandle> Server::try_submit(SparseTensor input,
                                                double arrival_seconds,
                                                Priority priority) {
-  MutexLock lock(life_mu_);
-  if (!running_ || !queue_)
-    throw std::logic_error(
-        "Server::try_submit: no session is running (call start() before "
-        "submitting; a drained or stopped session does not admit)");
-  return queue_->try_submit(std::move(input), arrival_seconds, priority);
+  return try_submit_to(0, std::move(input), arrival_seconds, priority);
 }
 
 Priority Server::resolve_submission(
     int model, const std::optional<Priority>& priority) const {
-  if (cfg_.models.empty())
-    throw std::logic_error(
-        "Server::submit_to: this server has no model registry "
-        "(single-model deployments submit with submit())");
-  if (model < 0 || static_cast<std::size_t>(model) >= cfg_.models.size())
+  if (model < 0 || static_cast<std::size_t>(model) >= session_models_.size())
     throw std::invalid_argument(
         "Server::submit_to: model " + std::to_string(model) +
-        " is not registered (registry has " +
-        std::to_string(cfg_.models.size()) + " model(s))");
+        " is not registered (the session's registry has " +
+        std::to_string(session_models_.size()) + " model(s))");
   return priority ? *priority
-                  : cfg_.models[static_cast<std::size_t>(model)]
+                  : session_models_[static_cast<std::size_t>(model)]
                         .default_priority;
 }
 
 StreamHandle Server::submit_to(int model, SparseTensor input,
                                double arrival_seconds,
                                std::optional<Priority> priority) {
+  // life_mu_ (not just the running_ atomic): a submit racing drain()'s
+  // start()-replacement of queue_ must never dereference the old queue
+  // after its session freed it. Admission never blocks inside the
+  // queue, so the lock hold is short; a submit arriving while drain()
+  // joins simply waits and then gets the typed error.
   MutexLock lock(life_mu_);
   if (!running_ || !queue_)
     throw std::logic_error(
@@ -1629,7 +1603,7 @@ StreamReport Server::run_batch(const ModelFn& model,
   // alone, so the placer puts each request, in input order, on the
   // earliest-free lane of the one device.
   ServerConfig batch;
-  batch.device = cfg_.device;
+  batch.fleet = {cfg_.fleet.front()};
   batch.engine = cfg_.engine;
   batch.workers = cfg_.workers;
   batch.run = cfg_.run;  // map_cache already resolved in the constructor
@@ -1640,13 +1614,11 @@ StreamReport Server::run_batch(const ModelFn& model,
   RequestQueue queue(qopt);
   for (const SparseTensor& x : inputs) queue.submit(x, 0.0);
   queue.close();
-  std::vector<ModelEntry> models(1);
-  models[0].name = "default";
-  models[0].fn = model;
   SloBatchingPolicy batching(batch.batcher, batch.priority);
   const std::unique_ptr<RoutingPolicy> routing =
       make_routing_policy(batch.shard.route);
-  return serve_stream(models, queue, batch, batching, *routing);
+  return serve_stream(default_registry(model), queue, batch, batching,
+                      *routing);
 }
 
 std::size_t Server::depth() const {

@@ -89,24 +89,20 @@ struct ModelEntry {
   std::unordered_map<int, GroupParams> tuned;
 };
 
-/// One unified deployment description: device/engine, worker pool,
-/// per-request run options, admission, batching, sharding, and the
+/// One unified deployment description: device fleet/engine, worker
+/// pool, per-request run options, admission, batching, sharding, and the
 /// pluggable policies. Plain struct with chainable with_* setters —
 /// set fields directly or build fluently, both are fine.
 struct ServerConfig {
-  /// The measurement reference device: serve_stream's workers measure
-  /// every request on this spec, and it is the modeled spec of every
-  /// shard when `fleet` is empty. With a fleet configured with_fleet
-  /// keeps it equal to fleet.front(); heterogeneous tiers enter the
-  /// schedule through the routing policy's device_service_estimate
-  /// scaling, never through measurement.
-  DeviceSpec device;
-  /// Per-shard device specs of a heterogeneous fleet, in shard order;
-  /// empty (the default) means shard.devices homogeneous copies of
-  /// `device`. Populate through with_fleet — it validates the tier list
-  /// and keeps `device` and shard.devices consistent; a fleet set
-  /// directly gets the same treatment from Server's constructor.
-  std::vector<DeviceSpec> fleet;
+  /// The device shards, one DeviceSpec each, in shard order — the only
+  /// device description (one device is a fleet of one, the default).
+  /// with_device, with_devices and with_fleet all write this list, so
+  /// their call order does not matter. fleet.front() is the measurement
+  /// reference: serve_stream's workers measure every request on it, and
+  /// the other tiers enter the schedule through the routing policy's
+  /// device_service_estimate scaling, never through measurement. Server's
+  /// constructor rejects an empty fleet or one past kMaxModeledDevices.
+  std::vector<DeviceSpec> fleet = std::vector<DeviceSpec>(1);
   EngineConfig engine;
   int workers = 1;                 // worker threads and lanes per device
   RunOptions run;                  // numerics, tuned params, map_cache...
@@ -125,7 +121,7 @@ struct ServerConfig {
   /// Fixed modeled setup cost charged once per dispatched batch; the
   /// amortizable slice that makes larger batches cheaper per request.
   double batch_overhead_seconds = 0;
-  ShardOptions shard;              // device count + built-in route policy
+  ShardOptions shard;              // built-in route policy
   /// Custom batch formation; when null the server builds a
   /// SloBatchingPolicy(batcher, priority) per session. Stateful and
   /// driven single-threaded — do not share one instance between
@@ -164,15 +160,15 @@ struct ServerConfig {
   /// the plan injects faults; finite degrade_deadline_seconds shed
   /// deadline-hopeless requests with or without a plan.
   FaultToleranceOptions fault_tolerance;
-  /// Multi-model registry (empty = a single-model deployment:
-  /// start(model) supplies the one ModelFn and every submission is
-  /// model 0). With entries, sessions open with start() — no argument —
-  /// and submissions target entries by index (submit_to) or name
-  /// (model_id). start(model) serves a one-entry registry (namespace 0,
-  /// inherited SLO), so it is bit-identical to the same deployment with
-  /// that one entry registered. Populate through with_model.
+  /// Model registry. With entries, sessions open with start() — no
+  /// argument — and submissions target entries by index (submit_to) or
+  /// name (model_id). Empty means start(model) supplies the one ModelFn:
+  /// the session then serves a one-entry registry (namespace 0, inherited
+  /// SLO), bit-identical to the same deployment with that one entry
+  /// registered. Populate through with_model.
   std::vector<ModelEntry> models;
 
+  /// Sets every shard of `fleet` to `d`, keeping the shard count.
   ServerConfig& with_device(DeviceSpec d);
   ServerConfig& with_engine(EngineConfig e);
   ServerConfig& with_workers(int n);
@@ -183,17 +179,17 @@ struct ServerConfig {
   ServerConfig& with_batcher(BatcherOptions b);
   ServerConfig& with_priority(PriorityOptions p);
   ServerConfig& with_batch_overhead(double seconds);
+  /// Makes `fleet` `n` copies of fleet.front(): `n` below 1 clamps to 1,
+  /// `n` past kMaxModeledDevices throws std::invalid_argument.
   ServerConfig& with_devices(int n);
   /// Describes a heterogeneous fleet as {spec, count} tiers, e.g.
   ///   cfg.with_fleet({{device_spec_by_name("1080ti"), 2},
   ///                   {device_spec_by_name("3090"), 2}});
-  /// Expands the tiers into `fleet` (expand_fleet validation:
+  /// Assigns the expanded tiers to `fleet` (expand_fleet validation:
   /// std::invalid_argument on an empty list, a non-positive count, or a
-  /// total past kMaxModeledDevices), points `device` at the first
-  /// tier's spec (the measurement reference), and
-  /// sets shard.devices to the fleet size. A single-tier call is the
-  /// homogeneous configuration with_device + with_devices builds —
-  /// bit-identical schedules, pinned by test.
+  /// total past kMaxModeledDevices); the first tier's spec is the
+  /// measurement reference. A single-tier call is the homogeneous
+  /// configuration with_device + with_devices builds.
   ServerConfig& with_fleet(const std::vector<FleetTier>& tiers);
   ServerConfig& with_route(RoutePolicy r);
   ServerConfig& with_batching_policy(std::shared_ptr<BatchingPolicy> p);
@@ -290,7 +286,8 @@ StreamStats schedule_stream_dispatch(
 ///
 /// Determinism: the report depends only on the drained (input, arrival,
 /// priority, model) stream, the config, and the policies. Preconditions
-/// (std::invalid_argument): `models` non-empty with non-null fns.
+/// (std::invalid_argument): `models` non-empty with non-null fns;
+/// config.fleet non-empty and within kMaxModeledDevices.
 /// Exception guarantee: on a request failure, a policy contract
 /// violation, or a drained request targeting an index outside the
 /// registry, the queue is closed, every unfulfilled handle receives the
@@ -322,11 +319,9 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
 class Server {
  public:
   /// Validates the configuration (std::invalid_argument): workers
-  /// clamped to >= 1, shard.devices clamped to >= 1 and bounded by
-  /// kMaxModeledDevices, a non-empty fleet bounded by kMaxModeledDevices
-  /// (device is then set to fleet.front() and shard.devices to the fleet
-  /// size, as with_fleet does), overhead finite >= 0; builds the shared
-  /// kernel-map cache from map_cache_bytes when run.map_cache is null.
+  /// clamped to >= 1, fleet non-empty and bounded by kMaxModeledDevices,
+  /// overhead finite >= 0; builds the shared kernel-map cache from
+  /// map_cache_bytes when run.map_cache is null.
   explicit Server(ServerConfig config);
 
   /// Joins a running session (discarding its report) before destroying.
@@ -351,28 +346,28 @@ class Server {
   /// True between start() and drain()/stop().
   bool running() const { return running_; }
 
-  /// Submits one request to the running session (std::logic_error when
-  /// no session is running). Same admission semantics as
-  /// RequestQueue::submit; the handle resolves incrementally, the
-  /// moment the request's batch is placed on the modeled schedule.
-  /// Mind the StreamHandle deadlock caveat: a request the batching
-  /// policy is still holding (open batch, strict-priority hold) only
-  /// dispatches on a later arrival or at drain(), so the controlling
-  /// thread must not block on such a handle before drain().
+  /// submit_to(0, ...) with an explicit class: model 0 of the session's
+  /// registry (the one model of a start(model) session).
   StreamHandle submit(SparseTensor input, double arrival_seconds,
                       Priority priority = Priority::kNormal);
 
-  /// Non-throwing admission: nullopt instead of AdmissionError.
+  /// try_submit_to(0, ...) with an explicit class.
   std::optional<StreamHandle> try_submit(
       SparseTensor input, double arrival_seconds,
       Priority priority = Priority::kNormal);
 
-  /// Submits one request to a specific registry model. `model` must
-  /// index the registry (std::invalid_argument otherwise; 0 is also
-  /// valid on a registry-less deployment, where it means "the" model).
-  /// When `priority` is nullopt the entry's default_priority applies —
-  /// the per-model class default. Same admission and incremental-
-  /// fulfillment semantics as submit().
+  /// Submits one request to model `model` of the running session
+  /// (std::logic_error when no session is running). `model` must index
+  /// the session's registry (std::invalid_argument otherwise); a
+  /// start(model) session's registry is its one model, index 0. When
+  /// `priority` is nullopt the entry's default_priority applies — the
+  /// per-model class default. Same admission semantics as
+  /// RequestQueue::submit; the handle resolves incrementally, the moment
+  /// the request's batch is placed on the modeled schedule.
+  /// Mind the StreamHandle deadlock caveat: a request the batching
+  /// policy is still holding (open batch, strict-priority hold) only
+  /// dispatches on a later arrival or at drain(), so the controlling
+  /// thread must not block on such a handle before drain().
   StreamHandle submit_to(int model, SparseTensor input,
                          double arrival_seconds,
                          std::optional<Priority> priority = std::nullopt);
@@ -402,7 +397,7 @@ class Server {
   /// The offline fixed-batch path under the same deployment: serves
   /// `inputs` as a zero-arrival session on serve_stream — every input
   /// arrives at t = 0 and dispatches alone (BatchPolicy::kImmediate) on
-  /// one `device` with `workers` lanes, no batch overhead, faults or
+  /// fleet.front() with `workers` lanes, no batch overhead, faults or
   /// warm snapshot — so each request takes the earliest-free lane in
   /// input order. Measures with the deployment's engine and RunOptions
   /// (including the shared kernel-map cache); requests are in input
@@ -427,12 +422,14 @@ class Server {
  private:
   /// Shared session launcher behind start()/start(model): replaces the
   /// queue, builds the session policies, and spawns the serving thread
-  /// over `models`.
+  /// over the session registry `models`.
   void launch_locked(std::vector<ModelEntry> models) TS_REQUIRES(life_mu_);
-  /// Validates a submission's model index against the registry and
-  /// resolves its effective priority (explicit, or the entry default).
+  /// Validates a submission's model index against the session registry
+  /// and resolves its effective priority (explicit, or the entry
+  /// default).
   Priority resolve_submission(int model,
-                              const std::optional<Priority>& priority) const;
+                              const std::optional<Priority>& priority) const
+      TS_REQUIRES(life_mu_);
 
   /// Immutable after construction (safe to read without life_mu_).
   ServerConfig cfg_;
@@ -443,6 +440,9 @@ class Server {
   /// takes this lock (drain() holds it across the join).
   mutable Mutex life_mu_;
   std::unique_ptr<RequestQueue> queue_ TS_GUARDED_BY(life_mu_);
+  /// The running session's model registry (cfg_.models, or the one
+  /// start(model) entry); submissions are validated against it.
+  std::vector<ModelEntry> session_models_ TS_GUARDED_BY(life_mu_);
   std::thread loop_;
   std::atomic<bool> running_{false};
   /// Session outcome and warm contexts: written by the serving thread,

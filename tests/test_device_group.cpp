@@ -815,22 +815,15 @@ TEST(FleetServe, WithFleetKeepsConfigConsistent) {
   cfg.with_fleet({{device_spec_by_name("1080ti"), 1},
                   {device_spec_by_name("3090"), 2}});
   ASSERT_EQ(cfg.fleet.size(), 3u);
-  EXPECT_EQ(cfg.device.name, gtx1080ti().name);  // measurement reference
-  EXPECT_EQ(cfg.shard.devices, 3);
+  EXPECT_EQ(cfg.fleet[0].name, gtx1080ti().name);  // measurement reference
   EXPECT_EQ(cfg.fleet[2].name, rtx3090().name);
   EXPECT_THROW(cfg.with_fleet({}), std::invalid_argument);
   EXPECT_THROW(cfg.with_fleet({{rtx3090(), 0}}), std::invalid_argument);
-  // A directly-populated fleet is bound-checked (and shard.devices
-  // reconciled) at Server construction.
+  // A directly-populated fleet is bound-checked at Server construction.
   serve::ServerConfig big;
   big.fleet.assign(static_cast<std::size_t>(serve::kMaxModeledDevices) + 1,
                    rtx3090());
   EXPECT_THROW(serve::Server{big}, std::invalid_argument);
-  serve::ServerConfig small;
-  small.fleet.assign(2, rtx3090());
-  small.shard.devices = 7;  // stale; the fleet wins
-  serve::Server server(std::move(small));
-  EXPECT_EQ(server.config().shard.devices, 2);
 }
 
 TEST(FleetServe, HomogeneousFleetBitEqualsDevicesConfig) {

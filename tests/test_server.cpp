@@ -177,7 +177,8 @@ TEST(ServerConfig, BuilderChainsAndSetsEveryKnob) {
   p.aging_seconds = 0.25;
   cfg.with_priority(p);
 
-  EXPECT_EQ(cfg.device.name, rtx3090().name);
+  ASSERT_EQ(cfg.fleet.size(), 2u);
+  for (const DeviceSpec& d : cfg.fleet) EXPECT_EQ(d.name, rtx3090().name);
   EXPECT_EQ(cfg.workers, 3);
   EXPECT_EQ(cfg.map_cache_bytes, std::size_t(1) << 20);
   EXPECT_EQ(cfg.queue.max_depth, 7u);
@@ -185,8 +186,19 @@ TEST(ServerConfig, BuilderChainsAndSetsEveryKnob) {
   EXPECT_EQ(cfg.batcher.max_batch, 5);
   EXPECT_DOUBLE_EQ(cfg.priority.aging_seconds, 0.25);
   EXPECT_DOUBLE_EQ(cfg.batch_overhead_seconds, 0.002);
-  EXPECT_EQ(cfg.shard.devices, 2);
   EXPECT_EQ(cfg.shard.route, serve::RoutePolicy::kCacheAffinity);
+
+  // Both builders write the one fleet list, so their order is irrelevant.
+  serve::ServerConfig count_first;
+  count_first.with_devices(2).with_device(gtx1080ti());
+  serve::ServerConfig spec_first;
+  spec_first.with_device(gtx1080ti()).with_devices(2);
+  ASSERT_EQ(count_first.fleet.size(), 2u);
+  ASSERT_EQ(spec_first.fleet.size(), 2u);
+  for (std::size_t d = 0; d < 2; ++d) {
+    EXPECT_EQ(count_first.fleet[d].name, gtx1080ti().name);
+    EXPECT_EQ(spec_first.fleet[d].name, gtx1080ti().name);
+  }
 }
 
 TEST(Server, ValidatesConfigurationAtConstruction) {
@@ -195,8 +207,14 @@ TEST(Server, ValidatesConfigurationAtConstruction) {
   EXPECT_THROW(serve::Server{bad_overhead}, std::invalid_argument);
 
   serve::ServerConfig bad_devices;
-  bad_devices.shard.devices = serve::kMaxModeledDevices + 1;
-  EXPECT_THROW(serve::Server{bad_devices}, std::invalid_argument);
+  EXPECT_THROW(bad_devices.with_devices(serve::kMaxModeledDevices + 1),
+               std::invalid_argument);
+  bad_devices.with_devices(0);  // clamps to one device
+  EXPECT_EQ(bad_devices.fleet.size(), 1u);
+
+  serve::ServerConfig no_fleet;
+  no_fleet.fleet.clear();
+  EXPECT_THROW(serve::Server{no_fleet}, std::invalid_argument);
 
   serve::ServerConfig bad_queue;
   bad_queue.queue.max_depth = 0;
@@ -835,39 +853,37 @@ TEST(ServerWarmStart, DedupWarmStatsInvariantAcrossWorkersAndDevices) {
   }
 }
 
-TEST(Server, DirectFleetMatchesWithFleet) {
-  // A fleet written straight into the config (bypassing with_fleet) is
-  // the same deployment as with_fleet's: the first tier becomes the
-  // measurement reference, so both serve bit for bit alike.
+TEST(Server, ServeStreamMeasuresOnFleetFront) {
+  // A fleet written straight into the config is served by serve_stream
+  // as is: every request is measured on the first tier, bit for bit a
+  // serial run_model on that spec, whichever tier the router picks.
   const ModelFn model = small_unet(47);
   std::vector<SparseTensor> stream;
   for (int i = 0; i < 6; ++i)
     stream.push_back(random_tensor(100 + 10 * i, 12, 4,
                                    4700 + static_cast<uint64_t>(i)));
-  auto base = [&] {
-    serve::ServerConfig cfg;
-    cfg.with_engine(torchsparse_config())
-        .with_workers(2)
-        .with_queue_depth(stream.size() + 1)
-        .with_route(serve::RoutePolicy::kEstimateAware);
-    return cfg;
-  };
-  serve::ServerConfig built = base();
-  built.with_fleet({{rtx3090(), 1}, {rtx2080ti(), 1}});
-  serve::ServerConfig direct = base();
-  direct.fleet = {rtx3090(), rtx2080ti()};
-
-  serve::Server via_builder(built);
-  serve::Server via_field(direct);
-  EXPECT_EQ(via_field.config().device.name, direct.fleet.front().name);
-  const serve::StreamReport a = serve_all(via_builder, model, stream);
-  const serve::StreamReport b = serve_all(via_field, model, stream);
-  ASSERT_EQ(a.requests.size(), stream.size());
-  ASSERT_EQ(b.requests.size(), stream.size());
+  serve::ServerConfig cfg;
+  cfg.with_engine(torchsparse_config())
+      .with_workers(2)
+      .with_route(serve::RoutePolicy::kEstimateAware);
+  cfg.fleet = {rtx3090(), rtx2080ti()};
+  serve::RequestQueue queue(serve::QueueOptions{stream.size() + 1});
+  for (std::size_t i = 0; i < stream.size(); ++i)
+    queue.submit(stream[i], 0.001 * static_cast<double>(i));
+  queue.close();
+  std::vector<serve::ModelEntry> models(1);
+  models[0].name = "default";
+  models[0].fn = model;
+  serve::SloBatchingPolicy batching(cfg.batcher, cfg.priority);
+  const auto routing = serve::make_routing_policy(cfg.shard.route);
+  const serve::StreamReport report =
+      serve::serve_stream(models, queue, cfg, batching, *routing);
+  ASSERT_EQ(report.requests.size(), stream.size());
   for (std::size_t i = 0; i < stream.size(); ++i) {
-    EXPECT_EQ(a.requests[i].service_seconds, b.requests[i].service_seconds);
-    EXPECT_EQ(a.requests[i].e2e_seconds, b.requests[i].e2e_seconds);
-    EXPECT_EQ(a.requests[i].device, b.requests[i].device);
+    const Timeline serial =
+        run_model(model, stream[i], rtx3090(), torchsparse_config());
+    expect_same_timeline(report.requests[i].timeline, serial);
+    EXPECT_EQ(report.requests[i].service_seconds, serial.total_seconds());
   }
 }
 
@@ -980,6 +996,25 @@ TEST(MultiModel, PerModelSloOverridesDeadline) {
   EXPECT_EQ(fired[0].members[0], 1u);
   EXPECT_DOUBLE_EQ(fired[0].dispatch_seconds, 0.0012);
   policy.flush();
+
+  // A one-entry table honours its budget too: 1 ms against a 10 ms
+  // batcher default, so arrivals 4 ms apart each dispatch alone — at
+  // arrival + 1 ms, and the last one at flush.
+  serve::BatcherOptions ten_ms = b;
+  ten_ms.slo_budget_seconds = 0.01;
+  serve::SloBatchingPolicy one(ten_ms, {},
+                               {serve::ModelBatchingInfo{0.001, 1.0}});
+  const std::vector<serve::DispatchBatch> plan = serve::plan_with(
+      one, {{0, 0.0, serve::Priority::kNormal, 0, {}, false},
+            {1, 0.004, serve::Priority::kNormal, 0, {}, false},
+            {2, 0.008, serve::Priority::kNormal, 0, {}, false}});
+  ASSERT_EQ(plan.size(), 3u);
+  const double stamps[] = {0.001, 0.005, 0.008};
+  for (std::size_t k = 0; k < plan.size(); ++k) {
+    ASSERT_EQ(plan[k].members.size(), 1u);
+    EXPECT_EQ(plan[k].members[0], k);
+    EXPECT_DOUBLE_EQ(plan[k].dispatch_seconds, stamps[k]);
+  }
 }
 
 TEST(MultiModel, SubmitToResolvesEntryDefaultPriority) {
@@ -1072,8 +1107,10 @@ TEST(MultiModel, RegistryAndLifecycleValidation) {
   bad_tuned.with_model("a", model);
   EXPECT_THROW(bad_tuned.with_model_tuned(3, {}), std::invalid_argument);
 
-  // Lifecycle mismatches: a registry server refuses start(model); a
-  // legacy server refuses start() and submit_to().
+  // Lifecycle mismatches: a registry server refuses start(model), and a
+  // server without registered models refuses start(). Submissions are
+  // validated against the session's registry: a start(model) session
+  // has exactly model 0.
   serve::ServerConfig registry_cfg;
   registry_cfg.with_device(rtx2080ti())
       .with_engine(torchsparse_config())
@@ -1092,9 +1129,15 @@ TEST(MultiModel, RegistryAndLifecycleValidation) {
   serve::Server legacy(legacy_cfg);
   EXPECT_THROW(legacy.start(), std::logic_error);
   legacy.start(model);
-  EXPECT_THROW(legacy.submit_to(0, random_tensor(100, 12, 4, 9), 0.0),
-               std::logic_error);
-  legacy.stop();
+  serve::StreamHandle h =
+      legacy.submit_to(0, random_tensor(100, 12, 4, 9), 0.0);
+  EXPECT_THROW(legacy.submit_to(1, random_tensor(100, 12, 4, 9), 0.0),
+               std::invalid_argument);
+  EXPECT_THROW(legacy.submit_to(-1, random_tensor(100, 12, 4, 9), 0.0),
+               std::invalid_argument);
+  const serve::StreamReport legacy_report = legacy.drain();
+  ASSERT_EQ(legacy_report.requests.size(), 1u);
+  EXPECT_EQ(h.get().model, 0);
 }
 
 }  // namespace
