@@ -161,6 +161,48 @@ struct StreamReport {
   StreamStats stats;
 };
 
+/// The per-request half of StreamStats, folded from final results: a
+/// scheduler add()s each request once, the moment it is served or fails,
+/// and write()s at the end. Schedule-level numbers (batch counts,
+/// makespan, per-device clocks, fault activations, cache replay) stay
+/// with the scheduler.
+class StreamStatsFold {
+ public:
+  /// `num_models` sizes per_model (clamped to >= 1); every folded
+  /// result's model must index it.
+  explicit StreamStatsFold(int num_models = 1);
+
+  /// Folds one final result: its queue wait, e2e, retry wait,
+  /// `attempts - 1` retries, error, priority, model, timeline and
+  /// service time. The service and timeline sums are floating point,
+  /// so add() order is part of the output.
+  void add(const StreamResult& r);
+
+  std::size_t completed() const { return total_.waits.size(); }
+  std::size_t failed() const { return total_.failed; }
+
+  /// Writes completed, failed, retries and the six percentiles of the
+  /// totals and of every per_class and per_model entry (resized and
+  /// labelled here), plus retry_wait_p99_seconds, mean_service_seconds
+  /// and aggregate. Leaves every other field untouched.
+  void write(StreamStats& s) const;
+
+ private:
+  /// One reporting scope: the stream, a priority class or a model.
+  struct Scope {
+    std::vector<double> waits, e2es;  // served requests only
+    std::size_t failed = 0;
+    std::size_t retries = 0;
+  };
+
+  Scope total_;
+  std::vector<Scope> classes_;
+  std::vector<Scope> models_;
+  std::vector<double> retry_waits_;  // served requests that retried
+  double sum_service_ = 0;
+  Timeline aggregate_;
+};
+
 /// Nearest-rank percentile of an ascending-sorted sample.
 ///
 /// Definition: the smallest element whose rank r (1-based) satisfies

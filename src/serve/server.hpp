@@ -424,10 +424,11 @@ class Server {
   /// queue, builds the session policies, and spawns the serving thread
   /// over the session registry `models`.
   void launch_locked(std::vector<ModelEntry> models) TS_REQUIRES(life_mu_);
-  /// Validates a submission's model index against the session registry
-  /// and resolves its effective priority (explicit, or the entry
-  /// default).
-  Priority resolve_submission(int model,
+  /// Checks that a session is running (std::logic_error), validates a
+  /// submission's model index against the session registry
+  /// (std::invalid_argument) and resolves its effective priority
+  /// (explicit, or the entry default). Errors are prefixed with `who`.
+  Priority resolve_submission(const char* who, int model,
                               const std::optional<Priority>& priority) const
       TS_REQUIRES(life_mu_);
 

@@ -299,5 +299,60 @@ TEST(ServeStats, PercentileRejectsOutOfRangeQuantiles) {
       std::invalid_argument);
 }
 
+TEST(ServeStats, FoldDerivesEveryScopeFromFinalResults) {
+  // Two served requests (one retried once) and one failure after two
+  // attempts, across two classes and two models.
+  serve::StreamResult a;
+  a.priority = serve::Priority::kHigh;
+  a.queue_wait_seconds = 1.0;
+  a.e2e_seconds = 3.0;
+  a.service_seconds = 2.0;
+  a.timeline.add(Stage::kMatMul, 2.0);
+  serve::StreamResult b = a;
+  b.model = 1;
+  b.queue_wait_seconds = 5.0;
+  b.e2e_seconds = 9.0;
+  b.service_seconds = 4.0;
+  b.attempts = 2;
+  b.retry_wait_seconds = 0.5;
+  serve::StreamResult f;
+  f.priority = serve::Priority::kLow;
+  f.model = 1;
+  f.attempts = 2;
+  f.retry_wait_seconds = 7.0;  // ignored: only served retries count
+  f.error = serve::ServeErrorCode::kRetriesExhausted;
+
+  serve::StreamStatsFold fold(2);
+  for (const serve::StreamResult* r : {&a, &b, &f}) fold.add(*r);
+  EXPECT_EQ(fold.completed(), 2u);
+  EXPECT_EQ(fold.failed(), 1u);
+  serve::StreamStats s;
+  fold.write(s);
+  EXPECT_EQ(s.completed, 2u);
+  EXPECT_EQ(s.failed, 1u);
+  EXPECT_EQ(s.retries, 2u);
+  EXPECT_DOUBLE_EQ(s.queue_wait_p50_seconds, 1.0);
+  EXPECT_DOUBLE_EQ(s.e2e_p99_seconds, 9.0);
+  EXPECT_DOUBLE_EQ(s.retry_wait_p99_seconds, 0.5);
+  EXPECT_DOUBLE_EQ(s.mean_service_seconds, 3.0);
+  EXPECT_DOUBLE_EQ(s.aggregate.stage_seconds(Stage::kMatMul), 4.0);
+  ASSERT_EQ(s.per_class.size(),
+            static_cast<std::size_t>(serve::kNumPriorityClasses));
+  const auto& high = s.per_class[static_cast<int>(serve::Priority::kHigh)];
+  const auto& low = s.per_class[static_cast<int>(serve::Priority::kLow)];
+  EXPECT_EQ(high.priority, serve::Priority::kHigh);
+  EXPECT_EQ(high.completed, 2u);
+  EXPECT_EQ(high.retries, 1u);
+  EXPECT_EQ(low.failed, 1u);
+  EXPECT_EQ(low.retries, 1u);
+  ASSERT_EQ(s.per_model.size(), 2u);
+  EXPECT_EQ(s.per_model[1].model, 1);
+  EXPECT_EQ(s.per_model[0].completed, 1u);
+  EXPECT_EQ(s.per_model[1].completed, 1u);
+  EXPECT_EQ(s.per_model[1].failed, 1u);
+  EXPECT_EQ(s.per_model[1].retries, 2u);
+  EXPECT_DOUBLE_EQ(s.per_model[1].queue_wait_p99_seconds, 5.0);
+}
+
 }  // namespace
 }  // namespace ts

@@ -508,6 +508,16 @@ TEST(ScheduleStreamDispatch, RejectsMalformedPlans) {
   EXPECT_THROW(run_plan({{{0, 1}, 0.1}, {{}, 0.2}, {{2}, 0.2}}),
                std::invalid_argument);
   EXPECT_THROW(run_plan({{{0, 1, 2}, 0.1}}), std::invalid_argument);
+  // A batch mixing models, or stamped with another model than its
+  // members', is rejected too.
+  std::vector<serve::StreamResult> two_models = requests;
+  two_models[1].model = 1;
+  EXPECT_THROW(serve::schedule_stream_dispatch(
+                   two_models, {{{0, 1}, 0.1}, {{2}, 0.2}}, group, *routing,
+                   1, 0.0),
+               std::invalid_argument);
+  EXPECT_THROW(run_plan({{{0, 1}, 0.1, 1}, {{2}, 0.2}}),
+               std::invalid_argument);
   // A well-formed non-contiguous plan is accepted.
   std::vector<serve::StreamResult> reqs = requests;
   const serve::StreamStats ok = serve::schedule_stream_dispatch(
@@ -607,6 +617,57 @@ TEST(Server, CustomBatchingPolicyIsResetAfterFailedSession) {
   server.submit(random_tensor(50, 8, 4, 4801), 0.0);
   const serve::StreamReport ok = server.drain();
   EXPECT_EQ(ok.stats.completed, 1u);
+}
+
+/// Holds every arrival and flushes them as one batch stamped with
+/// `model`: breaks the one-model-per-batch contract whenever the stream
+/// holds another model.
+class OneBatchPolicy final : public serve::BatchingPolicy {
+ public:
+  explicit OneBatchPolicy(int model) { batch_.model = model; }
+  std::vector<serve::DispatchBatch> on_arrival(
+      const serve::ArrivalInfo& a) override {
+    batch_.members.push_back(a.id);
+    batch_.dispatch_seconds = a.arrival_seconds;
+    return {};
+  }
+  std::vector<serve::DispatchBatch> flush() override {
+    std::vector<serve::DispatchBatch> out;
+    if (!batch_.members.empty()) out.push_back(batch_);
+    batch_.members.clear();
+    return out;
+  }
+  std::size_t pending() const override { return batch_.members.size(); }
+  const char* name() const override { return "one-batch"; }
+
+ private:
+  serve::DispatchBatch batch_;
+};
+
+TEST(Server, SessionRejectsMixedAndMismatchedModelBatches) {
+  // Both serving entry points share one batch validator: a custom
+  // policy's batch that mixes models, or whose model differs from its
+  // members', fails the session like schedule_stream_dispatch rejects
+  // the plan, and every handle receives the error.
+  const ModelFn model = small_unet(49);
+  for (const bool mixed : {true, false}) {
+    SCOPED_TRACE(mixed ? "mixed" : "mismatched");
+    serve::ServerConfig cfg;
+    cfg.with_device(rtx2080ti())
+        .with_engine(torchsparse_config())
+        .with_model("a", model)
+        .with_model("b", model)
+        .with_batching_policy(std::make_shared<OneBatchPolicy>(mixed ? 0 : 1));
+    serve::Server server(cfg);
+    server.start();
+    std::vector<serve::StreamHandle> handles;
+    for (int i = 0; i < 4; ++i)
+      handles.push_back(server.submit_to(
+          mixed ? i % 2 : 0, random_tensor(60, 8, 4, 4900 + i), 0.001 * i));
+    EXPECT_THROW(server.drain(), std::invalid_argument);
+    for (const serve::StreamHandle& h : handles)
+      EXPECT_THROW(h.get(), std::invalid_argument);
+  }
 }
 
 // --- Duplicate-aware batch formation ----------------------------------
