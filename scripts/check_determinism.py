@@ -5,8 +5,9 @@ The repo's serving contract (docs/SERVING.md, ROADMAP.md) is that every
 modeled statistic is bit-reproducible: a function of the submitted
 (input, arrival, priority) stream and the configuration — never of wall
 time, thread timing, worker count, or memory layout. This lint scans the
-directories where that contract lives (src/serve, src/core, src/engines
-by default) for constructs that historically smuggle nondeterminism in:
+directories where that contract lives (src/serve, src/core, src/engines,
+and the input and layer code they run: src/data, src/nn) for constructs
+that historically smuggle nondeterminism in:
 
   wall-clock      reads of std::chrono::{system,steady,high_resolution}
                   _clock, gettimeofday, clock(), time() — legitimate
@@ -46,7 +47,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-DEFAULT_DIRS = ("src/serve", "src/core", "src/engines")
+DEFAULT_DIRS = ("src/serve", "src/core", "src/engines", "src/data", "src/nn")
 EXTENSIONS = (".hpp", ".cpp", ".h", ".cc")
 
 RULES = {

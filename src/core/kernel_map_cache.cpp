@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <stdexcept>
+#include <utility>
 
 namespace ts {
 
@@ -17,6 +18,26 @@ void mix_coords(const std::vector<Coord>& coords, uint64_t& lo,
                 uint64_t& hi) {
   mix2(coords.size(), lo, hi);
   for (const Coord& c : coords) mix2(pack_coord(c), lo, hi);
+}
+
+/// The admission contract: exactly one of kmap/coords, as
+/// save_map_cache also demands of every snapshot entry.
+void check_admissible(const MapCachePayload& p) {
+  if (static_cast<bool>(p.kmap) == static_cast<bool>(p.coords))
+    throw std::invalid_argument(
+        "KernelMapCache::admit: payload must hold exactly one of kmap or "
+        "coords");
+}
+
+/// Swaps one event's cold mapping charge in `t` for its warm re-key
+/// charge.
+void apply_map_cache_hit(const MapCacheEvent& ev, Timeline& t) {
+  t.add(Stage::kMapping, ev.hit_seconds - ev.cold_seconds);
+  t.add_dram_bytes(ev.hit_dram_bytes - ev.cold_dram_bytes);
+  if (ev.cold_launches > ev.hit_launches)
+    t.remove_kernel_launches(ev.cold_launches - ev.hit_launches);
+  else
+    t.add_kernel_launches(ev.hit_launches - ev.cold_launches);
 }
 
 }  // namespace
@@ -95,7 +116,6 @@ MapCachePayload KernelMapCache::get_or_build(
     ++stats_.lookups;
     if (auto it = entries_.find(key); it != entries_.end()) {
       Entry& e = it->second;
-      ++e.hits;
       ++stats_.hits;
       stats_.build_wall_seconds_saved += e.build_wall_seconds;
       lru_.splice(lru_.begin(), lru_, e.lru_it);
@@ -130,25 +150,8 @@ MapCachePayload KernelMapCache::get_or_build(
     ++stats_.oversized;
     return built;
   }
-  evict_to_fit_locked(bytes);
-  lru_.push_front(key);
-  Entry e;
-  e.payload = built;
-  e.bytes = bytes;
-  e.build_wall_seconds = wall;
-  e.lru_it = lru_.begin();
-  entries_.emplace(key, std::move(e));
-  stats_.bytes_in_use += bytes;
-  stats_.entries = entries_.size();
-  ++stats_.insertions;
+  insert_locked(key, built, bytes, wall);
   return built;
-}
-
-MapCachePayload KernelMapCache::peek(const MapCacheKey& key) const {
-  MutexLock lock(mu_);
-  if (auto it = entries_.find(key); it != entries_.end())
-    return it->second.payload;
-  return {};
 }
 
 bool KernelMapCache::contains(const MapCacheKey& key) const {
@@ -156,40 +159,9 @@ bool KernelMapCache::contains(const MapCacheKey& key) const {
   return entries_.find(key) != entries_.end();
 }
 
-KernelMapCache::RecordOutcome KernelMapCache::record_lookup(
-    const MapCacheKey& key, std::size_t bytes) {
-  MutexLock lock(mu_);
-  ++stats_.lookups;
-  RecordOutcome out;
-  if (auto it = entries_.find(key); it != entries_.end()) {
-    Entry& e = it->second;
-    ++e.hits;
-    ++stats_.hits;
-    lru_.splice(lru_.begin(), lru_, e.lru_it);
-    out.hit = true;
-    return out;
-  }
-  ++stats_.misses;
-  if (bytes > budget_) {
-    ++stats_.oversized;
-    return out;
-  }
-  evict_to_fit_locked(bytes, &out.evicted);
-  out.evictions = out.evicted.size();
-  lru_.push_front(key);
-  Entry e;
-  e.bytes = bytes;
-  e.lru_it = lru_.begin();
-  entries_.emplace(key, std::move(e));
-  stats_.bytes_in_use += bytes;
-  stats_.entries = entries_.size();
-  ++stats_.insertions;
-  out.inserted = true;
-  return out;
-}
-
 bool KernelMapCache::admit(const MapCacheKey& key, MapCachePayload payload,
                            double build_wall_seconds) {
+  check_admissible(payload);
   MutexLock lock(mu_);
   if (auto it = entries_.find(key); it != entries_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
@@ -197,62 +169,26 @@ bool KernelMapCache::admit(const MapCacheKey& key, MapCachePayload payload,
   }
   const std::size_t bytes = map_cache_payload_bytes(payload);
   if (bytes > budget_) return false;
-  evict_to_fit_locked(bytes);
-  lru_.push_front(key);
-  Entry e;
-  e.payload = std::move(payload);
-  e.bytes = bytes;
-  e.build_wall_seconds = build_wall_seconds;
-  e.lru_it = lru_.begin();
-  entries_.emplace(key, std::move(e));
-  stats_.bytes_in_use += bytes;
-  stats_.entries = entries_.size();
-  ++stats_.insertions;
+  insert_locked(key, std::move(payload), bytes, build_wall_seconds);
   return true;
 }
 
-KernelMapCache::RecordOutcome KernelMapCache::admit_record_locked(
-    const MapCacheKey& key, std::size_t bytes) {
-  RecordOutcome out;
-  if (auto it = entries_.find(key); it != entries_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-    return out;
+void KernelMapCache::insert_locked(const MapCacheKey& key,
+                                   MapCachePayload payload, std::size_t bytes,
+                                   double build_wall_seconds) {
+  while (!lru_.empty() && stats_.bytes_in_use + bytes > budget_) {
+    auto it = entries_.find(lru_.back());
+    lru_.pop_back();
+    stats_.bytes_in_use -= it->second.bytes;
+    entries_.erase(it);
+    ++stats_.evictions;
   }
-  if (bytes > budget_) return out;
-  evict_to_fit_locked(bytes, &out.evicted);
-  out.evictions = out.evicted.size();
   lru_.push_front(key);
-  Entry e;
-  e.bytes = bytes;
-  e.lru_it = lru_.begin();
-  entries_.emplace(key, std::move(e));
+  entries_.emplace(key, Entry{std::move(payload), bytes, build_wall_seconds,
+                              lru_.begin()});
   stats_.bytes_in_use += bytes;
   stats_.entries = entries_.size();
   ++stats_.insertions;
-  out.inserted = true;
-  return out;
-}
-
-KernelMapCache::RecordOutcome KernelMapCache::admit_record(
-    const MapCacheKey& key, std::size_t bytes) {
-  MutexLock lock(mu_);
-  return admit_record_locked(key, bytes);
-}
-
-std::vector<KernelMapCache::RecordOutcome> KernelMapCache::reseed_record(
-    const MapCacheSnapshot& snapshot) {
-  // One lock acquisition for the whole drop + re-admit compound. The old
-  // clear(); admit_record()-per-entry sequence released the lock between
-  // steps, so a concurrent stats()/contains() reader could observe the
-  // half-reseeded population — the kind of lock-scope gap the
-  // -Wthread-safety pass exists to make structurally impossible.
-  MutexLock lock(mu_);
-  clear_locked();
-  std::vector<RecordOutcome> outcomes;
-  outcomes.reserve(snapshot.entries.size());
-  for (const MapCacheSnapshotEntry& e : snapshot.entries)
-    outcomes.push_back(admit_record_locked(e.key, e.bytes));
-  return outcomes;
 }
 
 MapCacheSnapshot KernelMapCache::export_snapshot() const {
@@ -266,15 +202,17 @@ MapCacheSnapshot KernelMapCache::export_snapshot() const {
     const Entry& e = entries_.at(*it);
     if (!e.payload.kmap && !e.payload.coords)
       throw std::logic_error(
-          "KernelMapCache::export_snapshot: entry holds no payload "
-          "(record-mode caches track footprints only and cannot be "
-          "snapshotted)");
+          "KernelMapCache::export_snapshot: entry holds no payload (a "
+          "build callback returned an empty MapCachePayload)");
     snap.entries.push_back({*it, e.payload, e.bytes, e.build_wall_seconds});
   }
   return snap;
 }
 
 void KernelMapCache::import_snapshot(const MapCacheSnapshot& snapshot) {
+  // Validate everything first so a bad entry leaves the cache unchanged.
+  for (const MapCacheSnapshotEntry& e : snapshot.entries)
+    check_admissible(e.payload);
   for (const MapCacheSnapshotEntry& e : snapshot.entries)
     admit(e.key, e.payload, e.build_wall_seconds);
 }
@@ -284,90 +222,71 @@ MapCacheStats KernelMapCache::stats() const {
   return stats_;
 }
 
-void KernelMapCache::clear() {
-  MutexLock lock(mu_);
-  clear_locked();
-}
-
-void KernelMapCache::clear_locked() {
-  entries_.clear();
-  lru_.clear();
-  stats_.entries = 0;
-  stats_.bytes_in_use = 0;
-}
-
-void KernelMapCache::evict_to_fit_locked(std::size_t incoming_bytes,
-                                         std::vector<MapCacheKey>* evicted) {
-  while (!lru_.empty() && stats_.bytes_in_use + incoming_bytes > budget_) {
-    const MapCacheKey victim = lru_.back();
-    lru_.pop_back();
-    auto it = entries_.find(victim);
-    stats_.bytes_in_use -= it->second.bytes;
-    entries_.erase(it);
-    ++stats_.evictions;
-    if (evicted) evicted->push_back(victim);
-  }
-  stats_.entries = entries_.size();
-}
-
 MapCacheReplay::MapCacheReplay(std::size_t byte_budget)
     : budget_(byte_budget) {}
 
-void MapCacheReplay::warm_start(const MapCacheSnapshot& snapshot) {
-  for (const MapCacheSnapshotEntry& se : snapshot.entries) {
-    if (auto it = entries_.find(se.key); it != entries_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      continue;
-    }
-    if (se.bytes > budget_) continue;
-    while (!lru_.empty() && in_use_ + se.bytes > budget_) {
-      const MapCacheKey victim = lru_.back();
-      lru_.pop_back();
-      auto vit = entries_.find(victim);
-      in_use_ -= vit->second.bytes;
-      entries_.erase(vit);
-    }
-    lru_.push_front(se.key);
-    entries_.emplace(se.key, SimEntry{se.bytes, lru_.begin()});
-    in_use_ += se.bytes;
+bool MapCacheReplay::touch(const MapCacheKey& key) {
+  const auto it = entries_.find(key);
+  if (it == entries_.end()) return false;
+  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+  return true;
+}
+
+std::size_t MapCacheReplay::insert(const MapCacheKey& key, std::size_t bytes,
+                                   std::vector<MapCacheChange>* changes) {
+  if (bytes > budget_) return 0;  // oversized: never cached
+  std::size_t evicted = 0;
+  while (!lru_.empty() && in_use_ + bytes > budget_) {
+    const MapCacheKey victim = lru_.back();
+    lru_.pop_back();
+    auto it = entries_.find(victim);
+    in_use_ -= it->second.bytes;
+    entries_.erase(it);
+    ++evicted;
+    if (changes) changes->push_back({victim, false});
   }
+  lru_.push_front(key);
+  entries_.emplace(key, SimEntry{bytes, lru_.begin()});
+  in_use_ += bytes;
+  if (changes) changes->push_back({key, true});
+  return evicted;
 }
 
-void apply_map_cache_hit(const MapCacheEvent& ev, Timeline& t) {
-  // Swap the cold charge the request measured for the warm charge.
-  t.add(Stage::kMapping, ev.hit_seconds - ev.cold_seconds);
-  t.add_dram_bytes(ev.hit_dram_bytes - ev.cold_dram_bytes);
-  if (ev.cold_launches > ev.hit_launches)
-    t.remove_kernel_launches(ev.cold_launches - ev.hit_launches);
-  else
-    t.add_kernel_launches(ev.hit_launches - ev.cold_launches);
+void MapCacheReplay::warm_start(const MapCacheSnapshot& snapshot,
+                                std::vector<MapCacheChange>* changes) {
+  for (const MapCacheSnapshotEntry& se : snapshot.entries)
+    if (!touch(se.key)) insert(se.key, se.bytes, changes);
 }
 
-void MapCacheReplay::apply(const std::vector<MapCacheEvent>& events,
-                           Timeline& t) {
+std::size_t MapCacheReplay::apply(const std::vector<MapCacheEvent>& events,
+                                  Timeline& t,
+                                  std::vector<MapCacheChange>* changes) {
+  std::size_t hits = 0;
   for (const MapCacheEvent& ev : events) {
     ++stats_.lookups;
-    if (auto it = entries_.find(ev.key); it != entries_.end()) {
+    if (touch(ev.key)) {
       ++stats_.hits;
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+      ++hits;
       apply_map_cache_hit(ev, t);
       stats_.modeled_seconds_saved += ev.cold_seconds - ev.hit_seconds;
       continue;
     }
     ++stats_.misses;
-    if (ev.bytes > budget_) continue;  // oversized: never cached
-    while (!lru_.empty() && in_use_ + ev.bytes > budget_) {
-      const MapCacheKey victim = lru_.back();
-      lru_.pop_back();
-      auto vit = entries_.find(victim);
-      in_use_ -= vit->second.bytes;
-      entries_.erase(vit);
-      ++stats_.evictions;
-    }
-    lru_.push_front(ev.key);
-    entries_.emplace(ev.key, SimEntry{ev.bytes, lru_.begin()});
-    in_use_ += ev.bytes;
+    stats_.evictions += insert(ev.key, ev.bytes, changes);
   }
+  return hits;
+}
+
+void MapCacheReplay::drop(std::vector<MapCacheChange>* changes) {
+  if (changes)
+    for (const MapCacheKey& key : lru_) changes->push_back({key, false});
+  lru_.clear();
+  entries_.clear();
+  in_use_ = 0;
+}
+
+bool MapCacheReplay::contains(const MapCacheKey& key) const {
+  return entries_.find(key) != entries_.end();
 }
 
 }  // namespace ts

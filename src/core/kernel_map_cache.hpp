@@ -24,10 +24,13 @@
 //    full map-build kernels. Under concurrent serving the *wall* order
 //    of lookups is racy, so modeled accounting is deferred: requests
 //    measure cold and record MapCacheEvents, and each routed device's
-//    record-mode cache (record_lookup) re-runs the cache decisions in
-//    submission order — deterministic for any worker count.
-//    MapCacheReplay is the single-device reference that replay must
-//    match bit for bit (see docs/PERFORMANCE.md).
+//    MapCacheReplay re-runs the cache decisions in submission order —
+//    deterministic for any worker count (see docs/PERFORMANCE.md).
+//
+// The two clocks keep two caches with one LRU rule each: KernelMapCache
+// holds payloads and is shared by the measurement pool; MapCacheReplay
+// holds only keys and byte footprints and is owned by one
+// single-threaded accounting pass.
 #pragma once
 
 #include <cstdint>
@@ -163,38 +166,9 @@ class KernelMapCache {
                                const std::function<MapCachePayload()>& build,
                                bool* was_hit = nullptr);
 
-  /// Probe without building; null payload pointers when absent.
-  MapCachePayload peek(const MapCacheKey& key) const;
-
-  /// Ownership query: does the cache currently hold `key`? Unlike peek,
-  /// this does not copy the payload and never touches the LRU order, so
-  /// routing layers (serve::DeviceGroup's cache-affinity dispatcher) can
-  /// probe many devices without perturbing eviction state.
+  /// Ownership query: does the cache currently hold `key`? Never
+  /// copies the payload or touches the LRU order.
   bool contains(const MapCacheKey& key) const;
-
-  /// Outcome of one record-mode lookup (see record_lookup). Besides the
-  /// hit/miss decision it reports the cache-population deltas — whether
-  /// `key` was admitted and exactly which keys were evicted to admit it —
-  /// so an external ownership index (serve::DeviceGroup's digest->owner
-  /// map) can mirror the cache contents without rescanning them.
-  struct RecordOutcome {
-    bool hit = false;
-    bool inserted = false;      // key admitted to the cache by this lookup
-    std::size_t evictions = 0;  // entries evicted to admit this key
-    std::vector<MapCacheKey> evicted;  // the evicted keys, LRU order
-  };
-
-  /// Record-mode lookup: applies the cache's exact hit/miss/LRU/eviction
-  /// bookkeeping for `key` with a declared payload footprint of `bytes`,
-  /// without storing any payload. This is how a *modeled* device cache is
-  /// driven (serve::DeviceGroup): the deterministic submission-order
-  /// accounting pass replays each request's MapCacheEvents through the
-  /// device it was routed to, and the decisions here are bit-compatible
-  /// with MapCacheReplay for any event stream. Entries larger than the
-  /// whole budget follow the get_or_build rule (counted oversized, never
-  /// cached). Do not mix record-mode and get_or_build on one cache: a
-  /// record-mode hit has no payload to return.
-  RecordOutcome record_lookup(const MapCacheKey& key, std::size_t bytes);
 
   /// Admits a payload without a lookup: inserts `key` at the MRU
   /// position through the normal eviction path, counting an insertion
@@ -202,37 +176,24 @@ class KernelMapCache {
   /// hit-rate accounting. An already-present key is refreshed to MRU
   /// (the payload is content-addressed, so it cannot differ); a payload
   /// larger than the whole budget is skipped. Returns whether the key
-  /// is resident afterwards.
+  /// is resident afterwards. Throws std::invalid_argument, leaving the
+  /// cache unchanged, unless the payload holds exactly one of
+  /// kmap/coords: a hit on such an entry would hand the conv path a
+  /// null map.
   bool admit(const MapCacheKey& key, MapCachePayload payload,
              double build_wall_seconds = 0);
 
-  /// Record-mode admit: the admission half of record_lookup without the
-  /// lookup accounting, reporting the same population deltas so an
-  /// external ownership index can mirror warm-start seeding exactly
-  /// like live traffic (serve::DeviceGroup::begin_schedule).
-  RecordOutcome admit_record(const MapCacheKey& key, std::size_t bytes);
-
-  /// Warm re-seed hook for shard replacement (serve::DeviceGroup::
-  /// revive_shard): drops the entire population, then re-admits the
-  /// snapshot manifest's footprints in record mode (LRU-first, so the
-  /// restored residency and eviction order match import_snapshot's).
-  /// Returns one RecordOutcome per manifest entry, in order, so an
-  /// external ownership index can mirror the rebuilt population.
-  /// Atomic: the drop and every re-admission happen under one lock
-  /// acquisition, so a concurrent reader never observes the half-reseeded
-  /// population.
-  std::vector<RecordOutcome> reseed_record(const MapCacheSnapshot& snapshot);
-
   /// Captures the full population — every entry's key, payload, bytes,
   /// and build wall time, LRU-first. Throws std::logic_error when an
-  /// entry has no payload (a record-mode cache holds footprints only
-  /// and cannot be exported as a payload snapshot).
+  /// entry has no payload (a build callback returned an empty one).
   MapCacheSnapshot export_snapshot() const;
 
   /// Re-admits a snapshot's entries in order (LRU-first) through
   /// admit(), so the restored LRU/eviction state is exactly what the
   /// saving cache would have reached — modulo this cache's own byte
-  /// budget, which evicts from the snapshot's LRU end first.
+  /// budget, which evicts from the snapshot's LRU end first. Every
+  /// payload is validated before the first admission: on an invalid
+  /// one it throws std::invalid_argument with the cache unchanged.
   void import_snapshot(const MapCacheSnapshot& snapshot);
 
   /// Binary snapshot serialization (implemented in io/serialize.cpp;
@@ -245,28 +206,21 @@ class KernelMapCache {
 
   MapCacheStats stats() const;
   std::size_t byte_budget() const { return budget_; }
-  void clear();
 
  private:
   struct Entry {
     MapCachePayload payload;
     std::size_t bytes = 0;
-    std::size_t hits = 0;
     double build_wall_seconds = 0;
     std::list<MapCacheKey>::iterator lru_it;
   };
 
-  /// Evicts LRU entries until `incoming_bytes` fits the budget. When
-  /// `evicted` is non-null each victim key is appended (LRU order) —
-  /// record_lookup uses this to report population deltas.
-  void evict_to_fit_locked(std::size_t incoming_bytes,
-                           std::vector<MapCacheKey>* evicted = nullptr)
+  /// Inserts an absent `key` at MRU, first evicting LRU entries until
+  /// `bytes` fits the budget (the caller has ruled out oversized
+  /// entries). Shared by get_or_build and admit.
+  void insert_locked(const MapCacheKey& key, MapCachePayload payload,
+                     std::size_t bytes, double build_wall_seconds)
       TS_REQUIRES(mu_);
-  /// Lock-held bodies of admit_record and clear, shared by the public
-  /// entry points and the atomic reseed_record compound.
-  RecordOutcome admit_record_locked(const MapCacheKey& key, std::size_t bytes)
-      TS_REQUIRES(mu_);
-  void clear_locked() TS_REQUIRES(mu_);
 
   /// Immutable after construction (safe to read without mu_).
   std::size_t budget_;
@@ -295,13 +249,6 @@ struct MapCacheEvent {
   std::size_t hit_launches = 0;
 };
 
-/// Applies one warm-hit substitution to a cold-measured timeline:
-/// swaps the event's cold mapping charge (seconds, DRAM traffic, kernel
-/// launches) for its warm re-key charge. The single definition of the
-/// hit-delta arithmetic, shared by MapCacheReplay and the serving
-/// layer's per-device record-mode replay — both must stay bit-identical.
-void apply_map_cache_hit(const MapCacheEvent& ev, Timeline& t);
-
 struct MapCacheReplayStats {
   std::size_t lookups = 0;
   std::size_t hits = 0;
@@ -314,12 +261,28 @@ struct MapCacheReplayStats {
   }
 };
 
-/// Replays cache decisions in submission order over requests' recorded
-/// events, adjusting each request's cold-measured timeline to what a
-/// sequential (submission-ordered) pass over the shared cache would have
-/// charged. Because the replay depends only on the event streams and the
-/// byte budget — never on thread interleaving — serving statistics stay
-/// bit-reproducible for any worker count.
+/// One change to a modeled cache's population: `key` was admitted, or
+/// it left (evicted to make room, or dropped). Applying a cache's
+/// changes in order mirrors its contents into an external index
+/// (serve::DeviceGroup's digest->owners map) without rescanning it.
+struct MapCacheChange {
+  MapCacheKey key;
+  bool admitted = false;
+};
+
+/// The modeled kernel-map cache: replays cache decisions in submission
+/// order over requests' recorded events, adjusting each request's
+/// cold-measured timeline to what a sequential pass over the cache
+/// would have charged. It holds keys and byte footprints only, under
+/// the same byte-budget LRU rule as KernelMapCache. Because the replay
+/// depends only on the event streams, the byte budget and the seeding
+/// manifest — never on thread interleaving — serving statistics stay
+/// bit-reproducible for any worker count. serve::DeviceGroup owns one
+/// per device. Not thread-safe: one accounting pass drives it.
+///
+/// Every mutator takes an optional `changes` log; when non-null, each
+/// admission and each eviction or drop is appended in the order it
+/// happened.
 class MapCacheReplay {
  public:
   explicit MapCacheReplay(std::size_t byte_budget);
@@ -331,12 +294,25 @@ class MapCacheReplay {
   /// budget follow the normal LRU rule (the snapshot's LRU end evicts
   /// first). Deterministic and worker-invariant like the rest of the
   /// replay — the manifest is part of the configuration.
-  void warm_start(const MapCacheSnapshot& snapshot);
+  void warm_start(const MapCacheSnapshot& snapshot,
+                  std::vector<MapCacheChange>* changes = nullptr);
 
-  /// Replays one request's events (in order) and applies the hit/cold
-  /// charge deltas to `t`.
-  void apply(const std::vector<MapCacheEvent>& events, Timeline& t);
+  /// Replays one request's events (in order): a hit swaps the event's
+  /// cold mapping charge in `t` (seconds, DRAM traffic, kernel
+  /// launches) for its warm re-key charge; a miss admits the key, and
+  /// an entry larger than the whole budget is never cached. Returns the
+  /// number of hits.
+  std::size_t apply(const std::vector<MapCacheEvent>& events, Timeline& t,
+                    std::vector<MapCacheChange>* changes = nullptr);
 
+  /// Empties the population (a crashed device's warm state is gone)
+  /// but keeps every counter: the traffic already replayed still
+  /// happened.
+  void drop(std::vector<MapCacheChange>* changes = nullptr);
+
+  /// Does the population hold `key`? Never touches the LRU order.
+  bool contains(const MapCacheKey& key) const;
+  std::size_t byte_budget() const { return budget_; }
   const MapCacheReplayStats& stats() const { return stats_; }
 
  private:
@@ -344,6 +320,14 @@ class MapCacheReplay {
     std::size_t bytes = 0;
     std::list<MapCacheKey>::iterator lru_it;
   };
+
+  /// Moves a resident `key` to MRU; false when it is absent.
+  bool touch(const MapCacheKey& key);
+  /// Admits an absent `key` at MRU, evicting LRU entries until `bytes`
+  /// fits; skips an entry larger than the whole budget. Returns the
+  /// number of evictions. Shared by lookup and seeding.
+  std::size_t insert(const MapCacheKey& key, std::size_t bytes,
+                     std::vector<MapCacheChange>* changes);
 
   std::size_t budget_;
   std::size_t in_use_ = 0;

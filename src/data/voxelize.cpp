@@ -89,6 +89,8 @@ SparseTensor voxelize(const std::vector<Point3>& points,
 
   Matrix feats(coords.size(), static_cast<std::size_t>(
                                   std::max(voxels.feature_channels, 4)));
+  // det-lint: allow(unordered-iter): each voxel writes only its own row
+  // a.idx, so visiting order cannot change the features.
   for (const auto& [key, a] : grid) {
     const float n = static_cast<float>(a.count);
     float* row = feats.row(a.idx);

@@ -1,8 +1,8 @@
 #include "serve/device_group.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <functional>
-#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -72,7 +72,7 @@ DeviceGroup::DeviceGroup(std::vector<DeviceSpec> fleet,
     Shard s;
     s.spec = std::move(fleet[d]);
     s.spec.device_index = static_cast<int>(d);
-    s.cache = std::make_unique<KernelMapCache>(map_cache_bytes);
+    s.cache = MapCacheReplay(map_cache_bytes);
     s.stats.device = static_cast<int>(d);
     s.stats.name = s.spec.name;
     shards_.push_back(std::move(s));
@@ -118,40 +118,34 @@ const DeviceSpec& DeviceGroup::spec(int device) const {
   return shard_at(device).spec;
 }
 
-KernelMapCache& DeviceGroup::cache(int device) {
-  return *shard_at(device).cache;
+const MapCacheReplay& DeviceGroup::cache(int device) const {
+  return shard_at(device).cache;
 }
 
-const KernelMapCache& DeviceGroup::cache(int device) const {
-  return *shard_at(device).cache;
-}
-
-void DeviceGroup::mirror_outcome(int device, const MapCacheKey& key,
-                                 const KernelMapCache::RecordOutcome& out) {
-  // Mirror the population deltas into the digest->owners index. A device
-  // holds each key at most once, so erase/insert of `device` in the
-  // (short) sorted owner list is exact.
-  for (const MapCacheKey& victim : out.evicted) {
-    const auto it = owners_.find(victim);
-    if (it == owners_.end()) continue;
+void DeviceGroup::mirror_changes(int device) {
+  // A device holds each key at most once, so erase/insert of `device`
+  // in the (short) sorted owner list is exact.
+  for (const MapCacheChange& c : changes_) {
+    if (c.admitted) {
+      std::vector<int>& owners = owners_[c.key];
+      owners.insert(std::lower_bound(owners.begin(), owners.end(), device),
+                    device);
+      continue;
+    }
+    const auto it = owners_.find(c.key);
+    assert(it != owners_.end());
     std::vector<int>& owners = it->second;
-    const auto pos = std::find(owners.begin(), owners.end(), device);
-    if (pos != owners.end()) owners.erase(pos);
+    owners.erase(std::find(owners.begin(), owners.end(), device));
     if (owners.empty()) owners_.erase(it);
   }
-  if (out.inserted) {
-    std::vector<int>& owners = owners_[key];
-    const auto pos = std::lower_bound(owners.begin(), owners.end(), device);
-    if (pos == owners.end() || *pos != device) owners.insert(pos, device);
-  }
+  changes_.clear();
 }
 
-KernelMapCache::RecordOutcome DeviceGroup::record_lookup(
-    int device, const MapCacheKey& key, std::size_t bytes) {
-  Shard& s = shard_at(device);
-  KernelMapCache::RecordOutcome out = s.cache->record_lookup(key, bytes);
-  mirror_outcome(device, key, out);
-  return out;
+std::size_t DeviceGroup::record_lookup(
+    int device, const std::vector<MapCacheEvent>& events, Timeline& t) {
+  const std::size_t hits = shard_at(device).cache.apply(events, t, &changes_);
+  mirror_changes(device);
+  return hits;
 }
 
 void DeviceGroup::warm_start(
@@ -174,14 +168,15 @@ void DeviceGroup::begin_schedule(int workers_per_device) {
     s.stats = DeviceShardStats{};
     s.stats.device = id;
     s.stats.name = s.spec.name;
-    s.cache = std::make_unique<KernelMapCache>(map_cache_bytes_);
+    s.cache = MapCacheReplay(map_cache_bytes_);
     // Warm start: seed the recreated cache from the manifest, LRU-first,
     // so residency and eviction order reproduce the saving cache's, and
     // keep the owner index in step. Runs before any batch is routed and
     // identically on every shard — deterministic, worker-invariant.
-    if (warm_snapshot_)
-      for (const MapCacheSnapshotEntry& e : warm_snapshot_->entries)
-        mirror_outcome(id, e.key, s.cache->admit_record(e.key, e.bytes));
+    if (warm_snapshot_) {
+      s.cache.warm_start(*warm_snapshot_, &changes_);
+      mirror_changes(id);
+    }
     load_.emplace(0.0, id);
   }
 }
@@ -234,19 +229,8 @@ double DeviceGroup::service_factor(int device) const {
 }
 
 void DeviceGroup::invalidate_shard_cache(int device) {
-  Shard& s = shard_at(device);
-  s.cache = std::make_unique<KernelMapCache>(map_cache_bytes_);
-  // Purge the crashed shard from the owner index. Full scan — crashes
-  // are rare events, not the routing hot path.
-  // det-lint: allow(unordered-iter): order-independent purge — every
-  // entry is visited and mutated the same way regardless of iteration
-  // order, and nothing downstream observes the order.
-  for (auto it = owners_.begin(); it != owners_.end();) {
-    std::vector<int>& owners = it->second;
-    const auto pos = std::find(owners.begin(), owners.end(), device);
-    if (pos != owners.end()) owners.erase(pos);
-    it = owners.empty() ? owners_.erase(it) : std::next(it);
-  }
+  shard_at(device).cache.drop(&changes_);
+  mirror_changes(device);
 }
 
 void DeviceGroup::revive_shard(int device, double at_seconds,
@@ -263,13 +247,11 @@ void DeviceGroup::revive_shard(int device, double at_seconds,
   s.lane_high_water = std::max(s.lane_high_water, at_seconds);
   if (replacement && warm_snapshot_) {
     // Warm the replacement from the snapshot manifest instead of coming
-    // up cold — reseed_record clears the (already invalidated) cache and
-    // re-admits LRU-first; mirror each outcome so the owner index tracks
-    // the rebuilt population.
-    const std::vector<KernelMapCache::RecordOutcome> outs =
-        s.cache->reseed_record(*warm_snapshot_);
-    for (std::size_t i = 0; i < outs.size(); ++i)
-      mirror_outcome(device, warm_snapshot_->entries[i].key, outs[i]);
+    // up cold: drop whatever the shard holds, re-admit LRU-first, and
+    // mirror both so the owner index tracks the rebuilt population.
+    s.cache.drop(&changes_);
+    s.cache.warm_start(*warm_snapshot_, &changes_);
+    mirror_changes(device);
   }
 }
 

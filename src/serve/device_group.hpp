@@ -1,6 +1,7 @@
 // Multi-device sharded serving: a group of N modeled device instances
-// with per-device worker lanes, per-device modeled kernel-map caches,
-// and per-device clock/utilization accounting.
+// with per-device worker lanes, per-device modeled kernel-map caches
+// (one MapCacheReplay each), and per-device clock/utilization
+// accounting.
 //
 // The paper's engine is single-device; at serving scale the next
 // throughput multiplier is sharding the stream across devices. Where the
@@ -134,14 +135,14 @@ struct DeviceShardStats {
   double busy_seconds = 0;          // assigned modeled service + overhead
   double free_seconds = 0;          // modeled clock when the last lane frees
   double utilization = 0;           // busy / (workers * group makespan)
-  /// Per-device submission-order kernel-map cache accounting; zeros when
-  /// the cache is disabled.
+  /// The shard cache's counters (DeviceGroup::cache(d).stats()), copied
+  /// when the schedule finalizes; zeros when the cache is disabled.
   MapCacheReplayStats map_cache;
 };
 
 /// A fleet of modeled device instances — one DeviceSpec per shard,
 /// possibly heterogeneous. Owns each shard's modeled kernel-map cache
-/// (driven in record mode by the deterministic accounting pass),
+/// (a MapCacheReplay driven by the deterministic accounting pass),
 /// worker-lane event heap, and utilization counters. Single-threaded by
 /// design: it lives inside the scheduling pass, not on the measurement
 /// pool's hot path.
@@ -150,7 +151,7 @@ class DeviceGroup {
   /// Heterogeneous fleet: one shard per spec, in order, with
   /// device_index stamped to the shard id. Each shard's modeled cache
   /// gets its own `map_cache_bytes` byte budget (0 = caching disabled,
-  /// every record-mode lookup misses). Throws std::invalid_argument on
+  /// every lookup misses). Throws std::invalid_argument on
   /// an empty fleet or one past kMaxModeledDevices.
   DeviceGroup(std::vector<DeviceSpec> fleet, std::size_t map_cache_bytes);
 
@@ -169,19 +170,18 @@ class DeviceGroup {
   int size() const { return static_cast<int>(shards_.size()); }
   const DeviceSpec& spec(int device) const;
 
-  /// Direct cache access for observability and tests. Record-mode
-  /// *writes* must go through DeviceGroup::record_lookup instead, so the
-  /// digest->owner index stays in sync with the cache population.
-  KernelMapCache& cache(int device);
-  const KernelMapCache& cache(int device) const;
+  /// Read-only cache access for observability and tests. Writes go
+  /// through record_lookup and the schedule/fault hooks, which keep the
+  /// digest->owner index in sync with the cache population.
+  const MapCacheReplay& cache(int device) const;
 
-  /// Record-mode lookup on `device`'s modeled cache, keeping the
-  /// group's digest->owner index in sync with the admission/eviction
-  /// deltas. Same decisions as KernelMapCache::record_lookup (and
-  /// therefore bit-compatible with MapCacheReplay).
-  KernelMapCache::RecordOutcome record_lookup(int device,
-                                              const MapCacheKey& key,
-                                              std::size_t bytes);
+  /// Replays one request's cache events on `device`'s modeled cache
+  /// (MapCacheReplay::apply: hits swap their cold mapping charge in `t`
+  /// for the warm one), mirrors the admissions and evictions into the
+  /// digest->owner index, and returns the number of hits.
+  std::size_t record_lookup(int device,
+                            const std::vector<MapCacheEvent>& events,
+                            Timeline& t);
 
   /// Installs a warm-start manifest: at every subsequent begin_schedule,
   /// each shard's freshly recreated modeled cache is pre-populated with
@@ -198,8 +198,7 @@ class DeviceGroup {
   /// zeroed busy clocks and stats, cold modeled caches (and an empty
   /// owner index) — or snapshot-seeded ones when a warm-start manifest
   /// is installed. Called by the serving placer per schedule pass; a
-  /// reused group therefore accounts every pass from the same state,
-  /// exactly like the single-device MapCacheReplay it generalizes.
+  /// reused group therefore accounts every pass from the same state.
   void begin_schedule(int workers_per_device);
 
   /// Routing query: device with the least accumulated modeled work
@@ -235,16 +234,16 @@ class DeviceGroup {
   /// Modeled service multiplier for `device` at the injector's frontier.
   double service_factor(int device) const;
 
-  /// Crash semantics: drops `device`'s modeled cache (fresh cold cache)
-  /// and purges the device from the digest->owners index — the crashed
-  /// shard's warm state is gone.
+  /// Crash semantics: drops `device`'s modeled cache population (its
+  /// counters stay) and purges the dropped keys from the digest->owners
+  /// index — the crashed shard's warm state is gone.
   void invalidate_shard_cache(int device);
 
   /// Outage-end semantics: rebases every lane of `device` to modeled
   /// time `at_seconds` (an outage leaves no lane mid-batch — in-flight
   /// work was re-enqueued at activation) and, when `replacement` is
-  /// true and a warm-start manifest is installed, re-seeds the fresh
-  /// cache from the snapshot (LRU-first record-mode re-admission,
+  /// true and a warm-start manifest is installed, drops the cache
+  /// population and re-seeds it from the snapshot (LRU-first, both
   /// mirrored into the owner index) — the Tangram move: a replacement
   /// shard comes up warm instead of cold.
   void revive_shard(int device, double at_seconds, bool replacement);
@@ -272,7 +271,7 @@ class DeviceGroup {
  private:
   struct Shard {
     DeviceSpec spec;
-    std::unique_ptr<KernelMapCache> cache;
+    MapCacheReplay cache{0};
     /// Discrete-event lane state: min-heap (std::greater over
     /// (free_time, lane)) of per-worker modeled free-time events.
     /// Empty until begin_schedule.
@@ -284,10 +283,9 @@ class DeviceGroup {
   Shard& shard_at(int device);
   const Shard& shard_at(int device) const;
 
-  /// Applies one cache admission/eviction outcome on `device` to the
-  /// digest->owners index (shared by record_lookup and warm seeding).
-  void mirror_outcome(int device, const MapCacheKey& key,
-                      const KernelMapCache::RecordOutcome& out);
+  /// Applies changes_ (population changes on `device`'s cache, in
+  /// order) to the digest->owners index, then clears it.
+  void mirror_changes(int device);
 
   std::size_t map_cache_bytes_;
   std::shared_ptr<const MapCacheSnapshot> warm_snapshot_;
@@ -301,6 +299,8 @@ class DeviceGroup {
   std::set<std::pair<double, int>> load_;
   /// digest -> sorted device ids whose modeled cache holds it.
   std::unordered_map<MapCacheKey, std::vector<int>, MapCacheKeyHash> owners_;
+  /// Change log the shard caches append to; reused across calls.
+  std::vector<MapCacheChange> changes_;
 };
 
 }  // namespace ts::serve

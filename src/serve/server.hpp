@@ -112,7 +112,7 @@ struct ServerConfig {
   /// other's kernel maps and downsampled coordinate sets: results stay
   /// bit-identical to the cold path, map-build wall time is skipped on
   /// hits, and the modeled mapping charge is replaced by a small re-key
-  /// cost through each device's deterministic record-mode replay
+  /// cost through each device's deterministic MapCacheReplay
   /// (worker-count independent; docs/PERFORMANCE.md).
   std::size_t map_cache_bytes = 0;
   QueueOptions queue;              // admission depth + priority preemption

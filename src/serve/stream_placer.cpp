@@ -89,6 +89,7 @@ StreamStats StreamPlacer::finalize(double first_arrival) {
   s.per_device.resize(static_cast<std::size_t>(group_.size()));
   for (int d = 0; d < group_.size(); ++d) {
     DeviceShardStats& ds = group_.stats(d);
+    ds.map_cache = group_.cache(d).stats();
     ds.free_seconds = group_.lane_high_water(d);
     ds.utilization =
         s.makespan_seconds > 0
@@ -134,16 +135,12 @@ int StreamPlacer::route_batch(std::size_t id,
 
 /// Per-device deterministic cache accounting: replays the members'
 /// recorded resolutions (in batch-member order) through the routed
-/// device's modeled cache in record mode, applying the shared warm-hit
-/// delta on hits. record_lookup's decisions and apply_map_cache_hit's
-/// arithmetic are the ones MapCacheReplay uses, so a 1-device group
-/// reproduces the single-device replay bit-for-bit; going through the
-/// group keeps its digest->owner index in step. A member without
+/// device's modeled cache, which applies the warm-hit delta on hits and
+/// keeps the group's digest->owner index in step. A member without
 /// events (cache disabled) keeps the service time its caller measured
 /// or supplied.
 void StreamPlacer::replay_members(int dev,
                                   const std::vector<std::size_t>& members) {
-  MapCacheReplayStats& st = group_.stats(dev).map_cache;
   for (const std::size_t m : members) {
     const std::vector<MapCacheEvent>* evs = events_at_(m);
     if (!evs) continue;
@@ -152,21 +149,8 @@ void StreamPlacer::replay_members(int dev,
     // feed boundary); namespaced keys make these per-model counters
     // tenant-true.
     const std::size_t mdl = static_cast<std::size_t>(r.model);
-    for (const MapCacheEvent& ev : *evs) {
-      ++st.lookups;
-      ++model_cache_lookups_[mdl];
-      const KernelMapCache::RecordOutcome out =
-          group_.record_lookup(dev, ev.key, ev.bytes);
-      st.evictions += out.evictions;
-      if (!out.hit) {
-        ++st.misses;
-        continue;
-      }
-      ++st.hits;
-      ++model_cache_hits_[mdl];
-      apply_map_cache_hit(ev, r.timeline);
-      st.modeled_seconds_saved += ev.cold_seconds - ev.hit_seconds;
-    }
+    model_cache_lookups_[mdl] += evs->size();
+    model_cache_hits_[mdl] += group_.record_lookup(dev, *evs, r.timeline);
     r.service_seconds = r.timeline.total_seconds();
   }
 }

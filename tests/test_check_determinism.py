@@ -178,6 +178,15 @@ class DefaultScanCoverage(unittest.TestCase):
         self.assertIn(os.path.join("src", "serve", "traffic.cpp"), rel)
         self.assertIn(os.path.join("src", "serve", "traffic.hpp"), rel)
 
+    def test_input_and_layer_code_is_scanned_by_default(self):
+        # Voxelization builds every request's input and src/nn runs every
+        # layer, so both feed modeled stats and sit in the default scan.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        rel = {os.path.relpath(p, root)
+               for p in det.collect_files(root, det.DEFAULT_DIRS)}
+        self.assertIn(os.path.join("src", "data", "voxelize.cpp"), rel)
+        self.assertIn(os.path.join("src", "nn", "layers.cpp"), rel)
+
 
 class CliEntryPoint(unittest.TestCase):
     def test_scan_reports_and_exits_nonzero(self):

@@ -1,5 +1,5 @@
-// Multi-device sharded serving: DeviceGroup state, record-mode cache
-// parity with MapCacheReplay, routing policies, single-device
+// Multi-device sharded serving: DeviceGroup state, the per-device
+// MapCacheReplay decision trace, routing policies, single-device
 // bit-equivalence with the pre-sharding serve path, and the
 // determinism stress matrix (devices x workers).
 #include <gtest/gtest.h>
@@ -79,6 +79,13 @@ MapCacheEvent event_of(uint64_t tag, std::size_t bytes, double cold,
   return ev;
 }
 
+/// One single-event lookup on `device`'s modeled cache.
+void lookup(serve::DeviceGroup& g, int device, uint64_t tag,
+            std::size_t bytes) {
+  Timeline t;
+  g.record_lookup(device, {event_of(tag, bytes, 0.01, 0.001)}, t);
+}
+
 // --- DeviceGroup state ------------------------------------------------
 
 TEST(DeviceGroup, ConstructionStampsIdentityAndClampsSize) {
@@ -108,9 +115,9 @@ TEST(DeviceGroup, OwnerOfFindsLowestDeviceHoldingDigest) {
   serve::DeviceGroup g(rtx2080ti(), 3, 1 << 20);
   g.begin_schedule(1);
   EXPECT_EQ(g.owner_of(key_of(42)), -1);
-  g.record_lookup(2, key_of(42), 100);
+  lookup(g, 2, 42, 100);
   EXPECT_EQ(g.owner_of(key_of(42)), 2);
-  g.record_lookup(1, key_of(42), 100);
+  lookup(g, 1, 42, 100);
   EXPECT_EQ(g.owner_of(key_of(42)), 1);
   EXPECT_TRUE(g.cache(1).contains(key_of(42)));
   EXPECT_FALSE(g.cache(0).contains(key_of(42)));
@@ -120,20 +127,33 @@ TEST(DeviceGroup, OwnerOfFindsLowestDeviceHoldingDigest) {
 }
 
 TEST(DeviceGroup, OwnerIndexMatchesLinearScanUnderChurn) {
-  // The digest->owner index must track every record-mode admission and
-  // eviction exactly; pin it against the pre-index definition (lowest
-  // device whose cache contains the key) over a churny random stream on
-  // a tiny budget.
+  // The digest->owner index must track every admission, eviction, crash
+  // drop and warm reseed exactly; pin it against the pre-index
+  // definition (lowest device whose cache contains the key) over a
+  // churny random stream on a tiny budget.
   const std::size_t budget = 250;  // two 100-byte entries per device
   serve::DeviceGroup g(rtx2080ti(), 3, budget);
+  // Warm manifest, LRU-first: seeding 5 evicts 12, leaving {3, 5}.
+  auto manifest = std::make_shared<MapCacheSnapshot>();
+  for (uint64_t tag : {12, 3, 5})
+    manifest->entries.push_back({key_of(tag), MapCachePayload{}, 100, 0.0});
+  g.warm_start(manifest);
   g.begin_schedule(1);
   std::mt19937_64 rng(77);
   std::uniform_int_distribution<int> pick_dev(0, 2);
   std::uniform_int_distribution<uint64_t> pick_tag(1, 12);
   for (int step = 0; step < 400; ++step) {
-    // Occasional oversized lookups exercise the never-cached rule.
-    const std::size_t bytes = step % 17 == 0 ? 9999 : 100;
-    g.record_lookup(pick_dev(rng), key_of(pick_tag(rng)), bytes);
+    if (step % 23 == 11) {
+      g.invalidate_shard_cache(pick_dev(rng));  // crash: cold, not down
+    } else if (step % 29 == 13) {
+      // Warm replacement, on a shard that may have served traffic since
+      // its crash (or never crashed): the reseed drops that population.
+      g.revive_shard(pick_dev(rng), 0.001 * step, /*replacement=*/true);
+    } else {
+      // Occasional oversized lookups exercise the never-cached rule.
+      const std::size_t bytes = step % 17 == 0 ? 9999 : 100;
+      lookup(g, pick_dev(rng), pick_tag(rng), bytes);
+    }
     for (uint64_t tag = 1; tag <= 12; ++tag) {
       int scan = -1;
       for (int d = 0; d < g.size(); ++d)
@@ -302,13 +322,13 @@ TEST(DeviceGroup, LeastLoadedMatchesLinearScanUnderChurn) {
   }
 }
 
-// --- Record-mode cache parity with MapCacheReplay ---------------------
+// --- Per-device modeled cache: decision trace ------------------------
 
-TEST(DeviceGroup, RecordLookupMatchesMapCacheReplayDecisions) {
+TEST(DeviceGroup, ShardCacheDecisionTrace) {
   // A stream that exercises hit, miss, LRU eviction, re-insertion after
-  // eviction, and the oversized rule.
+  // eviction, and the oversized rule, with each decision checked.
   const std::size_t budget = 250;  // holds 2 entries of 100 bytes
-  std::vector<MapCacheEvent> stream = {
+  const std::vector<MapCacheEvent> stream = {
       event_of(1, 100, 0.010, 0.001),  // miss, insert      LRU [1]
       event_of(2, 100, 0.020, 0.002),  // miss, insert      LRU [2,1]
       event_of(1, 100, 0.010, 0.001),  // hit               LRU [1,2]
@@ -317,45 +337,38 @@ TEST(DeviceGroup, RecordLookupMatchesMapCacheReplayDecisions) {
       event_of(4, 9999, 0.040, 0.004), // oversized miss, never cached
       event_of(1, 100, 0.010, 0.001),  // miss, evicts 3    LRU [1,2]
   };
+  const std::vector<std::size_t> expect_hits = {0, 0, 1, 0, 0, 0, 0};
+  const std::vector<int> expect_owner_of_1 = {0, 0, 0, 0, -1, -1, 0};
 
-  MapCacheReplay replay(budget);
-  Timeline replay_t;
-  replay.apply(stream, replay_t);
-
-  KernelMapCache recorded(budget);
-  Timeline record_t;
-  MapCacheReplayStats st;
+  serve::DeviceGroup g(rtx2080ti(), 1, budget);
+  g.begin_schedule(1);
+  Timeline cold;
   for (const MapCacheEvent& ev : stream) {
-    ++st.lookups;
-    const auto out = recorded.record_lookup(ev.key, ev.bytes);
-    st.evictions += out.evictions;
-    if (out.hit) {
-      ++st.hits;
-      record_t.add(Stage::kMapping, ev.hit_seconds - ev.cold_seconds);
-      record_t.add_dram_bytes(ev.hit_dram_bytes - ev.cold_dram_bytes);
-      record_t.remove_kernel_launches(0);  // launches handled below
-      st.modeled_seconds_saved += ev.cold_seconds - ev.hit_seconds;
-    } else {
-      ++st.misses;
-    }
+    cold.add(Stage::kMapping, ev.cold_seconds);
+    cold.add_kernel_launches(ev.cold_launches);
+  }
+  Timeline t = cold;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    EXPECT_EQ(g.record_lookup(0, {stream[i]}, t), expect_hits[i]) << i;
+    EXPECT_EQ(g.owner_of(key_of(1)), expect_owner_of_1[i]) << i;
+    EXPECT_EQ(g.owner_of(key_of(4)), -1) << i;
   }
 
-  EXPECT_EQ(st.lookups, replay.stats().lookups);
-  EXPECT_EQ(st.hits, replay.stats().hits);
-  EXPECT_EQ(st.misses, replay.stats().misses);
-  EXPECT_EQ(st.evictions, replay.stats().evictions);
-  EXPECT_DOUBLE_EQ(st.modeled_seconds_saved,
-                   replay.stats().modeled_seconds_saved);
-  // Decisions in detail (trace above): one warm hit, three LRU
-  // evictions, and the oversized entry never displaced anything.
+  const MapCacheReplayStats& st = g.cache(0).stats();
+  EXPECT_EQ(st.lookups, 7u);
   EXPECT_EQ(st.hits, 1u);
   EXPECT_EQ(st.misses, 6u);
   EXPECT_EQ(st.evictions, 3u);
-  EXPECT_TRUE(recorded.contains(key_of(1)));
-  EXPECT_TRUE(recorded.contains(key_of(2)));
-  EXPECT_FALSE(recorded.contains(key_of(3)));
-  EXPECT_FALSE(recorded.contains(key_of(4)));
-  EXPECT_EQ(recorded.stats().oversized, 1u);
+  EXPECT_DOUBLE_EQ(st.modeled_seconds_saved, 0.010 - 0.001);
+  // The one hit swapped its cold charge for the warm one.
+  EXPECT_DOUBLE_EQ(t.stage_seconds(Stage::kMapping),
+                   cold.stage_seconds(Stage::kMapping) + (0.001 - 0.010));
+  EXPECT_EQ(t.kernel_launches(), cold.kernel_launches() - 5);
+  // Residency {1, 2}: 3 was evicted, the oversized 4 never cached.
+  EXPECT_TRUE(g.cache(0).contains(key_of(1)));
+  EXPECT_TRUE(g.cache(0).contains(key_of(2)));
+  EXPECT_FALSE(g.cache(0).contains(key_of(3)));
+  EXPECT_FALSE(g.cache(0).contains(key_of(4)));
 }
 
 // --- Sharded scheduler: single-device bit-equivalence -----------------

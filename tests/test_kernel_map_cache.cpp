@@ -4,10 +4,9 @@
 // statistics that are deterministic for any worker count.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <random>
 #include <sstream>
-#include <thread>
+#include <stdexcept>
 #include <unordered_set>
 #include <vector>
 
@@ -410,46 +409,27 @@ TEST(MapCacheSnapshot, SmallerBudgetKeepsMruSuffix) {
   EXPECT_EQ(small.stats().entries, 2u);
 }
 
-TEST(MapCacheSnapshot, ReseedRecordIsAtomicUnderConcurrentReaders) {
-  // Regression: reseed_record used to release the lock between its
-  // clear() and each per-entry admit_record(), so a concurrent reader
-  // could observe the half-reseeded population. It is now a single
-  // lock-held compound: every stats() observation lands on either the
-  // pre-reseed population (empty here) or the full manifest — never a
-  // strict subset of it mid-rebuild. Run under TSan in CI.
-  constexpr std::size_t kEntries = 16;
-  MapCacheSnapshot manifest;
-  manifest.byte_budget = std::size_t(1) << 20;
-  for (std::size_t i = 0; i < kEntries; ++i)
-    manifest.entries.push_back(
-        {MapCacheKey{100 + static_cast<uint64_t>(i), 0}, MapCachePayload{},
-         256, 0.0});
-
+TEST(MapCacheSnapshot, ImportRejectsPayloadlessEntriesAtomically) {
+  // An admitted entry with neither or both of kmap/coords would hand the
+  // conv path a null map on its first hit. The whole snapshot is
+  // validated before anything is admitted, so the cache stays as it was.
   KernelMapCache cache(std::size_t(1) << 20);
-  std::atomic<bool> stop{false};
-  std::atomic<bool> partial_seen{false};
-  std::thread reader([&] {
-    while (!stop) {
-      const std::size_t n = cache.stats().entries;
-      if (n != 0 && n != kEntries) partial_seen = true;
-    }
-  });
-  for (int round = 0; round < 200; ++round) {
-    const auto outcomes = cache.reseed_record(manifest);
-    ASSERT_EQ(outcomes.size(), kEntries);
+  const MapCacheKey resident{1, 0}, good{2, 0}, bad{3, 0};
+  ASSERT_TRUE(cache.admit(resident, coords_payload(50, 1)));
+  MapCachePayload both = coords_payload(50, 3);
+  both.kmap = std::make_shared<const KernelMap>();
+  for (const MapCachePayload& invalid : {MapCachePayload{}, both}) {
+    MapCacheSnapshot snap;
+    snap.entries.push_back({good, coords_payload(50, 2), 0, 0.0});
+    snap.entries.push_back({bad, invalid, 0, 0.0});
+    EXPECT_THROW(cache.import_snapshot(snap), std::invalid_argument);
+    EXPECT_THROW(cache.admit(bad, invalid), std::invalid_argument);
+    EXPECT_FALSE(cache.contains(good));
+    EXPECT_FALSE(cache.contains(bad));
+    EXPECT_TRUE(cache.contains(resident));
+    EXPECT_EQ(cache.stats().entries, 1u);
+    EXPECT_EQ(cache.stats().insertions, 1u);
   }
-  stop = true;
-  reader.join();
-  EXPECT_FALSE(partial_seen);
-  EXPECT_EQ(cache.stats().entries, kEntries);
-}
-
-TEST(MapCacheSnapshot, RecordModeCacheRefusesPayloadExport) {
-  KernelMapCache record(std::size_t(1) << 20);
-  record.record_lookup({7, 7}, 512);
-  EXPECT_THROW(record.export_snapshot(), std::logic_error);
-  std::stringstream os;
-  EXPECT_THROW(record.save_snapshot(os), std::logic_error);
 }
 
 TEST(MapCacheSnapshot, AdmitSkipsOversizedAndRefreshesExisting) {
