@@ -1,8 +1,8 @@
-// google-benchmark microbenchmarks for the substrate kernels: coordinate
-// hashing (conventional vs grid), map search (synthetic sets and a real
-// scan's layer stack), gather/scatter numerics, GEMM on the segmentation
-// workload's shapes, the L2 cache simulator, FP16 quantization of a
-// feature matrix, and ReLU on one.
+// google-benchmark microbenchmarks for the substrate kernels: synthetic
+// scan ray casting, coordinate hashing (conventional vs grid), map search
+// (synthetic sets and a real scan's layer stack), gather/scatter numerics,
+// GEMM on the segmentation workload's shapes, the L2 cache simulator, FP16
+// quantization of a feature matrix, and ReLU on one.
 //
 // These measure the *host implementation* (this repo runs the algorithms
 // on CPU); the paper-facing performance numbers come from the cost model
@@ -38,6 +38,33 @@ std::vector<ts::Coord> make_coords(int n, int extent, uint64_t seed) {
     coords.push_back({0, d(rng), d(rng), d(rng)});
   return coords;
 }
+
+// Args are {preset, full}: 0 = semantic_kitti_spec(), 1 = waymo_spec(3),
+// 2 = waymo_spec(1); full = 0 scales the azimuth steps by 0.05 as the
+// perfbench workloads do (seg-numerics, det-costonly and the served
+// detection scans), full = 1 keeps the preset's resolution. Iterations
+// cycle over eight scenes; items/s is points generated per second.
+void BM_GenerateScan(benchmark::State& state) {
+  const int preset = static_cast<int>(state.range(0));
+  ts::LidarSpec spec = preset == 0   ? ts::semantic_kitti_spec()
+                       : preset == 1 ? ts::waymo_spec(3)
+                                     : ts::waymo_spec(1);
+  if (state.range(1) == 0)
+    spec.azimuth_steps = std::max(
+        32, static_cast<int>(std::lround(spec.azimuth_steps * 0.05)));
+  int64_t points = 0;
+  uint64_t seed = 0;
+  for (auto _ : state) {
+    const auto scan = ts::generate_scan(spec, 1 + seed++ % 8);
+    benchmark::DoNotOptimize(scan.data());
+    points += static_cast<int64_t>(scan.size());
+  }
+  state.SetItemsProcessed(points);
+}
+BENCHMARK(BM_GenerateScan)
+    ->ArgNames({"preset", "full"})
+    ->ArgsProduct({{0, 1, 2}, {0}})
+    ->Args({1, 1});
 
 void BM_FlatHashMapBuild(benchmark::State& state) {
   const auto coords = make_coords(static_cast<int>(state.range(0)), 256, 1);

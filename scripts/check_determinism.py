@@ -26,6 +26,12 @@ that historically smuggle nondeterminism in:
                   identity is scheduling-dependent.
   pointer-key     std::map/std::set ordered on a pointer key, or
                   std::hash over a pointer — ASLR-dependent ordering.
+  std-distribution
+                  a std::*_distribution (normal, uniform_real, ...). The
+                  standard fixes the engines' output but not the
+                  distributions' algorithms, so the same seed draws a
+                  different sequence under another standard library.
+                  A use that goldens pin says which library it assumes.
 
 A finding is suppressed with an inline directive carrying a mandatory
 reason, on the offending line or in the contiguous comment block
@@ -56,6 +62,7 @@ RULES = {
     "unordered-iter": "iteration over an unordered container",
     "thread-id": "scheduling-dependent thread identity",
     "pointer-key": "pointer-keyed ordering (ASLR-dependent)",
+    "std-distribution": "standard-library-specific random sequence",
 }
 
 # Simple per-line patterns: (rule, regex, message).
@@ -78,6 +85,8 @@ LINE_PATTERNS = [
      "std::map/std::set with a pointer key"),
     ("pointer-key", re.compile(r"\bstd\s*::\s*hash\s*<\s*(?:const\s+)?[\w:]+(?:\s*<[^<>]*>)?(?:\s+const)?\s*\*\s*>"),
      "std::hash over a pointer"),
+    ("std-distribution", re.compile(r"\bstd\s*::\s*\w+_distribution\b"),
+     "std distribution (its sequence is the standard library's)"),
 ]
 
 SUPPRESS_RE = re.compile(r"det-lint:\s*allow\(([a-z-]+)\)\s*:?\s*(.*)")
@@ -252,7 +261,7 @@ def main(argv=None) -> int:
 
     if args.list_rules:
         for rule, desc in RULES.items():
-            print(f"{rule:15} {desc}")
+            print(f"{rule:17} {desc}")
         return 0
 
     findings: list[Finding] = []

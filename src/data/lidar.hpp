@@ -59,7 +59,11 @@ VoxelSpec detection_voxels();     // 0.1 m, CenterPoint configs
 
 /// Generates one (possibly multi-frame aggregated) scan. Deterministic in
 /// `seed`; different seeds give different scenes (the "samples" of the
-/// paper's tuning subset).
+/// paper's tuning subset). Throws std::invalid_argument, before any work,
+/// on fewer than one beam, azimuth step or frame, more rays than an int
+/// holds, a negative box count, a non-finite real field, a field of view
+/// outside -90 <= fov_down_deg <= fov_up_deg <= 90, a non-positive
+/// max_range_m or range_noise_m, or a dropout outside [0, 1].
 std::vector<Point3> generate_scan(const LidarSpec& spec, uint64_t seed);
 
 }  // namespace ts

@@ -96,7 +96,8 @@ Timeline run_in_context(const ModelFn& model, SparseTensor&& input,
 
 /// One inference pass; returns the accumulated timeline. Deterministic:
 /// the same (model, input, device, config, options) always produces a
-/// bit-identical timeline, on any machine.
+/// bit-identical timeline, with libstdc++ (whose distributions draw the
+/// synthetic scans and weights).
 Timeline run_model(const ModelFn& model, const SparseTensor& input,
                    const DeviceSpec& dev, const EngineConfig& cfg,
                    const RunOptions& opt = {});

@@ -11,6 +11,8 @@ namespace ts::spnn {
 
 Matrix random_weight(std::size_t rows, std::size_t cols,
                      std::mt19937_64& rng, float scale) {
+  // det-lint: allow(std-distribution): the numerics golden pins weights
+  // drawn from libstdc++'s normal sequence.
   std::normal_distribution<float> dist(0.0f, scale);
   Matrix w(rows, cols);
   for (std::size_t i = 0; i < w.size(); ++i) w.data()[i] = dist(rng);
@@ -56,7 +58,10 @@ void Conv3d::quantize_weights(Precision p) {
 }
 
 BatchNorm::BatchNorm(std::size_t channels, std::mt19937_64& rng) {
+  // det-lint: allow(std-distribution): the numerics golden pins affine
+  // parameters drawn from libstdc++'s uniform sequence.
   std::uniform_real_distribution<float> g(0.7f, 1.3f);
+  // det-lint: allow(std-distribution): as for `g` on the line above.
   std::uniform_real_distribution<float> b(-0.1f, 0.1f);
   scale_.resize(channels);
   shift_.resize(channels);

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
 #include <unordered_set>
 
 #include "data/lidar.hpp"
@@ -67,6 +69,78 @@ TEST(Lidar, MultiFrameAggregationGrowsPointCount) {
   float max_time = 0;
   for (const Point3& p : b) max_time = std::max(max_time, p.time);
   EXPECT_GT(max_time, 0.1f);
+}
+
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+constexpr uint64_t kFnvPrime = 0x100000001b3ull;
+
+uint64_t fnv1a(uint64_t h, const void* data, std::size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    h ^= p[i];
+    h *= kFnvPrime;
+  }
+  return h;
+}
+
+/// Chains the point count and every point's bytes onto `h`.
+uint64_t digest_scan(uint64_t h, const std::vector<Point3>& pts) {
+  const uint64_t n = pts.size();
+  h = fnv1a(h, &n, sizeof(n));
+  return fnv1a(h, pts.data(), pts.size() * sizeof(Point3));
+}
+
+/// `spec` with a crowded scene: more boxes than the caster keeps on the
+/// stack (50) and than one 64-bit mask word holds.
+LidarSpec crowded(LidarSpec spec) {
+  spec.num_vehicles = 60;
+  spec.num_walls = 20;
+  return spec;
+}
+
+TEST(Lidar, GoldenScanDigests) {
+  // Pins every scan bit for bit: point count, order, coordinates,
+  // intensity and time. The digests were computed from the brute-force
+  // ray caster (every ray against every box); any faster caster must
+  // reproduce them. Never refresh them to make a change pass.
+  static_assert(sizeof(Point3) == 5 * sizeof(float), "no padding bytes");
+  struct Case {
+    const char* name;
+    LidarSpec spec;
+    int azimuth_steps;  // 0 keeps the preset's full resolution
+    int frames;         // 0 keeps the preset's frame count
+    uint64_t seeds;     // seeds 1..seeds, chained into one digest
+    uint64_t expected;
+  };
+  // Full-resolution presets, then perfbench-scale azimuths over many
+  // seeds with several frames, so the sensor origin moves into and
+  // around the boxes. The crowded scenes, one also with more azimuth
+  // steps than any preset, take the caster's heap scratch.
+  const Case cases[] = {
+      {"kitti-full", semantic_kitti_spec(), 0, 0, 2, 0x2b64765fbba5e976ull},
+      {"nuscenes10-full", nuscenes_spec(10), 0, 0, 1, 0x2e6304600228b49cull},
+      {"waymo3-full", waymo_spec(3), 0, 0, 2, 0x8058b9253f3c7eb7ull},
+      {"kitti-az45-f3", semantic_kitti_spec(), 45, 3, 100,
+       0xafe8ea25d898e809ull},
+      {"nuscenes10-az32", nuscenes_spec(10), 32, 0, 100,
+       0x91fdef485cc76042ull},
+      {"waymo3-az55", waymo_spec(3), 55, 0, 100, 0xd43f689578e632c5ull},
+      {"waymo3-crowded-az1200", crowded(waymo_spec(3)), 1200, 0, 1,
+       0xdc411f9b01886088ull},
+      {"waymo3-crowded-az55", crowded(waymo_spec(3)), 55, 0, 100,
+       0x03fa32f4ac07328eull},
+  };
+  for (const Case& c : cases) {
+    LidarSpec spec = c.spec;
+    if (c.azimuth_steps > 0) spec.azimuth_steps = c.azimuth_steps;
+    if (c.frames > 0) spec.frames = c.frames;
+    uint64_t h = kFnvOffset;
+    for (uint64_t seed = 1; seed <= c.seeds; ++seed)
+      h = digest_scan(h, generate_scan(spec, seed));
+    char got[32];
+    std::snprintf(got, sizeof(got), "0x%016" PRIx64, h);
+    EXPECT_EQ(h, c.expected) << c.name << " digest " << got;
+  }
 }
 
 TEST(Voxelize, CoordsNonNegativeAndUnique) {

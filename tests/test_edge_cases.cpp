@@ -92,6 +92,70 @@ TEST(EdgeCases, ZeroDropoutAndFullDropout) {
   EXPECT_TRUE(none.empty());
 }
 
+TEST(EdgeCases, GenerateScanRejectsInvalidSpecs) {
+  // Each bad field throws before the scan allocates or divides by
+  // azimuth_steps, in Debug and Release alike. ASSERT: a case that does
+  // not throw ends the test before its spec reaches the ray caster.
+  LidarSpec good = nuscenes_spec(1);
+  good.azimuth_steps = 32;
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Bad {
+    const char* what;
+    void (*set)(LidarSpec&);
+  };
+  const Bad bad[] = {
+      {"beams < 1", [](LidarSpec& s) { s.beams = -1; }},
+      {"frames < 1", [](LidarSpec& s) { s.frames = -2; }},
+      {"azimuth_steps < 1", [](LidarSpec& s) { s.azimuth_steps = 0; }},
+      {"rays overflow int",
+       [](LidarSpec& s) { s.beams = s.azimuth_steps = 1 << 16; }},
+      {"num_vehicles < 0", [](LidarSpec& s) { s.num_vehicles = -1; }},
+      {"num_walls < 0", [](LidarSpec& s) { s.num_walls = -3; }},
+      {"range_noise_m = 0", [](LidarSpec& s) { s.range_noise_m = 0.0; }},
+      {"range_noise_m < 0", [](LidarSpec& s) { s.range_noise_m = -0.1; }},
+      {"range_noise_m NaN", [](LidarSpec& s) { s.range_noise_m = kNan; }},
+      {"max_range_m = 0", [](LidarSpec& s) { s.max_range_m = 0.0; }},
+      {"dropout > 1", [](LidarSpec& s) { s.dropout = 1.5; }},
+      {"dropout < 0", [](LidarSpec& s) { s.dropout = -0.1; }},
+      {"fov_up_deg > 90", [](LidarSpec& s) { s.fov_up_deg = 95.0; }},
+      {"fov_down_deg < -90", [](LidarSpec& s) { s.fov_down_deg = -100.0; }},
+      {"fov_down_deg > fov_up_deg",
+       [](LidarSpec& s) { s.fov_down_deg = s.fov_up_deg + 1.0; }},
+      {"sensor_height_m inf", [](LidarSpec& s) { s.sensor_height_m = kInf; }},
+      {"ego_speed_mps NaN", [](LidarSpec& s) { s.ego_speed_mps = kNan; }},
+      {"frame_dt_s inf", [](LidarSpec& s) { s.frame_dt_s = -kInf; }},
+  };
+  for (const Bad& b : bad) {
+    LidarSpec s = good;
+    b.set(s);
+    ASSERT_THROW(generate_scan(s, 1), std::invalid_argument) << b.what;
+    ASSERT_THROW(make_input(s, detection_voxels(), 1), std::invalid_argument)
+        << b.what;
+  }
+  LidarSpec quiet = good;
+  quiet.range_noise_m = 0.0;
+  try {
+    generate_scan(quiet, 1);
+    ADD_FAILURE() << "range_noise_m = 0 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("range_noise_m"), std::string::npos)
+        << e.what();
+  }
+
+  // The edges of the valid ranges still scan: one beam, a straight-down
+  // to straight-up fan, and an empty scene (ground only).
+  LidarSpec edge = good;
+  edge.beams = 1;
+  EXPECT_FALSE(generate_scan(edge, 1).empty());
+  edge.beams = 8;
+  edge.fov_down_deg = -90.0;
+  edge.fov_up_deg = 90.0;
+  edge.num_vehicles = 0;
+  edge.num_walls = 0;
+  EXPECT_FALSE(generate_scan(edge, 1).empty());
+}
+
 TEST(EdgeCases, ConvWhereNoOffsetsMatch) {
   // Points spaced 10 apart: K=3 dilation-1 finds only the center.
   std::vector<Coord> coords;
