@@ -1,8 +1,9 @@
 // google-benchmark microbenchmarks for the substrate kernels: synthetic
 // scan ray casting, coordinate hashing (conventional vs grid), map search
 // (synthetic sets and a real scan's layer stack), gather/scatter numerics,
-// GEMM on the segmentation workload's shapes, the L2 cache simulator, FP16
-// quantization of a feature matrix, and ReLU on one.
+// GEMM on the segmentation workload's shapes, the L2 cache simulator
+// (serial and set-partitioned), FP16 quantization of a feature matrix, and
+// ReLU on one.
 //
 // These measure the *host implementation* (this repo runs the algorithms
 // on CPU); the paper-facing performance numbers come from the cost model
@@ -267,6 +268,73 @@ void BM_CacheSimRange(benchmark::State& state) {
                           static_cast<int64_t>(2 * bytes / l2.line_bytes()));
 }
 BENCHMARK(BM_CacheSimRange);
+
+// The two shapes above through CacheSim::replay, the set-partitioned entry
+// point the engine and CacheSimPartition.* use, on the host pool: one
+// partition, one per hardware thread, and the engine's default of
+// kPartitionsPerThread per hardware thread. Args: (row bytes,) partitions.
+void partition_args(benchmark::internal::Benchmark* b, bool rows) {
+  const int hw = static_cast<int>(ts::host_parallelism());
+  const int per = static_cast<int>(ts::CacheSim::kPartitionsPerThread);
+  for (int row : {32, 128, 256}) {
+    for (int parts : {1, hw, per * hw}) {
+      if (rows) {
+        b->Args({row, parts});
+      } else {
+        b->Args({parts});
+      }
+    }
+    if (!rows) break;
+  }
+}
+
+void BM_CacheSimRowsPartitioned(benchmark::State& state) {
+  const std::size_t row = static_cast<std::size_t>(state.range(0));
+  const std::size_t parts = static_cast<std::size_t>(state.range(1));
+  const std::size_t n_in = 1 << 15;
+  const std::size_t fanout = 3;  // slot writes per input row
+  std::mt19937_64 rng(4);
+  std::vector<uint64_t> slots(n_in * fanout);
+  for (auto& s : slots) s = rng() % (n_in * fanout);
+  ts::CacheSim l2(static_cast<std::size_t>(ts::rtx2080ti().l2_bytes));
+  ts::PoolRunner pool;
+  const uint64_t x_base = 0, f_base = uint64_t{1} << 40;
+  for (auto _ : state) {
+    l2.replay(parts, pool, [&](ts::CacheSim::ReplaySink& sink) {
+      for (std::size_t j = 0; j < n_in; ++j) {
+        sink.access(x_base + j * row, row, false);
+        for (std::size_t t = j * fanout; t < (j + 1) * fanout; ++t)
+          sink.access(f_base + slots[t] * row, row, true);
+      }
+    });
+    benchmark::DoNotOptimize(l2.hits());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(n_in * (fanout + 1)));
+}
+BENCHMARK(BM_CacheSimRowsPartitioned)->Apply([](auto* b) {
+  partition_args(b, true);
+});
+
+void BM_CacheSimRangePartitioned(benchmark::State& state) {
+  const std::size_t parts = static_cast<std::size_t>(state.range(0));
+  const std::size_t bytes = std::size_t{8} << 20;
+  ts::CacheSim l2(static_cast<std::size_t>(ts::rtx2080ti().l2_bytes));
+  ts::PoolRunner pool;
+  const uint64_t f_base = uint64_t{1} << 40, p_base = uint64_t{2} << 40;
+  for (auto _ : state) {
+    l2.replay(parts, pool, [&](ts::CacheSim::ReplaySink& sink) {
+      sink.access(f_base, bytes, false);
+      sink.access(p_base, bytes, true);
+    });
+    benchmark::DoNotOptimize(l2.hits());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(2 * bytes / l2.line_bytes()));
+}
+BENCHMARK(BM_CacheSimRangePartitioned)->Apply([](auto* b) {
+  partition_args(b, false);
+});
 
 // FP16 storage rounding of one gathered feature matrix (2500 voxels x 64
 // channels), as sparse_conv3d applies it to every gather and partial sum.

@@ -193,11 +193,13 @@ void charge_fetch_on_demand(const KernelMap& km, std::size_t n_out,
   double dram = 0;
   if (ctx.simulate_cache) {
     const double before = ctx.l2.dram_bytes();
-    for (const auto& m : km.maps)
-      for (const MapEntry& e : m)
-        ctx.l2.access(static_cast<uint64_t>(e.in) * row_in, row_in, false);
-    for (std::size_t k = 0; k < n_out; ++k)
-      ctx.l2.access((3ull << 40) + k * row_out, row_out, true);
+    ctx.l2.replay([&](CacheSim::ReplaySink& l2s) {
+      for (const auto& m : km.maps)
+        for (const MapEntry& e : m)
+          l2s.access(static_cast<uint64_t>(e.in) * row_in, row_in, false);
+      for (std::size_t k = 0; k < n_out; ++k)
+        l2s.access((3ull << 40) + k * row_out, row_out, true);
+    });
     dram = ctx.l2.dram_bytes() - before;
   } else {
     const std::size_t lines = (row_in + kTransactionBytes - 1) /

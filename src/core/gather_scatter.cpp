@@ -138,8 +138,10 @@ void charge_gather_scatter(const KernelMap& km,
   // (matmul kernel *time* is charged separately by the conv orchestrator).
   auto matmul_touch = [&](std::size_t slot0, std::size_t rows) {
     if (!sim || rows == 0) return;
-    l2.access(kFBase + slot0 * row_in, rows * row_in, false);
-    l2.access(kPBase + slot0 * row_out, rows * row_out, true);
+    l2.replay([&](CacheSim::ReplaySink& l2s) {
+      l2s.access(kFBase + slot0 * row_in, rows * row_in, false);
+      l2s.access(kPBase + slot0 * row_out, rows * row_out, true);
+    });
   };
 
   const double map_bytes_total = static_cast<double>(total) * 8.0;
@@ -162,11 +164,13 @@ void charge_gather_scatter(const KernelMap& km,
       double cache_bytes = 0;
       if (sim) {
         const double before = l2.dram_bytes();
-        for (std::size_t i = 0; i < m.size(); ++i) {
-          l2.access(kXBase + static_cast<uint64_t>(m[i].in) * row_in, row_in,
-                    false);
-          l2.access(kFBase + (cum[gi] + i) * row_in, row_in, true);
-        }
+        l2.replay([&](CacheSim::ReplaySink& l2s) {
+          for (std::size_t i = 0; i < m.size(); ++i) {
+            l2s.access(kXBase + static_cast<uint64_t>(m[i].in) * row_in,
+                       row_in, false);
+            l2s.access(kFBase + (cum[gi] + i) * row_in, row_in, true);
+          }
+        });
         cache_bytes = l2.dram_bytes() - before;
       }
       charge(Stage::kGather, g, cache_bytes, 1);
@@ -184,11 +188,13 @@ void charge_gather_scatter(const KernelMap& km,
       cache_bytes = 0;
       if (sim) {
         const double before = l2.dram_bytes();
-        for (std::size_t i = 0; i < m.size(); ++i) {
-          l2.access(kPBase + (cum[gi] + i) * row_out, row_out, false);
-          l2.access(kYBase + static_cast<uint64_t>(m[i].out) * row_out,
-                    row_out, true);
-        }
+        l2.replay([&](CacheSim::ReplaySink& l2s) {
+          for (std::size_t i = 0; i < m.size(); ++i) {
+            l2s.access(kPBase + (cum[gi] + i) * row_out, row_out, false);
+            l2s.access(kYBase + static_cast<uint64_t>(m[i].out) * row_out,
+                       row_out, true);
+          }
+        });
         cache_bytes = l2.dram_bytes() - before;
       }
       charge(Stage::kScatter, s, cache_bytes, 1);
@@ -210,14 +216,16 @@ void charge_gather_scatter(const KernelMap& km,
     double cache_bytes = 0;
     if (sim) {
       const double before = l2.dram_bytes();
-      for (std::size_t gi = 0; gi < move_offsets.size(); ++gi) {
-        const auto& m = km.maps[static_cast<std::size_t>(move_offsets[gi])];
-        for (std::size_t i = 0; i < m.size(); ++i) {
-          l2.access(kXBase + static_cast<uint64_t>(m[i].in) * row_in, row_in,
-                    false);
-          l2.access(kFBase + (cum[gi] + i) * row_in, row_in, true);
+      l2.replay([&](CacheSim::ReplaySink& l2s) {
+        for (std::size_t gi = 0; gi < move_offsets.size(); ++gi) {
+          const auto& m = km.maps[static_cast<std::size_t>(move_offsets[gi])];
+          for (std::size_t i = 0; i < m.size(); ++i) {
+            l2s.access(kXBase + static_cast<uint64_t>(m[i].in) * row_in,
+                       row_in, false);
+            l2s.access(kFBase + (cum[gi] + i) * row_in, row_in, true);
+          }
         }
-      }
+      });
       cache_bytes = l2.dram_bytes() - before;
     }
     charge(Stage::kGather, g, cache_bytes, 1);
@@ -232,14 +240,16 @@ void charge_gather_scatter(const KernelMap& km,
     cache_bytes = 0;
     if (sim) {
       const double before = l2.dram_bytes();
-      for (std::size_t gi = 0; gi < move_offsets.size(); ++gi) {
-        const auto& m = km.maps[static_cast<std::size_t>(move_offsets[gi])];
-        for (std::size_t i = 0; i < m.size(); ++i) {
-          l2.access(kPBase + (cum[gi] + i) * row_out, row_out, false);
-          l2.access(kYBase + static_cast<uint64_t>(m[i].out) * row_out,
-                    row_out, true);
+      l2.replay([&](CacheSim::ReplaySink& l2s) {
+        for (std::size_t gi = 0; gi < move_offsets.size(); ++gi) {
+          const auto& m = km.maps[static_cast<std::size_t>(move_offsets[gi])];
+          for (std::size_t i = 0; i < m.size(); ++i) {
+            l2s.access(kPBase + (cum[gi] + i) * row_out, row_out, false);
+            l2s.access(kYBase + static_cast<uint64_t>(m[i].out) * row_out,
+                       row_out, true);
+          }
         }
-      }
+      });
       cache_bytes = l2.dram_bytes() - before;
     }
     charge(Stage::kScatter, s, cache_bytes, 1);
@@ -268,12 +278,14 @@ void charge_gather_scatter(const KernelMap& km,
     const uint32_t* row_ptr = in_csr.row_ptr.data();
     const uint32_t* slots = in_csr.slots.data();
     const double before = l2.dram_bytes();
-    for (std::size_t j = 0; j < n_in; ++j) {
-      l2.access(kXBase + j * row_in, row_in, false);
-      for (uint32_t t = row_ptr[j]; t < row_ptr[j + 1]; ++t)
-        l2.access(kFBase + static_cast<uint64_t>(slots[t]) * row_in, row_in,
-                  true);
-    }
+    l2.replay([&](CacheSim::ReplaySink& l2s) {
+      for (std::size_t j = 0; j < n_in; ++j) {
+        l2s.access(kXBase + j * row_in, row_in, false);
+        for (uint32_t t = row_ptr[j]; t < row_ptr[j + 1]; ++t)
+          l2s.access(kFBase + static_cast<uint64_t>(slots[t]) * row_in,
+                     row_in, true);
+      }
+    });
     cache_bytes = l2.dram_bytes() - before;
   }
   charge(Stage::kGather, g, cache_bytes, 1);
@@ -292,12 +304,14 @@ void charge_gather_scatter(const KernelMap& km,
     const uint32_t* row_ptr = out_csr.row_ptr.data();
     const uint32_t* slots = out_csr.slots.data();
     const double before = l2.dram_bytes();
-    for (std::size_t kk = 0; kk < n_out; ++kk) {
-      for (uint32_t t = row_ptr[kk]; t < row_ptr[kk + 1]; ++t)
-        l2.access(kPBase + static_cast<uint64_t>(slots[t]) * row_out,
-                  row_out, false);
-      l2.access(kYBase + kk * row_out, row_out, true);
-    }
+    l2.replay([&](CacheSim::ReplaySink& l2s) {
+      for (std::size_t kk = 0; kk < n_out; ++kk) {
+        for (uint32_t t = row_ptr[kk]; t < row_ptr[kk + 1]; ++t)
+          l2s.access(kPBase + static_cast<uint64_t>(slots[t]) * row_out,
+                     row_out, false);
+        l2s.access(kYBase + kk * row_out, row_out, true);
+      }
+    });
     cache_bytes = l2.dram_bytes() - before;
   }
   charge(Stage::kScatter, s, cache_bytes, 1);

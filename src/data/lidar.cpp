@@ -71,7 +71,9 @@ struct Box {
   float cx, cy, cz, hx, hy, hz;  // center + half extents
 };
 
-/// Ray/AABB slab intersection; returns hit distance or +inf.
+/// Ray/AABB slab intersection; returns the hit distance, or 1e9f on a
+/// miss. An origin inside the box also reads as a miss: its entry
+/// distance stays 0, below the 1e-4 cut-off.
 float ray_box(float ox, float oy, float oz, float dx, float dy, float dz,
               const Box& b) {
   float tmin = 0.0f, tmax = 1e9f;

@@ -28,6 +28,16 @@
 // behavior — hits, misses, write-backs, DRAM bytes — is unchanged
 // relative to a tick-based LRU scan; only the host cost of computing it
 // is.
+//
+// The engine's replay loops go through replay(), which splits the work
+// by set over the host pool (tensor/host_pool.hpp). LRU sets are
+// independent: a set's state depends only on the order of its own
+// touches. So the calling thread walks the kernel's stream and emits each
+// line, in stream order, into the bucket of the partition that owns its
+// set; each partition replays its own bucket in order on a pool thread,
+// while the caller fills the next bank of buckets; counters are summed
+// as integers. Every hit, miss, write-back and DRAM byte is the one a
+// serial access() loop produces, at any partition count.
 #pragma once
 
 #include <bit>
@@ -35,6 +45,8 @@
 #include <cstddef>
 #include <cstring>
 #include <vector>
+
+#include "tensor/host_pool.hpp"
 
 #if defined(__x86_64__)
 #include <emmintrin.h>
@@ -63,28 +75,76 @@ class CacheSim {
       return access_range(first, last, is_write);
     std::size_t line_misses = 0;
     for (uint64_t l = first; l <= last; ++l)
-      line_misses += access_line(l, is_write);
+      line_misses += access_line(l, is_write, counters_);
     return line_misses;
   }
 
+  class ReplaySink;
+
+  /// Replays one kernel's access stream: `stream(sink)` makes the
+  /// stream's accesses, in order, through sink.access(addr, bytes,
+  /// is_write), which means what access() means. The counters end
+  /// exactly as if each access had been passed to access(); the work is
+  /// split by set over the host pool. If an access overflows the tag
+  /// range, every access before it is replayed and std::runtime_error is
+  /// thrown, as the serial loop would. If `stream` itself throws, the
+  /// cache is left valid but holding an unspecified prefix of the stream.
+  template <class Stream>
+  void replay(Stream&& stream) {
+    PoolRunner pool;
+    replay(kPartitionsPerThread * host_parallelism(), pool, stream);
+  }
+
+  /// replay() over `parts` set partitions (clamped to [1, sets]) whose
+  /// jobs `run` executes: the one code path at every partition count.
+  template <class Stream>
+  void replay(std::size_t parts, PartitionRunner& run, Stream&& stream);
+
+  /// Set partitions per pool thread in replay(): more partitions than
+  /// threads let the workers even out while the caller emits lines.
+  static constexpr std::size_t kPartitionsPerThread = 2;
+
   void reset();
 
-  std::size_t hits() const { return hits_; }
-  std::size_t read_misses() const { return read_misses_; }
-  std::size_t write_misses() const { return write_misses_; }
-  std::size_t writebacks() const { return writebacks_; }
+  std::size_t hits() const { return counters_.hits; }
+  std::size_t read_misses() const { return counters_.read_misses; }
+  std::size_t write_misses() const { return counters_.write_misses; }
+  std::size_t writebacks() const { return counters_.writebacks; }
   /// DRAM bytes moved: read-miss line fills plus dirty write-backs.
   double dram_bytes() const {
-    return static_cast<double>((read_misses_ + writebacks_) * line_bytes_);
+    return static_cast<double>(
+        (counters_.read_misses + counters_.writebacks) * line_bytes_);
   }
   std::size_t line_bytes() const { return line_bytes_; }
   double hit_rate() const {
-    const std::size_t total = hits_ + read_misses_ + write_misses_;
-    return total ? static_cast<double>(hits_) / static_cast<double>(total)
+    const std::size_t total =
+        counters_.hits + counters_.read_misses + counters_.write_misses;
+    return total ? static_cast<double>(counters_.hits) /
+                       static_cast<double>(total)
                  : 0.0;
   }
 
  private:
+  struct Counters {
+    std::size_t hits = 0;
+    std::size_t read_misses = 0;
+    std::size_t write_misses = 0;
+    std::size_t writebacks = 0;
+
+    std::size_t misses() const { return read_misses + write_misses; }
+    Counters& operator+=(const Counters& o) {
+      hits += o.hits;
+      read_misses += o.read_misses;
+      write_misses += o.write_misses;
+      writebacks += o.writebacks;
+      return *this;
+    }
+  };
+  /// One partition's counters, alone on its cache line(s).
+  struct alignas(64) PartCounters {
+    Counters c;
+  };
+
   /// Stored tags are (line_addr >> set_shift_) + 1, so 0 can mean
   /// "invalid way". Tags are kept in 32 bits to halve the scan traffic:
   /// the simulated slabs live below 2^42, so real tags stay far below
@@ -109,17 +169,21 @@ class CacheSim {
 #endif
   }
 
-  std::size_t access_line(uint64_t line_addr, bool is_write) {
-    const std::size_t set =
-        static_cast<std::size_t>(line_addr) & (num_sets_ - 1);
-    uint32_t* tags = tags_.data() + set * stride_;
-    uint64_t& dirty = dirty_[set];
+  std::size_t access_line(uint64_t line_addr, bool is_write, Counters& c) {
     const uint64_t wide_tag = (line_addr >> set_shift_) + 1;
     // Always-on guard (a never-taken, perfectly predicted branch): a
     // truncated tag would silently alias distinct lines and corrupt the
     // modeled hit/miss counts, so overflow must be loud in Release too.
-    if (wide_tag > 0xffffffffull) throw_tag_overflow(line_addr);
-    const uint32_t tag = static_cast<uint32_t>(wide_tag);
+    if (wide_tag > kMaxTag) throw_tag_overflow(line_addr);
+    return touch(static_cast<std::size_t>(line_addr) & (num_sets_ - 1),
+                 static_cast<uint32_t>(wide_tag), is_write, c);
+  }
+
+  /// One line touch of `set` with an in-range stored tag.
+  std::size_t touch(std::size_t set, uint32_t tag, bool is_write,
+                    Counters& c) {
+    uint32_t* tags = tags_.data() + set * stride_;
+    uint64_t& dirty = dirty_[set];
     const uint64_t wbit = is_write ? 1 : 0;
 
     // Hit: probe four slots at a time in MRU order (hot lines sit near
@@ -127,7 +191,7 @@ class CacheSim {
     // step so the hit line becomes slot 0.
     if (tags[0] == tag) {  // repeat touch of the most recent line
       dirty |= wbit;
-      ++hits_;
+      ++c.hits;
       return 0;
     }
     for (std::size_t q = 0; q < stride_; q += 4) {
@@ -140,16 +204,31 @@ class CacheSim {
       const uint64_t hit_dirty = (dirty >> p) & 1;
       dirty = (dirty & ~((uint64_t{2} << p) - 1)) | (low << 1) |
               (hit_dirty | wbit);
-      ++hits_;
+      ++c.hits;
       return 0;
     }
-    return install_line(tags, dirty, tag, is_write);
+    return install_line(tags, dirty, tag, is_write, c);
   }
 
   std::size_t install_line(uint32_t* tags, uint64_t& dirty, uint32_t tag,
-                           bool is_write);
+                           bool is_write, Counters& c);
   std::size_t access_range(uint64_t first, uint64_t last, bool is_write);
+  /// Touches, for each set in [set_lo, set_hi), that set's lines of the
+  /// range [first, last] in ascending order: exactly what touching the
+  /// whole range line by line does to those sets.
+  void walk_range(uint64_t first, uint64_t last, bool is_write,
+                  std::size_t set_lo, std::size_t set_hi, Counters& c);
+  /// Replays bucket entries [e, end) of the partition owning sets
+  /// [set_lo, set_hi).
+  void replay_entries(const uint64_t* e, const uint64_t* end,
+                      std::size_t set_lo, std::size_t set_hi, Counters& c);
   [[noreturn]] void throw_tag_overflow(uint64_t line_addr) const;
+
+  static constexpr uint64_t kMaxTag = 0xffffffffull;
+  /// Entries per bank of buckets; a bank's `parts` buckets split it.
+  /// The sink emits into one bank while the pool replays the other, so a
+  /// replay's scratch is two banks whatever the partition count.
+  static constexpr std::size_t kBankEntries = std::size_t{1} << 14;
 
   std::size_t line_bytes_;
   unsigned line_shift_ = 7;  // log2(line_bytes_)
@@ -162,10 +241,124 @@ class CacheSim {
   // stride_ - ways_ padding slots that always hold kInvalidTag.
   std::vector<uint32_t> tags_;
   std::vector<uint64_t> dirty_;  // [num_sets_], bit w = slot w dirty
-  std::size_t hits_ = 0;
-  std::size_t read_misses_ = 0;
-  std::size_t write_misses_ = 0;
-  std::size_t writebacks_ = 0;
+  Counters counters_;
+
+  /// Page-backed replay scratch (see ReplaySink), mapped on the calling
+  /// thread by the first replay and kept for the simulator's lifetime.
+  /// It comes straight from the OS, not the malloc heap: with the small
+  /// per-partition arrays allocated from the heap once per scan, the
+  /// det-costonly peak RSS moved by 8.6 MiB between partition counts
+  /// through heap layout alone. A copy starts empty.
+  class ReplayScratch {
+   public:
+    ReplayScratch() = default;
+    ReplayScratch(const ReplayScratch&) noexcept {}
+    ReplayScratch& operator=(const ReplayScratch&) noexcept { return *this; }
+    ~ReplayScratch();
+
+    /// At least `bytes` of page-aligned memory.
+    void* get(std::size_t bytes);
+
+   private:
+    void* base_ = nullptr;
+    std::size_t bytes_ = 0;
+  };
+  ReplayScratch scratch_;
 };
+
+/// Emits one replay stream's lines, in stream order, into the partition
+/// buckets of the current bank (see CacheSim::replay). The lines of an
+/// access spanning fewer lines than there are sets go to their sets'
+/// partitions; a longer access is one range entry in every bucket, which
+/// each partition walks over its own sets. When a bucket is full, the
+/// bank is handed to the runner and emission continues into the other
+/// bank, once the runner has finished with that one.
+class CacheSim::ReplaySink {
+ public:
+  /// Appends [addr, addr + bytes) to the stream, as CacheSim::access.
+  void access(uint64_t addr, std::size_t bytes, bool is_write) {
+    if (bytes == 0) return;
+    const uint64_t first = addr >> line_shift_;
+    const uint64_t last = (addr + bytes - 1) >> line_shift_;
+    if (last - first >= set_mask_) {
+      push_range(first, last, is_write);
+      return;
+    }
+    for (uint64_t l = first; l <= last; ++l) push_line(l, is_write);
+  }
+
+  ReplaySink(const ReplaySink&) = delete;
+  ReplaySink& operator=(const ReplaySink&) = delete;
+  ~ReplaySink();
+
+ private:
+  friend class CacheSim;
+
+  /// One bank's job: partition p replays bucket p.
+  struct BankJob {
+    ReplaySink* sink;
+    std::size_t bank;
+    void operator()(std::size_t p) const { sink->replay_bucket(bank, p); }
+  };
+
+  ReplaySink(CacheSim& sim, std::size_t parts, PartitionRunner& run);
+
+  void push_line(uint64_t line, bool is_write) {
+    const uint64_t tag = (line >> set_shift_) + 1;
+    if (tag > kMaxTag) overflow(line);
+    const uint64_t set = line & set_mask_;
+    const std::size_t p = static_cast<std::size_t>((set * parts_) >> set_shift_);
+    std::size_t f = fill_[p];
+    if (f == cap_) {
+      submit();
+      f = 0;
+    }
+    bucket_[p * cap_ + f] = set << 33 | tag << 1 | uint64_t{is_write};
+    fill_[p] = f + 1;
+  }
+
+  void push_range(uint64_t first, uint64_t last, bool is_write);
+  /// Replays everything before the overflowing line, then throws: the
+  /// state a serial access() loop leaves.
+  [[noreturn]] void overflow(uint64_t line);
+  /// Hands the current bank to the runner and switches banks.
+  void submit();
+  /// Joins the bank in flight, if any, and folds its counters.
+  void settle();
+  /// Replays everything emitted so far.
+  void finish();
+  void select_bank(std::size_t bank);
+  void replay_bucket(std::size_t bank, std::size_t p);
+
+  CacheSim& sim_;
+  PartitionRunner& run_;
+  const std::size_t parts_;
+  const std::size_t cap_;  // entries per bucket
+  // Copies of the geometry for the per-line path.
+  const unsigned line_shift_;
+  const unsigned set_shift_;
+  const uint64_t set_mask_;
+  // Scratch (CacheSim::scratch_), for banks b = 0, 1: the counter block
+  // and fill of bucket p at [b * parts_ + p], and bucket p's entries at
+  // buckets_[b * kBankEntries + p * cap_ ...]. A line entry is
+  // (set << 33) | (tag << 1) | is_write with tag >= 1; an entry whose tag
+  // field is 0 marks a range and is followed by its first and last line.
+  PartCounters* counters_;
+  std::size_t* fills_;
+  uint64_t* buckets_;
+  BankJob jobs_[2];
+  std::size_t bank_ = 0;
+  bool in_flight_ = false;  // the other bank is with the runner
+  uint64_t* bucket_ = nullptr;    // current bank's entries
+  std::size_t* fill_ = nullptr;   // current bank's fills
+};
+
+template <class Stream>
+void CacheSim::replay(std::size_t parts, PartitionRunner& run,
+                      Stream&& stream) {
+  ReplaySink sink(*this, parts, run);
+  stream(sink);
+  sink.finish();
+}
 
 }  // namespace ts

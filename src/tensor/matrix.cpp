@@ -6,8 +6,9 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
+
+#include "tensor/host_pool.hpp"
 
 // No fused multiply-add anywhere in this file: `acc += a * b` must round
 // the product and the sum separately, on every clone target, whatever
@@ -54,7 +55,11 @@ template <std::size_t R, std::size_t W>
 // target, and the loader picks one per CPU. AVX-512F implies FMA, so
 // contraction of `acc += av * b` into a fused multiply-add, which rounds
 // once instead of twice, is switched off for this file at the top.
-#if defined(__x86_64__) && defined(__GNUC__)
+// ThreadSanitizer builds keep only the baseline target: GCC's clone
+// resolver runs before the sanitizer's runtime is up and crashes every
+// binary that links this file before main. The clones compute the same
+// bits, so those builds test the same results.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__SANITIZE_THREAD__)
 #define TS_HOST_CLONES \
   __attribute__((target_clones("avx512f", "avx2", "default")))
 #else
@@ -173,25 +178,18 @@ void mm_accumulate(const Matrix& a, const Matrix& b, Matrix& out) {
   // results are bitwise identical to the sequential path.
   const double work = static_cast<double>(m) * static_cast<double>(k) *
                       static_cast<double>(n);
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const std::size_t threads =
-      work > 3e7 ? std::min<std::size_t>(hw, 16) : 1;
+      work > 3e7 ? std::min<std::size_t>(host_parallelism(), 16) : 1;
   if (threads <= 1 || m < 2 * threads) {
     mm_rows(a.data(), b.data(), out.data(), k, n, 0, m);
     return;
   }
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
   const std::size_t chunk = (m + threads - 1) / threads;
-  for (std::size_t t = 0; t < threads; ++t) {
-    const std::size_t r0 = t * chunk;
-    const std::size_t r1 = std::min(m, r0 + chunk);
-    if (r0 >= r1) break;
-    pool.emplace_back([&, r0, r1] {
-      mm_rows(a.data(), b.data(), out.data(), k, n, r0, r1);
-    });
-  }
-  for (std::thread& th : pool) th.join();
+  auto slice = [&](std::size_t t) {
+    mm_rows(a.data(), b.data(), out.data(), k, n, t * chunk,
+            std::min(m, (t + 1) * chunk));
+  };
+  run_partitions((m + chunk - 1) / chunk, slice);
 }
 
 void bmm(const std::vector<Matrix>& as, const std::vector<Matrix>& bs,

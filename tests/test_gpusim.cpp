@@ -1,11 +1,14 @@
-// GPU cost-model substrate tests: cache simulator, transaction coalescing,
-// matmul utilization, device specs.
+// GPU cost-model substrate tests: cache simulator (serial and
+// set-partitioned replay), transaction coalescing, matmul utilization,
+// device specs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <random>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "gpusim/cache.hpp"
@@ -174,41 +177,68 @@ void access_both(CacheSim& c, TickLru& ref, uint64_t addr, std::size_t bytes,
       << "addr " << addr << " bytes " << bytes << " write " << is_write;
 }
 
+/// One step of a seeded test stream: an access, or a reset of the cache.
+struct Step {
+  bool reset = false;
+  uint64_t addr = 0;
+  std::size_t bytes = 0;
+  bool is_write = false;
+};
+
 /// A seeded stream shaped like the engine replay: row-sized accesses (a
 /// sequential read sweep interleaved with scattered slot writes, as in the
 /// locality-aware gather), ranges below capacity, ranges spanning one to
 /// three whole caches (the matmul slab streams), ranges of exactly the
-/// capacity or one line more, and occasional resets.
-void run_random_stream(std::size_t capacity_bytes, int ways,
-                       std::size_t line_bytes, uint32_t seed, int steps) {
-  CacheSim c(capacity_bytes, ways, line_bytes);
-  TickLru ref(capacity_bytes, ways, line_bytes);
-  const std::size_t lb = ref.line_bytes();
-  const std::size_t cap_lines = ref.capacity_lines();
+/// capacity or one line more, and occasional resets. Ranges start at any
+/// byte, so most start mid-line and mid-set.
+std::vector<Step> random_stream(std::size_t line_bytes,
+                                std::size_t capacity_lines, uint32_t seed,
+                                int steps) {
+  const std::size_t lb = line_bytes;
+  const std::size_t cap_lines = capacity_lines;
   const uint64_t span = 4 * cap_lines * lb;
   std::mt19937 rng(seed);
   uint64_t sweep = 0;
+  std::vector<Step> out;
   for (int step = 0; step < steps; ++step) {
     const uint32_t kind = rng() % 32;
     const uint64_t base = (uint64_t{rng() % 4} << 28);  // distinct slabs
     const uint64_t at = base + rng() % span;
     if (kind == 0) {
-      c.reset();
-      ref.reset();
+      out.push_back({true, 0, 0, false});
     } else if (kind < 12) {  // sequential row read
       const std::size_t row = 1 + rng() % (2 * lb);
-      access_both(c, ref, base + sweep * row, row, false);
+      out.push_back({false, base + sweep * row, row, false});
       ++sweep;
     } else if (kind < 22) {  // scattered row write (or read)
-      access_both(c, ref, at, 1 + rng() % (2 * lb), rng() % 4 != 0);
+      const std::size_t bytes = 1 + rng() % (2 * lb);
+      out.push_back({false, at, bytes, rng() % 4 != 0});
     } else if (kind < 25) {  // below capacity
-      access_both(c, ref, at, 1 + rng() % (cap_lines * lb), rng() % 2 != 0);
+      const std::size_t bytes = 1 + rng() % (cap_lines * lb);
+      out.push_back({false, at, bytes, rng() % 2 != 0});
     } else if (kind < 30) {  // one to three whole caches
       const std::size_t lines = cap_lines + 1 + rng() % (2 * cap_lines);
-      access_both(c, ref, at, lines * lb - rng() % lb, rng() % 2 != 0);
+      const std::size_t bytes = lines * lb - rng() % lb;
+      out.push_back({false, at, bytes, rng() % 2 != 0});
     } else {  // exactly the capacity, or one line more
-      access_both(c, ref, at - at % lb, (cap_lines + kind % 2) * lb,
-                  rng() % 2 != 0);
+      out.push_back(
+          {false, at - at % lb, (cap_lines + kind % 2) * lb, rng() % 2 != 0});
+    }
+  }
+  return out;
+}
+
+void run_random_stream(std::size_t capacity_bytes, int ways,
+                       std::size_t line_bytes, uint32_t seed, int steps) {
+  CacheSim c(capacity_bytes, ways, line_bytes);
+  TickLru ref(capacity_bytes, ways, line_bytes);
+  for (const Step& s :
+       random_stream(ref.line_bytes(), ref.capacity_lines(), seed, steps)) {
+    if (s.reset) {
+      c.reset();
+      ref.reset();
+    } else {
+      access_both(c, ref, s.addr, s.bytes, s.is_write);
     }
     if (::testing::Test::HasFatalFailure()) return;
   }
@@ -350,6 +380,258 @@ TEST(CacheSim, TagOverflowThrowsOnTheRangePathWithoutSideEffects) {
   for (uint64_t i = 0; i < 16; ++i)
     EXPECT_EQ(c.access(i * 128, 1, false), twin.access(i * 128, 1, false));
   EXPECT_EQ(c.writebacks(), twin.writebacks());
+}
+
+// --- Set-partitioned replay (CacheSim::replay) against TickLru and the
+// serial access() loop. ---
+
+/// Runs every job serially, partitions in reverse order: a schedule no
+/// pool produces, so a replay that depended on partition order or on
+/// concurrency would diverge here.
+class ReverseSerialRunner final : public PartitionRunner {
+ public:
+  void start(std::size_t parts, PartitionFn fn) override {
+    for (std::size_t p = parts; p-- > 0;) fn(p);
+  }
+  void join() override {}
+};
+
+/// The test streams cut into kernels: a kernel ends at every reset and
+/// after every `kernel_steps` accesses.
+std::vector<std::vector<Step>> kernels_of(const std::vector<Step>& steps,
+                                          std::size_t kernel_steps) {
+  std::vector<std::vector<Step>> kernels;
+  for (const Step& s : steps) {
+    if (kernels.empty() || s.reset || kernels.back().size() == kernel_steps)
+      kernels.emplace_back();
+    kernels.back().push_back(s);
+  }
+  return kernels;
+}
+
+/// Replays `steps` kernel by kernel through CacheSim::replay at `parts`
+/// partitions on `run`, through TickLru, and through serial access()
+/// calls: all counters and every kernel's DRAM delta must agree.
+void expect_partitioned_matches(std::size_t capacity_bytes, int ways,
+                                std::size_t line_bytes,
+                                const std::vector<Step>& steps,
+                                std::size_t parts, PartitionRunner& run) {
+  CacheSim part(capacity_bytes, ways, line_bytes);
+  CacheSim serial(capacity_bytes, ways, line_bytes);
+  TickLru ref(capacity_bytes, ways, line_bytes);
+  int kernel = 0;
+  for (const std::vector<Step>& k : kernels_of(steps, 7)) {
+    if (k.front().reset) {
+      part.reset();
+      serial.reset();
+      ref.reset();
+    }
+    const double part0 = part.dram_bytes(), serial0 = serial.dram_bytes();
+    const std::size_t ref0 = ref.read_misses + ref.writebacks;
+    part.replay(parts, run, [&](CacheSim::ReplaySink& sink) {
+      for (const Step& s : k)
+        if (!s.reset) sink.access(s.addr, s.bytes, s.is_write);
+    });
+    for (const Step& s : k) {
+      if (s.reset) continue;
+      serial.access(s.addr, s.bytes, s.is_write);
+      ref.access(s.addr, s.bytes, s.is_write);
+    }
+    const double part_delta = part.dram_bytes() - part0;
+    ASSERT_EQ(part_delta, serial.dram_bytes() - serial0) << "kernel " << kernel;
+    ASSERT_EQ(part_delta,
+              static_cast<double>((ref.read_misses + ref.writebacks - ref0) *
+                                  ref.line_bytes()))
+        << "kernel " << kernel;
+    ++kernel;
+  }
+  expect_same_counters(part, ref);
+  expect_same_counters(serial, ref);
+}
+
+TEST(CacheSimPartition, SeededStreamsMatchAtEveryPartitionCount) {
+  PoolRunner pool;
+  ReverseSerialRunner reverse;
+  uint32_t seed = 500;
+  for (int ways : {1, 3, 16, 17, 64}) {
+    for (std::size_t sets : {1u, 8u, 64u}) {
+      const std::size_t line = 64;
+      const std::size_t cap = sets * static_cast<std::size_t>(ways) * line;
+      const std::vector<Step> steps =
+          random_stream(line, sets * static_cast<std::size_t>(ways), seed++,
+                        300);
+      for (std::size_t parts : {1u, 2u, 3u, 4u, 7u}) {
+        SCOPED_TRACE(::testing::Message() << "ways " << ways << " sets "
+                                          << sets << " parts " << parts);
+        expect_partitioned_matches(cap, ways, line, steps, parts, pool);
+        if (HasFatalFailure()) return;
+        expect_partitioned_matches(cap, ways, line, steps, parts, reverse);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(CacheSimPartition, TwoMiBCacheWithEngineRows) {
+  // The engine's shape at a realistic size: 1024 sets x 16 ways x 128 B,
+  // mostly one- and two-line rows, so every partition gets line entries
+  // and the banks fill and hand off many times per kernel.
+  const std::size_t cap = std::size_t{2} << 20;
+  const std::vector<Step> steps = random_stream(128, 1024 * 16, 900, 600);
+  PoolRunner pool;
+  ReverseSerialRunner reverse;
+  for (std::size_t parts : {1u, 4u, 7u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << "parts " << parts);
+    expect_partitioned_matches(cap, 16, 128, steps, parts, pool);
+    expect_partitioned_matches(cap, 16, 128, steps, parts, reverse);
+  }
+  std::vector<Step> rows;
+  std::mt19937 rng(901);
+  for (int i = 0; i < 120000; ++i)
+    rows.push_back({false, (uint64_t{rng() % 4} << 30) + (rng() % 400000) * 96,
+                    96, rng() % 2 != 0});
+  expect_partitioned_matches(cap, 16, 128, rows, 8, pool);
+}
+
+TEST(CacheSimPartition, RangeStartingMidSet) {
+  // 8 sets x 4 ways, as CacheSimDifferential.RangeStartingMidSet: ranges
+  // starting half way into a line of set 5 and of set 5 + 8, with the
+  // sets split over partitions at different boundaries.
+  const std::size_t line = 64;
+  std::vector<Step> steps;
+  for (uint64_t i = 0; i < 40; ++i) steps.push_back({false, i * line, 8, i % 3 == 0});
+  steps.push_back({false, 5 * line + line / 2, 70 * line, true});
+  steps.push_back({false, 13 * line + 1, 100 * line + 7, false});
+  steps.push_back({false, 13 * line + 1, 9 * line, true});
+  for (uint64_t i = 0; i < 200; ++i) steps.push_back({false, i * line, 1, false});
+  PoolRunner pool;
+  ReverseSerialRunner reverse;
+  for (std::size_t parts : {1u, 2u, 3u, 4u, 7u}) {
+    SCOPED_TRACE(::testing::Message() << "parts " << parts);
+    expect_partitioned_matches(8 * 4 * line, 4, line, steps, parts, pool);
+    expect_partitioned_matches(8 * 4 * line, 4, line, steps, parts, reverse);
+  }
+}
+
+/// Counters of a simulator, for whole-state comparisons.
+std::vector<std::size_t> counters(const CacheSim& c) {
+  return {c.hits(), c.read_misses(), c.write_misses(), c.writebacks()};
+}
+
+TEST(CacheSimPartition, TagOverflowInAnyPartitionThrowsOnTheCaller) {
+  // 8 sets x 4 ways: tag = (line >> 3) + 1, so lines from 0xffffffff << 3
+  // on overflow; line (0xffffffff << 3) | s lies in set s, which each
+  // partition count assigns to a different partition. The replay throws
+  // after replaying everything before the bad line, as the serial loop
+  // does.
+  const uint64_t bad0 = uint64_t{0xffffffff} << 3;
+  PoolRunner pool;
+  ReverseSerialRunner reverse;
+  for (PartitionRunner* run : {static_cast<PartitionRunner*>(&pool),
+                               static_cast<PartitionRunner*>(&reverse)}) {
+    for (std::size_t parts : {1u, 2u, 3u, 4u, 7u}) {
+      for (uint64_t set = 0; set < 8; ++set) {
+        SCOPED_TRACE(::testing::Message() << "parts " << parts << " set "
+                                          << set);
+        CacheSim c(8 * 4 * 128, 4, 128);
+        CacheSim serial(8 * 4 * 128, 4, 128);
+        auto stream = [&](auto&& touch) {
+          for (uint64_t i = 0; i < 100; ++i) touch(i * 128 * 3, 128, i % 2 == 0);
+          touch((bad0 | set) * 128, 1, true);
+          touch(0, 128, false);  // never reached
+        };
+        EXPECT_THROW(c.replay(parts, *run,
+                              [&](CacheSim::ReplaySink& sink) {
+                                stream([&](uint64_t a, std::size_t b, bool w) {
+                                  sink.access(a, b, w);
+                                });
+                              }),
+                     std::runtime_error);
+        EXPECT_THROW(stream([&](uint64_t a, std::size_t b, bool w) {
+                       serial.access(a, b, w);
+                     }),
+                     std::runtime_error);
+        EXPECT_EQ(counters(c), counters(serial));
+        for (uint64_t i = 0; i < 64; ++i)
+          EXPECT_EQ(c.access(i * 128, 1, false), serial.access(i * 128, 1, false));
+      }
+    }
+  }
+}
+
+TEST(CacheSimPartition, OverflowingRangeLeavesEveryCounterUnchanged) {
+  // 2 sets x 4 ways, as CacheSim.TagOverflowThrowsOnTheRangePath...: a
+  // 9-line range whose last line overflows, after a warm-up in the same
+  // replay. The warm-up is replayed; the range moves nothing.
+  const uint64_t bad_line = uint64_t{0xffffffff} << 1;
+  PoolRunner pool;
+  ReverseSerialRunner reverse;
+  for (PartitionRunner* run : {static_cast<PartitionRunner*>(&pool),
+                               static_cast<PartitionRunner*>(&reverse)}) {
+    for (std::size_t parts : {1u, 2u}) {
+      SCOPED_TRACE(::testing::Message() << "parts " << parts);
+      CacheSim c(2 * 4 * 128, 4, 128);
+      CacheSim twin(2 * 4 * 128, 4, 128);
+      for (uint64_t i = 0; i < 12; ++i) twin.access(i * 128, 1, i % 2 == 0);
+      EXPECT_THROW(c.replay(parts, *run,
+                            [&](CacheSim::ReplaySink& sink) {
+                              for (uint64_t i = 0; i < 12; ++i)
+                                sink.access(i * 128, 1, i % 2 == 0);
+                              sink.access((bad_line - 8) * 128, 9 * 128, true);
+                            }),
+                   std::runtime_error);
+      EXPECT_EQ(counters(c), counters(twin));
+      // A range alone leaves a fresh simulator untouched.
+      CacheSim fresh(2 * 4 * 128, 4, 128);
+      EXPECT_THROW(fresh.replay(parts, *run,
+                                [&](CacheSim::ReplaySink& sink) {
+                                  sink.access((bad_line - 8) * 128, 9 * 128,
+                                              false);
+                                }),
+                   std::runtime_error);
+      EXPECT_EQ(counters(fresh), (std::vector<std::size_t>{0, 0, 0, 0}));
+      for (uint64_t i = 0; i < 16; ++i)
+        EXPECT_EQ(c.access(i * 128, 1, false), twin.access(i * 128, 1, false));
+      EXPECT_EQ(counters(c), counters(twin));
+    }
+  }
+}
+
+TEST(CacheSimPartition, ConcurrentReplaysOnSeparateSimulatorsMatchSerial) {
+  // Two threads replay through the default entry point at once: one
+  // holds the pool, the other runs its partitions inline. Both must
+  // match the serial loop.
+  const std::size_t cap = std::size_t{1} << 20;  // 512 sets x 16 ways
+  std::vector<Step> streams[2] = {random_stream(128, 512 * 16, 40, 3000),
+                                  random_stream(128, 512 * 16, 41, 3000)};
+  std::vector<std::size_t> want[2], got[2];
+  for (int t = 0; t < 2; ++t) {
+    CacheSim serial(cap);
+    for (const Step& s : streams[t]) {
+      if (s.reset) serial.reset();
+      else serial.access(s.addr, s.bytes, s.is_write);
+    }
+    want[t] = counters(serial);
+  }
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t)
+    threads.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      CacheSim c(cap);
+      for (const std::vector<Step>& k : kernels_of(streams[t], 50)) {
+        if (k.front().reset) c.reset();
+        c.replay([&](CacheSim::ReplaySink& sink) {
+          for (const Step& s : k)
+            if (!s.reset) sink.access(s.addr, s.bytes, s.is_write);
+        });
+      }
+      got[t] = counters(c);
+    });
+  go.store(true);
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(got[0], want[0]);
+  EXPECT_EQ(got[1], want[1]);
 }
 
 // --- Transaction coalescing (paper Fig. 8). ---

@@ -1,7 +1,9 @@
 // Dense matrix substrate tests: blocked GEMM vs naive reference, batched
-// GEMM, padding, quantization.
+// GEMM, padding, quantization, and the host pool the GEMM's row slices
+// run on.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <iterator>
@@ -9,9 +11,11 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
+#include "tensor/host_pool.hpp"
 #include "tensor/matrix.hpp"
 
 namespace ts {
@@ -212,6 +216,32 @@ TEST(Matrix, ThreadedMmMatchesNaiveOrder) {
   EXPECT_TRUE(same_bits(out, naive_mm(a, b)));
 }
 
+TEST(Matrix, ConcurrentThreadedMmMatchesNaiveOrder) {
+  // Two callers on the threaded path at once: one holds the pool, the
+  // other runs its slices inline; both results stay bit-exact.
+  const Matrix a = half_zero_matrix(1900, 128, 610);
+  const Matrix b = random_matrix(128, 129, 611);
+  const Matrix want = naive_mm(a, b);
+  std::atomic<bool> go{false};
+  bool same[2] = {false, false};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 2; ++t)
+    callers.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      bool ok = true;
+      for (int rep = 0; rep < 4; ++rep) {
+        Matrix out;
+        mm(a, b, out);
+        ok = ok && same_bits(out, want);
+      }
+      same[t] = ok;
+    });
+  go.store(true);
+  for (std::thread& c : callers) c.join();
+  EXPECT_TRUE(same[0]);
+  EXPECT_TRUE(same[1]);
+}
+
 TEST(Matrix, MismatchedShapesThrow) {
   // The shape contract holds in every build type: the kernel would read
   // past the buffers otherwise.
@@ -324,6 +354,104 @@ TEST(Matrix, QuantizeInt8IdempotentOnZero) {
 
 TEST(Matrix, MaxAbsDiffShapeMismatchIsInfinite) {
   EXPECT_TRUE(std::isinf(max_abs_diff(Matrix(2, 2), Matrix(2, 3))));
+}
+
+// --- The host pool (tensor/host_pool.hpp). ---
+
+/// Runs `parts` partitions that count their calls; every count must be 1.
+void expect_each_partition_once(std::size_t parts, bool runner) {
+  std::vector<std::atomic<int>> calls(parts);
+  auto count = [&](std::size_t p) { calls[p].fetch_add(1); };
+  if (runner) {
+    PoolRunner pool;
+    pool.start(parts, count);
+    pool.join();
+  } else {
+    run_partitions(parts, count);
+  }
+  for (std::size_t p = 0; p < parts; ++p)
+    EXPECT_EQ(calls[p].load(), 1) << "partition " << p << " of " << parts;
+}
+
+TEST(HostPool, RunsEveryPartitionOnce) {
+  EXPECT_GE(host_parallelism(), 1u);
+  for (std::size_t parts : {0u, 1u, 2u, 3u, 7u, 64u, 1000u}) {
+    expect_each_partition_once(parts, false);
+    expect_each_partition_once(parts, true);
+  }
+}
+
+TEST(HostPool, RethrowsTheLowestThrowingPartition) {
+  auto fail = [](std::size_t p) {
+    if (p == 2 || p == 5) throw std::runtime_error("p" + std::to_string(p));
+  };
+  for (int rep = 0; rep < 20; ++rep) {
+    try {
+      run_partitions(8, fail);
+      ADD_FAILURE() << "run_partitions did not throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "p2");
+    }
+    try {
+      PoolRunner pool;
+      pool.start(8, fail);
+      pool.join();
+      ADD_FAILURE() << "PoolRunner did not throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "p2");
+    }
+  }
+  // The pool is free again: a later job runs normally.
+  expect_each_partition_once(8, false);
+}
+
+TEST(HostPool, NestedJobRunsInline) {
+  std::atomic<int> inner{0};
+  auto outer = [&](std::size_t) {
+    auto leaf = [&](std::size_t) { inner.fetch_add(1); };
+    run_partitions(3, leaf);
+  };
+  run_partitions(4, outer);
+  EXPECT_EQ(inner.load(), 12);
+}
+
+TEST(HostPool, CallerWorksBetweenStartAndJoin) {
+  std::vector<int> seen(6, 0);
+  auto mark = [&](std::size_t p) { seen[p] = static_cast<int>(p) + 1; };
+  PoolRunner pool;
+  pool.start(seen.size(), mark);
+  long local = 0;
+  for (int i = 0; i < 100000; ++i) local += i % 7;
+  pool.join();
+  EXPECT_EQ(local, 299995L);  // 14285 cycles of 0..6, then 0..4
+  for (std::size_t p = 0; p < seen.size(); ++p)
+    EXPECT_EQ(seen[p], static_cast<int>(p) + 1);
+}
+
+TEST(HostPool, ConcurrentCallersEachGetEveryPartition) {
+  std::atomic<bool> go{false};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 3; ++t)
+    callers.emplace_back([&] {
+      while (!go.load()) std::this_thread::yield();
+      for (int rep = 0; rep < 200; ++rep) {
+        std::vector<int> hits(5, 0);
+        auto hit = [&](std::size_t p) { ++hits[p]; };
+        run_partitions(hits.size(), hit);
+        for (int h : hits) bad.fetch_add(h == 1 ? 0 : 1);
+      }
+    });
+  go.store(true);
+  for (std::thread& c : callers) c.join();
+  EXPECT_EQ(bad.load(), 0);
+}
+
+TEST(HostPool, RejectsMorePartitionsThanItCanCount) {
+  auto nothing = [](std::size_t) {};
+  EXPECT_THROW(run_partitions(65536, nothing), std::invalid_argument);
+  PoolRunner pool;
+  EXPECT_THROW(pool.start(65536, nothing), std::invalid_argument);
 }
 
 }  // namespace
