@@ -271,8 +271,9 @@ BENCHMARK(BM_CacheSimRange);
 
 // The two shapes above through CacheSim::replay, the set-partitioned entry
 // point the engine and CacheSimPartition.* use, on the host pool: one
-// partition, one per hardware thread, and the engine's default of
-// kPartitionsPerThread per hardware thread. Args: (row bytes,) partitions.
+// partition (the serial loop, what a caller without the pool runs), one
+// per hardware thread, and the engine's default of kPartitionsPerThread
+// per hardware thread. Args: (row bytes,) partitions.
 void partition_args(benchmark::internal::Benchmark* b, bool rows) {
   const int hw = static_cast<int>(ts::host_parallelism());
   const int per = static_cast<int>(ts::CacheSim::kPartitionsPerThread);

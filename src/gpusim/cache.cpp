@@ -219,7 +219,13 @@ void CacheSim::ReplaySink::replay_bucket(std::size_t bank, std::size_t p) {
 
 void CacheSim::ReplaySink::push_range(uint64_t first, uint64_t last,
                                       bool is_write) {
-  if ((last >> set_shift_) + 1 > kMaxTag) overflow(last);
+  if ((last >> set_shift_) + 1 > kMaxTag) {
+    // access() touches a range of at most the cache's lines one by one,
+    // up to the first overflowing line; a longer range moves nothing.
+    if (last - first < sim_.capacity_lines_)
+      for (uint64_t l = first; l <= last; ++l) push_line(l, is_write);
+    overflow(last);
+  }
   for (std::size_t p = 0; p < parts_; ++p) {
     if (fill_[p] + 3 > cap_) {
       submit();

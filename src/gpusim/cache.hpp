@@ -37,7 +37,9 @@
 // set; each partition replays its own bucket in order on a pool thread,
 // while the caller fills the next bank of buckets; counters are summed
 // as integers. Every hit, miss, write-back and DRAM byte is the one a
-// serial access() loop produces, at any partition count.
+// serial access() loop produces, at any partition count. A caller that
+// does not get the pool replays at one partition, which is that serial
+// loop: bucketing lines nobody else replays only adds a pass.
 #pragma once
 
 #include <bit>
@@ -86,17 +88,21 @@ class CacheSim {
   /// is_write), which means what access() means. The counters end
   /// exactly as if each access had been passed to access(); the work is
   /// split by set over the host pool. If an access overflows the tag
-  /// range, every access before it is replayed and std::runtime_error is
-  /// thrown, as the serial loop would. If `stream` itself throws, the
-  /// cache is left valid but holding an unspecified prefix of the stream.
+  /// range, std::runtime_error is thrown and the cache and its counters
+  /// are left as the serial loop leaves them when it throws: every
+  /// access before it replayed, and of the bad access itself the lines
+  /// before the first overflowing one if it spans at most the cache's
+  /// lines, none otherwise. If `stream` itself throws, the cache is left
+  /// valid but holding an unspecified prefix of the stream.
   template <class Stream>
   void replay(Stream&& stream) {
     PoolRunner pool;
-    replay(kPartitionsPerThread * host_parallelism(), pool, stream);
+    const std::size_t threads = pool.threads();
+    replay(threads > 1 ? kPartitionsPerThread * threads : 1, pool, stream);
   }
 
   /// replay() over `parts` set partitions (clamped to [1, sets]) whose
-  /// jobs `run` executes: the one code path at every partition count.
+  /// jobs `run` executes. One partition is the serial access() loop.
   template <class Stream>
   void replay(std::size_t parts, PartitionRunner& run, Stream&& stream);
 
@@ -267,7 +273,8 @@ class CacheSim {
 };
 
 /// Emits one replay stream's lines, in stream order, into the partition
-/// buckets of the current bank (see CacheSim::replay). The lines of an
+/// buckets of the current bank (see CacheSim::replay); with one partition
+/// it touches them at once instead. The lines of an
 /// access spanning fewer lines than there are sets go to their sets'
 /// partitions; a longer access is one range entry in every bucket, which
 /// each partition walks over its own sets. When a bucket is full, the
@@ -276,7 +283,13 @@ class CacheSim {
 class CacheSim::ReplaySink {
  public:
   /// Appends [addr, addr + bytes) to the stream, as CacheSim::access.
+  /// With one partition there is no thread to hand lines to, so the
+  /// access is touched at once, through CacheSim::access itself.
   void access(uint64_t addr, std::size_t bytes, bool is_write) {
+    if (parts_ == 1) {
+      sim_.access(addr, bytes, is_write);
+      return;
+    }
     if (bytes == 0) return;
     const uint64_t first = addr >> line_shift_;
     const uint64_t last = (addr + bytes - 1) >> line_shift_;

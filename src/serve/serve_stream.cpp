@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "serve/stream_placer.hpp"
+#include "tensor/host_pool.hpp"
 
 namespace ts::serve {
 
@@ -192,6 +193,10 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
   // starts the moment a request is drained — no need to wait for its
   // batch.
   auto worker = [&](int device_index) {
+    // The measurement threads keep the host's cores busy themselves, so
+    // while more than one runs, their replays and GEMMs run inline
+    // rather than on the host pool.
+    const ConcurrentCallerScope host_share;
     // Each device shard contributes its own measurement pool; a worker
     // carries its pool's identity in its (reusable) context as host-side
     // provenance. Measurement itself is device-agnostic — every request

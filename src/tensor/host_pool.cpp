@@ -69,36 +69,34 @@ class HostPool {
   HostPool(const HostPool&) = delete;
   HostPool& operator=(const HostPool&) = delete;
 
-  /// Publishes a job of `parts` partitions and returns its generation in
-  /// `gen`; false (nothing published) if another caller holds the pool.
-  /// With `caller_first`, partition 0 is left for the caller to run.
-  bool begin(std::size_t parts, PartitionFn fn, bool caller_first,
-             uint32_t& gen) {
-    if (busy_.exchange(true, std::memory_order_acquire)) return false;
+  /// Takes the pool for the caller; false if another caller holds it.
+  bool acquire() { return !busy_.exchange(true, std::memory_order_acquire); }
+  void release() { busy_.store(false, std::memory_order_release); }
+
+  /// Publishes a job of `parts` partitions for the workers and returns its
+  /// generation. The caller holds the pool.
+  uint32_t begin(std::size_t parts, PartitionFn fn) {
     fn_ = fn;
     error_ = nullptr;
     error_part_ = kMaxParts;
     done_.store(0, std::memory_order_relaxed);
-    gen = epoch_.load(std::memory_order_relaxed) + 1;
-    claim_.store(pack(gen, parts, caller_first ? 1 : 0),
-                 std::memory_order_release);
+    const uint32_t gen = epoch_.load(std::memory_order_relaxed) + 1;
+    claim_.store(pack(gen, parts, 0), std::memory_order_release);
     epoch_.store(gen, std::memory_order_release);
     epoch_.notify_all();
-    return true;
+    return gen;
   }
 
   /// The holder's side of job `gen`: claims and runs what is left, waits
-  /// for the workers' partitions, releases the pool, and rethrows the
-  /// job's exception if `rethrow`.
+  /// for the workers' partitions, and rethrows the job's exception if
+  /// `rethrow`.
   void finish(uint32_t gen, bool rethrow) {
     run_claimed(gen);
     const uint32_t total = static_cast<uint32_t>(
         (claim_.load(std::memory_order_relaxed) >> 16) & 0xffff);
     uint32_t done = done_.load(std::memory_order_acquire);
     while (done != total) done = wait_change(done_, done);
-    const std::exception_ptr error = error_;
-    busy_.store(false, std::memory_order_release);
-    if (rethrow && error) std::rethrow_exception(error);
+    if (rethrow && error_) std::rethrow_exception(error_);
   }
 
   /// Runs one claimed partition. Its job cannot finish, so fn_ stays
@@ -152,7 +150,7 @@ class HostPool {
     }
   }
 
-  std::atomic<bool> busy_{false};  // set while a caller's job runs
+  std::atomic<bool> busy_{false};  // set while a PoolRunner holds the pool
   PartitionFn fn_ = PartitionFn(kNoJob);
   std::atomic<uint64_t> claim_{0};
   std::atomic<uint32_t> epoch_{0};  // generation of the latest job
@@ -168,6 +166,12 @@ HostPool& pool() {
   static HostPool p(host_parallelism() - 1);
   return p;
 }
+
+/// Starts the workers while the library loads (see host_pool.hpp).
+[[maybe_unused]] const HostPool& started_at_load = pool();
+
+/// Open ConcurrentCallerScopes.
+std::atomic<int> open_scopes{0};
 
 void check_parts(std::size_t parts) {
   if (parts > kMaxParts)
@@ -185,35 +189,47 @@ std::size_t host_parallelism() {
 }
 
 void run_partitions(std::size_t parts, PartitionFn fn) {
-  check_parts(parts);
-  uint32_t gen = 0;
-  if (parts > 1 && host_parallelism() > 1 &&
-      pool().begin(parts, fn, /*caller_first=*/true, gen)) {
-    pool().run_one(0);
-    pool().finish(gen, /*rethrow=*/true);
-    return;
-  }
-  for (std::size_t p = 0; p < parts; ++p) fn(p);
+  PoolRunner run;
+  run.start(parts, fn);
+  run.join();
 }
 
+PoolRunner::PoolRunner()
+    : holds_pool_(host_parallelism() > 1 &&
+                  open_scopes.load(std::memory_order_relaxed) <= 1 &&
+                  pool().acquire()) {}
+
 PoolRunner::~PoolRunner() {
-  if (holds_pool_) pool().finish(job_, /*rethrow=*/false);
+  if (in_flight_) pool().finish(job_, /*rethrow=*/false);
+  if (holds_pool_) pool().release();
+}
+
+std::size_t PoolRunner::threads() const {
+  return holds_pool_ ? host_parallelism() : 1;
 }
 
 void PoolRunner::start(std::size_t parts, PartitionFn fn) {
   check_parts(parts);
-  if (parts > 1 && host_parallelism() > 1 &&
-      pool().begin(parts, fn, /*caller_first=*/false, job_)) {
-    holds_pool_ = true;
+  if (holds_pool_ && parts > 1) {
+    job_ = pool().begin(parts, fn);
+    in_flight_ = true;
     return;
   }
   for (std::size_t p = 0; p < parts; ++p) fn(p);
 }
 
 void PoolRunner::join() {
-  if (!holds_pool_) return;
-  holds_pool_ = false;
+  if (!in_flight_) return;
+  in_flight_ = false;
   pool().finish(job_, /*rethrow=*/true);
+}
+
+ConcurrentCallerScope::ConcurrentCallerScope() {
+  open_scopes.fetch_add(1, std::memory_order_relaxed);
+}
+
+ConcurrentCallerScope::~ConcurrentCallerScope() {
+  open_scopes.fetch_sub(1, std::memory_order_relaxed);
 }
 
 }  // namespace ts

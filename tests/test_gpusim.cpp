@@ -597,6 +597,47 @@ TEST(CacheSimPartition, OverflowingRangeLeavesEveryCounterUnchanged) {
   }
 }
 
+TEST(CacheSimPartition, OverflowingRangeWithinCapacityMatchesSerial) {
+  // 8 sets x 4 ways (32 lines): a 20-line access is at least num_sets
+  // lines, so the sink makes it a range entry, but at most the cache's
+  // lines, so serial access() touches it line by line and throws at its
+  // first overflowing line, 12 lines in. The replay must leave the
+  // state serial access() leaves, in every set, at every partition
+  // count.
+  const uint64_t bad0 = uint64_t{0xffffffff} << 3;
+  PoolRunner pool;
+  ReverseSerialRunner reverse;
+  for (PartitionRunner* run : {static_cast<PartitionRunner*>(&pool),
+                               static_cast<PartitionRunner*>(&reverse)}) {
+    for (std::size_t parts : {1u, 2u, 3u, 4u, 7u}) {
+      SCOPED_TRACE(::testing::Message() << "parts " << parts);
+      CacheSim c(8 * 4 * 128, 4, 128);
+      CacheSim serial(8 * 4 * 128, 4, 128);
+      auto stream = [&](auto&& touch) {
+        for (uint64_t i = 0; i < 40; ++i)
+          touch((bad0 - 40 + i) * 128, 128, i % 3 == 0);
+        touch((bad0 - 12) * 128, 20 * 128, true);
+      };
+      EXPECT_THROW(c.replay(parts, *run,
+                            [&](CacheSim::ReplaySink& sink) {
+                              stream([&](uint64_t a, std::size_t b, bool w) {
+                                sink.access(a, b, w);
+                              });
+                            }),
+                   std::runtime_error);
+      EXPECT_THROW(stream([&](uint64_t a, std::size_t b, bool w) {
+                     serial.access(a, b, w);
+                   }),
+                   std::runtime_error);
+      EXPECT_EQ(counters(c), counters(serial));
+      for (uint64_t i = 0; i < 48; ++i)
+        EXPECT_EQ(c.access((bad0 - 48 + i) * 128, 1, false),
+                  serial.access((bad0 - 48 + i) * 128, 1, false));
+      EXPECT_EQ(counters(c), counters(serial));
+    }
+  }
+}
+
 TEST(CacheSimPartition, ConcurrentReplaysOnSeparateSimulatorsMatchSerial) {
   // Two threads replay through the default entry point at once: one
   // holds the pool, the other runs its partitions inline. Both must

@@ -447,6 +447,38 @@ TEST(HostPool, ConcurrentCallersEachGetEveryPartition) {
   EXPECT_EQ(bad.load(), 0);
 }
 
+TEST(HostPool, OneRunnerHoldsThePoolAtATime) {
+  PoolRunner first;
+  EXPECT_EQ(first.threads(), host_parallelism());
+  {
+    PoolRunner second;  // made while `first` holds the pool: inline
+    EXPECT_EQ(second.threads(), 1u);
+    std::vector<int> order;
+    auto record = [&](std::size_t p) { order.push_back(static_cast<int>(p)); };
+    second.start(4, record);  // runs inside start(), in order
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+    second.join();
+  }
+  expect_each_partition_once(5, true);  // inline too, while held
+  EXPECT_EQ(first.threads(), host_parallelism());
+}
+
+TEST(HostPool, ConcurrentCallerScopesRunJobsInline) {
+  {
+    const ConcurrentCallerScope one;
+    PoolRunner run;  // one scope: the pool is available
+    EXPECT_EQ(run.threads(), host_parallelism());
+  }
+  {
+    const ConcurrentCallerScope one, two;
+    PoolRunner run;  // two scopes: their threads already use the cores
+    EXPECT_EQ(run.threads(), 1u);
+    expect_each_partition_once(6, true);
+  }
+  PoolRunner run;  // every scope closed
+  EXPECT_EQ(run.threads(), host_parallelism());
+}
+
 TEST(HostPool, RejectsMorePartitionsThanItCanCount) {
   auto nothing = [](std::size_t) {};
   EXPECT_THROW(run_partitions(65536, nothing), std::invalid_argument);
