@@ -1,9 +1,9 @@
 // google-benchmark microbenchmarks for the substrate kernels: synthetic
 // scan ray casting, coordinate hashing (conventional vs grid), map search
-// (synthetic sets and a real scan's layer stack), gather/scatter numerics,
-// GEMM on the segmentation workload's shapes, the L2 cache simulator
-// (serial and set-partitioned), FP16 quantization of a feature matrix, and
-// ReLU on one.
+// (synthetic sets and a real scan's layer stack), the conv gather, one
+// layer's row-partitioned numerics, GEMM on the segmentation workload's
+// shapes, the L2 cache simulator (serial and set-partitioned), FP16
+// quantization of a feature matrix, and ReLU on one.
 //
 // These measure the *host implementation* (this repo runs the algorithms
 // on CPU); the paper-facing performance numbers come from the cost model
@@ -15,6 +15,7 @@
 #include <random>
 #include <vector>
 
+#include "core/conv3d.hpp"
 #include "core/downsample.hpp"
 #include "core/gather_scatter.hpp"
 #include "core/kernel_map.hpp"
@@ -25,6 +26,7 @@
 #include "gpusim/device.hpp"
 #include "hash/flat_hashmap.hpp"
 #include "hash/grid_hashmap.hpp"
+#include "tensor/host_pool.hpp"
 #include "nn/layers.hpp"
 #include "tensor/matrix.hpp"
 
@@ -210,22 +212,68 @@ BENCHMARK(BM_BlockedGemm)
     ->Args({321, 192, 128})
     ->Args({1858, 64, 48});
 
+// The conv numerics' gather for one owner of all 100k output rows: 64-float
+// rows from 50k random inputs, into a buffer made once.
 void BM_GatherRows(benchmark::State& state) {
-  const std::size_t n = 50000;
+  const std::size_t n = 50000, entries = 100000;
   ts::Matrix src(n, 64, 1.0f);
   std::mt19937_64 rng(3);
-  std::vector<ts::MapEntry> map(100000);
-  for (auto& e : map) {
-    e.in = static_cast<int32_t>(rng() % n);
-    e.out = static_cast<int32_t>(rng() % n);
-  }
+  std::vector<ts::MapEntry> map(entries);
+  for (std::size_t i = 0; i < entries; ++i)
+    map[i] = {static_cast<int32_t>(rng() % n), static_cast<int32_t>(i)};
+  std::shuffle(map.begin(), map.end(), rng);
+  std::vector<float> dst(entries * 64);
+  std::vector<int32_t> rows(entries);
   for (auto _ : state) {
-    ts::Matrix f = ts::gather_rows(src, map);
-    benchmark::DoNotOptimize(f.data());
+    std::size_t next = 0;
+    benchmark::DoNotOptimize(ts::gather_owned_rows(
+        src, map, next, 0, entries, entries, dst.data(), rows.data()));
+    benchmark::ClobberMemory();
   }
-  state.SetBytesProcessed(state.iterations() * 100000 * 64 * 4);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(entries * 64 * 4));
 }
 BENCHMARK(BM_GatherRows);
+
+// One MinkUNet-0.5x-shaped layer's numerics: the 3^3 submanifold conv,
+// 64 -> 64 channels in FP16 with the center in place, on the level of the
+// scan_levels segmentation stack nearest 2.5k points. Arg: 0 runs the
+// engine's partition count on the pool, 1 runs one partition (what a
+// caller without the pool runs). Items are map entries.
+void BM_ConvNumerics(benchmark::State& state) {
+  const auto& levels = scan_levels(false);
+  const auto& coords = *std::min_element(
+      levels.begin(), levels.end(), [](const auto& a, const auto& b) {
+        const auto d = [](std::size_t s) {
+          return s > 2500 ? s - 2500 : 2500 - s;
+        };
+        return d(a.size()) < d(b.size());
+      });
+  const ts::KernelMap km = ts::build_kernel_map(
+      coords, coords, ts::ConvGeometry{3, 1, false},
+      ts::MapSearchOptions{ts::MapBackend::kGrid, true});
+  ts::Matrix x = random_matrix(coords.size(), 64, true, 7);
+  x.quantize(ts::Precision::kFP16);
+  std::mt19937_64 rng(8);
+  std::vector<ts::Matrix> w = ts::spnn::make_conv_weights(3, 64, 64, rng);
+  for (ts::Matrix& m : w) m.quantize(ts::Precision::kFP16);
+  const int center = ts::center_offset_index(3);
+  for (auto _ : state) {
+    ts::PoolRunner run;
+    const std::size_t parts =
+        state.range(0) == 1
+            ? 1
+            : ts::numerics_partitions(coords.size(), run.threads());
+    ts::Matrix out(coords.size(), 64);
+    ts::conv_numerics(x, km, w, center, ts::Precision::kFP16, true, parts,
+                      run, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.counters["points"] = static_cast<double>(coords.size());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(km.total()));
+}
+BENCHMARK(BM_ConvNumerics)->Arg(0)->Arg(1)->UseRealTime();
 
 // The L2 replay's two access shapes on the RTX 2080 Ti L2. Rows: the
 // locality-aware gather's stream of 32-256 B feature rows, a sequential

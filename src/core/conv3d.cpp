@@ -1,6 +1,8 @@
 #include "core/conv3d.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -216,6 +218,42 @@ void charge_fetch_on_demand(const KernelMap& km, std::size_t n_out,
   ctx.timeline.add_kernel_launches(1);
 }
 
+/// Matmul cost via the planned grouping (paper §4.2, Alg. 4).
+void charge_matmuls(const std::vector<std::size_t>& sizes, bool submanifold,
+                    std::size_t c_in, std::size_t c_out, ExecContext& ctx) {
+  const auto groups = plan_groups(sizes, submanifold, ctx.cfg.grouping,
+                                  ctx.params_for_layer());
+  for (const MMGroup& g : groups) {
+    KernelCost kc;
+    if (g.use_bmm) {
+      kc = ctx.cost.bmm(g.offsets.size(), g.padded_rows, c_in, c_out,
+                        ctx.cfg.precision);
+    } else {
+      for (int n : g.offsets) {
+        const KernelCost one = ctx.cost.mm(
+            sizes[static_cast<std::size_t>(n)], c_in, c_out,
+            ctx.cfg.precision);
+        kc.seconds += one.seconds;
+        kc.flops += one.flops;
+        kc.dram_bytes += one.dram_bytes;
+        ctx.timeline.add_kernel_launches(1);
+      }
+    }
+    if (g.use_bmm) ctx.timeline.add_kernel_launches(1);
+    ctx.timeline.add(Stage::kMatMul, kc.seconds);
+    ctx.timeline.add_flops(kc.flops);
+    ctx.timeline.add_dram_bytes(kc.dram_bytes);
+  }
+}
+
+/// Output rows below which a numerics partition costs more to hand out
+/// than it saves.
+constexpr std::size_t kMinRowsPerPartition = 64;
+
+/// Numerics partitions per pool thread: more partitions than threads let
+/// whoever finishes first take a slow partition's neighbours.
+constexpr std::size_t kPartitionsPerThread = 3;
+
 }  // namespace
 
 SparseTensor sparse_conv3d(const SparseTensor& x, const Conv3dParams& p,
@@ -265,87 +303,115 @@ SparseTensor sparse_conv3d(const SparseTensor& x, const Conv3dParams& p,
   const bool use_fod =
       ctx.cfg.dataflow == Dataflow::kFetchOnDemand ||
       (ctx.cfg.fod_threshold > 0 && mean_size < ctx.cfg.fod_threshold);
+  // Data movement covers every nonzero offset except (for submanifold
+  // layers with the optimization enabled, on gather-matmul-scatter) the
+  // center, which multiplies the input features in place.
+  const bool center_in_place =
+      !use_fod && submanifold && ctx.cfg.skip_center_movement;
 
   if (use_fod) {
     charge_fetch_on_demand(*km, n_out, c_in, c_out, ctx);
-    if (ctx.compute_numerics) {
-      for (int n = 0; n < volume; ++n) {
-        const auto& m = km->maps[static_cast<std::size_t>(n)];
-        if (m.empty()) continue;
-        Matrix f = gather_rows(x.feats(), m);
-        f.quantize(ctx.cfg.precision);
-        Matrix psum;
-        mm(f, p.weights[static_cast<std::size_t>(n)], psum);
-        scatter_add_rows(psum, m, out_feats);
-      }
-      if (ctx.cfg.precision != Precision::kFP32)
-        out_feats.quantize(Precision::kFP16);
-    }
-    return SparseTensor(out_coords, std::move(out_feats), out_stride,
-                        x.cache());
-  }
-
-  // --- Gather-matmul-scatter dataflow. ---
-  // Data movement covers every nonzero offset except (for submanifold
-  // layers with the optimization enabled) the center, which multiplies the
-  // input features in place.
-  const bool center_in_place = submanifold && ctx.cfg.skip_center_movement;
-  std::vector<int> move_offsets;
-  for (int n = 0; n < volume; ++n)
-    if (sizes[static_cast<std::size_t>(n)] > 0 &&
-        !(center_in_place && n == center))
-      move_offsets.push_back(n);
-  charge_gather_scatter(*km, move_offsets, n_in, n_out, c_in, c_out, ctx);
-
-  // Matmul cost via the planned grouping (paper §4.2, Alg. 4).
-  const auto groups = plan_groups(sizes, submanifold, ctx.cfg.grouping,
-                                  ctx.params_for_layer());
-  for (const MMGroup& g : groups) {
-    KernelCost kc;
-    if (g.use_bmm) {
-      kc = ctx.cost.bmm(g.offsets.size(), g.padded_rows, c_in, c_out,
-                        ctx.cfg.precision);
-    } else {
-      for (int n : g.offsets) {
-        const KernelCost one = ctx.cost.mm(
-            sizes[static_cast<std::size_t>(n)], c_in, c_out,
-            ctx.cfg.precision);
-        kc.seconds += one.seconds;
-        kc.flops += one.flops;
-        kc.dram_bytes += one.dram_bytes;
-        ctx.timeline.add_kernel_launches(1);
-      }
-    }
-    if (g.use_bmm) ctx.timeline.add_kernel_launches(1);
-    ctx.timeline.add(Stage::kMatMul, kc.seconds);
-    ctx.timeline.add_flops(kc.flops);
-    ctx.timeline.add_dram_bytes(kc.dram_bytes);
+  } else {
+    std::vector<int> move_offsets;
+    for (int n = 0; n < volume; ++n)
+      if (sizes[static_cast<std::size_t>(n)] > 0 &&
+          !(center_in_place && n == center))
+        move_offsets.push_back(n);
+    charge_gather_scatter(*km, move_offsets, n_in, n_out, c_in, c_out, ctx);
+    charge_matmuls(sizes, submanifold, c_in, c_out, ctx);
   }
 
   if (ctx.compute_numerics) {
-    for (int n = 0; n < volume; ++n) {
-      const auto& m = km->maps[static_cast<std::size_t>(n)];
-      if (m.empty()) continue;
-      const Matrix& w = p.weights[static_cast<std::size_t>(n)];
-      if (center_in_place && n == center) {
-        // Identity map: out[i] += X[i] * W_center without movement.
-        mm_accumulate(x.feats(), w, out_feats);
-        continue;
-      }
-      Matrix f = gather_rows(x.feats(), m);
-      f.quantize(ctx.cfg.precision);
-      Matrix psum;
-      mm(f, w, psum);
-      if (ctx.cfg.precision != Precision::kFP32)
-        psum.quantize(Precision::kFP16);
-      scatter_add_rows(psum, m, out_feats);
-    }
-    if (ctx.cfg.precision != Precision::kFP32)
-      out_feats.quantize(Precision::kFP16);
+    PoolRunner run;
+    conv_numerics(x.feats(), *km, p.weights, center_in_place ? center : -1,
+                  ctx.cfg.precision, /*round_psums=*/!use_fod,
+                  numerics_partitions(n_out, run.threads()), run, out_feats);
   }
-
   return SparseTensor(out_coords, std::move(out_feats), out_stride,
                       x.cache());
+}
+
+std::size_t numerics_partitions(std::size_t n_out, std::size_t threads) {
+  if (threads <= 1) return 1;  // one inline partition, nothing to share
+  return std::clamp<std::size_t>(n_out / kMinRowsPerPartition, 1,
+                                 kPartitionsPerThread * threads);
+}
+
+void conv_numerics(const Matrix& x, const KernelMap& km,
+                   const std::vector<Matrix>& weights, int in_place,
+                   Precision precision, bool round_psums, std::size_t parts,
+                   PartitionRunner& run, Matrix& out) {
+  const std::size_t n_out = out.rows(), c_in = x.cols(), c_out = out.cols();
+  const std::size_t volume = km.maps.size();
+  if (weights.size() != volume)
+    throw std::invalid_argument(
+        "conv_numerics: got " + std::to_string(weights.size()) +
+        " weight matrices for " + std::to_string(volume) + " offsets");
+  for (const Matrix& w : weights)
+    if (w.rows() != c_in || w.cols() != c_out)
+      throw std::invalid_argument(
+          "conv_numerics: a weight matrix is [" + std::to_string(w.rows()) +
+          "," + std::to_string(w.cols()) + "] but the layer maps " +
+          std::to_string(c_in) + " to " + std::to_string(c_out) +
+          " channels");
+  if (in_place >= 0 && x.rows() != n_out)
+    throw std::invalid_argument(
+        "conv_numerics: in-place offset with " + std::to_string(x.rows()) +
+        " input rows but " + std::to_string(n_out) + " output rows");
+
+  std::vector<float> amax;
+  if (precision == Precision::kINT8) {
+    std::vector<float> row_max(x.rows(), 0.0f);
+    for (std::size_t r = 0; r < x.rows(); ++r)
+      for (std::size_t c = 0; c < c_in; ++c)
+        row_max[r] = std::max(row_max[r], std::fabs(x.at(r, c)));
+    amax.assign(volume, 0.0f);
+    for (std::size_t n = 0; n < volume; ++n)
+      for (const MapEntry& e : km.maps[n])
+        amax[n] = std::max(amax[n], row_max[static_cast<std::size_t>(e.in)]);
+  }
+
+  // Scratch for the whole layer, made here so that no worker allocates:
+  // partition q gathers into rows [r0, r1) of `gathered` and multiplies
+  // into the same rows of `psums`. A map holds each output at most once
+  // per offset (build_kernel_map searches each output once per offset),
+  // so an offset's rows fit one pass; a map that lists an output twice
+  // takes more passes, with the same bits.
+  parts = std::max<std::size_t>(parts, 1);
+  const auto gathered = std::make_unique_for_overwrite<float[]>(n_out * c_in);
+  const auto psums = std::make_unique_for_overwrite<float[]>(n_out * c_out);
+  const auto rows = std::make_unique_for_overwrite<int32_t[]>(n_out);
+  auto partition = [&](std::size_t q) {
+    const std::size_t r0 = n_out * q / parts, r1 = n_out * (q + 1) / parts;
+    if (r0 == r1) return;
+    float* g = gathered.get() + r0 * c_in;
+    float* ps = psums.get() + r0 * c_out;
+    int32_t* idx = rows.get() + r0;
+    for (std::size_t n = 0; n < volume; ++n) {
+      const std::vector<MapEntry>& m = km.maps[n];
+      const float* w = weights[n].data();
+      if (static_cast<int>(n) == in_place) {
+        if (!m.empty()) mm_rows(x.data(), w, out.data(), c_in, c_out, r0, r1);
+        continue;
+      }
+      for (std::size_t next = 0; next < m.size();) {
+        const std::size_t k =
+            gather_owned_rows(x, m, next, r0, r1, r1 - r0, g, idx);
+        if (k == 0) break;
+        if (precision == Precision::kFP16) fp16_round_all(g, k * c_in);
+        if (precision == Precision::kINT8) int8_round_all(g, k * c_in, amax[n]);
+        std::fill_n(ps, k * c_out, 0.0f);
+        mm_rows(g, w, ps, c_in, c_out, 0, k);
+        if (round_psums && precision != Precision::kFP32)
+          fp16_round_all(ps, k * c_out);
+        scatter_add_owned_rows(ps, idx, k, out);
+      }
+    }
+    if (precision != Precision::kFP32)
+      fp16_round_all(out.row(r0), (r1 - r0) * c_out);
+  };
+  run.start(parts, partition);
+  run.join();
 }
 
 }  // namespace ts

@@ -1,31 +1,35 @@
 #include "core/gather_scatter.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "gpusim/coalesce.hpp"
 
 namespace ts {
 
-Matrix gather_rows(const Matrix& src, const std::vector<MapEntry>& map,
-                   bool by_out) {
-  Matrix out(map.size(), src.cols());
-  for (std::size_t m = 0; m < map.size(); ++m) {
-    const std::size_t r =
-        static_cast<std::size_t>(by_out ? map[m].out : map[m].in);
-    std::copy(src.row(r), src.row(r) + src.cols(), out.row(m));
+std::size_t gather_owned_rows(const Matrix& src,
+                              const std::vector<MapEntry>& map,
+                              std::size_t& next, std::size_t r0,
+                              std::size_t r1, std::size_t cap, float* dst,
+                              int32_t* rows) {
+  const std::size_t c = src.cols();
+  std::size_t count = 0;
+  while (count < cap && next < map.size()) {
+    const MapEntry& e = map[next++];
+    // One unsigned compare tests r0 <= out < r1.
+    if (static_cast<std::size_t>(e.out) - r0 >= r1 - r0) continue;
+    const float* s = src.row(static_cast<std::size_t>(e.in));
+    std::copy(s, s + c, dst + count * c);
+    rows[count++] = e.out;
   }
-  return out;
+  return count;
 }
 
-void scatter_add_rows(const Matrix& psum, const std::vector<MapEntry>& map,
-                      Matrix& dst) {
-  assert(psum.rows() == map.size());
-  assert(psum.cols() == dst.cols());
+void scatter_add_owned_rows(const float* psum, const int32_t* rows,
+                            std::size_t count, Matrix& dst) {
   const std::size_t c = dst.cols();
-  for (std::size_t m = 0; m < map.size(); ++m) {
-    const float* s = psum.row(m);
-    float* d = dst.row(static_cast<std::size_t>(map[m].out));
+  for (std::size_t i = 0; i < count; ++i) {
+    const float* s = psum + i * c;
+    float* d = dst.row(static_cast<std::size_t>(rows[i]));
     for (std::size_t j = 0; j < c; ++j) d[j] += s[j];
   }
 }

@@ -1,8 +1,9 @@
 // Data orchestration: gather and scatter-accumulate (paper §2.2, §4.3).
 //
-// Numerics: `gather_rows` / `scatter_add_rows` implement Alg. 2's data
-// movement exactly (results are independent of the access-order
-// optimizations, which only change *when* bytes move).
+// Numerics: `gather_owned_rows` / `scatter_add_owned_rows` implement
+// Alg. 2's data movement for the owner of a range of output rows, the
+// host's output-stationary form (results are independent of the
+// access-order optimizations, which only change *when* bytes move).
 //
 // Cost: `charge_gather_scatter` replays the layer's real access streams —
 // in the order the configured variant would issue them — through the
@@ -17,6 +18,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/exec.hpp"
@@ -25,13 +27,22 @@
 
 namespace ts {
 
-/// F[m] = src[map[m].in] (or .out when `by_out`, used by transposed paths).
-Matrix gather_rows(const Matrix& src, const std::vector<MapEntry>& map,
-                   bool by_out = false);
+/// Gathers for the owner of output rows [r0, r1): walks the map from
+/// entry `next` on, in map order, and for each entry whose .out lies in
+/// the range copies src row .in into the next src.cols()-float row of
+/// `dst` and records .out in `rows`. Stops once `cap` rows are copied or
+/// at the map's end, leaves `next` after the last entry walked, and
+/// returns the rows copied.
+std::size_t gather_owned_rows(const Matrix& src,
+                              const std::vector<MapEntry>& map,
+                              std::size_t& next, std::size_t r0,
+                              std::size_t r1, std::size_t cap, float* dst,
+                              int32_t* rows);
 
-/// dst[map[m].out] += psum[m].
-void scatter_add_rows(const Matrix& psum, const std::vector<MapEntry>& map,
-                      Matrix& dst);
+/// dst[rows[i]] += psum row i for i = 0 .. count - 1 in order; psum rows
+/// have dst.cols() floats.
+void scatter_add_owned_rows(const float* psum, const int32_t* rows,
+                            std::size_t count, Matrix& dst);
 
 /// Models the full data-movement cost of one sparse conv layer and adds
 /// gather/scatter kernel times to ctx.timeline. `move_offsets` lists the

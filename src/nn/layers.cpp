@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/mapping_cost.hpp"
 
@@ -72,6 +73,10 @@ BatchNorm::BatchNorm(std::size_t channels, std::mt19937_64& rng) {
 }
 
 SparseTensor BatchNorm::forward(const SparseTensor& x, ExecContext& ctx) {
+  return forward(SparseTensor(x), ctx);
+}
+
+SparseTensor BatchNorm::forward(SparseTensor&& x, ExecContext& ctx) {
   // Always-on shape contract (ROADMAP "Hardening"): must hold identically
   // in Debug and Release, and on cost-only passes too.
   if (x.channels() != scale_.size())
@@ -80,9 +85,8 @@ SparseTensor BatchNorm::forward(const SparseTensor& x, ExecContext& ctx) {
         " channels but the layer was built for " +
         std::to_string(scale_.size()));
   charge_elementwise(x.num_points(), x.channels(), ctx);
-  SparseTensor y = x;
   if (ctx.compute_numerics) {
-    Matrix& f = y.feats();
+    Matrix& f = x.feats();
     for (std::size_t r = 0; r < f.rows(); ++r) {
       float* row = f.row(r);
       for (std::size_t c = 0; c < f.cols(); ++c)
@@ -91,21 +95,24 @@ SparseTensor BatchNorm::forward(const SparseTensor& x, ExecContext& ctx) {
     if (ctx.cfg.precision != Precision::kFP32)
       f.quantize(Precision::kFP16);
   }
-  return y;
+  return std::move(x);
 }
 
 SparseTensor ReLU::forward(const SparseTensor& x, ExecContext& ctx) {
+  return forward(SparseTensor(x), ctx);
+}
+
+SparseTensor ReLU::forward(SparseTensor&& x, ExecContext& ctx) {
   charge_elementwise(x.num_points(), x.channels(), ctx);
-  SparseTensor y = x;
   if (ctx.compute_numerics) {
     // A select, not a branch: post-BN signs are random, so a branch
     // would mispredict. It keeps -0 and NaN bits as they are;
     // std::max(0.0f, x) would turn -0 into +0.
-    float* d = y.feats().data();
-    const std::size_t n = y.feats().size();
+    float* d = x.feats().data();
+    const std::size_t n = x.feats().size();
     for (std::size_t i = 0; i < n; ++i) d[i] = d[i] < 0.0f ? 0.0f : d[i];
   }
-  return y;
+  return std::move(x);
 }
 
 ConvBlock::ConvBlock(std::size_t c_in, std::size_t c_out, int kernel_size,
@@ -135,17 +142,23 @@ ResidualBlock::ResidualBlock(std::size_t c_in, std::size_t c_out,
 
 SparseTensor ResidualBlock::forward(const SparseTensor& x,
                                     ExecContext& ctx) {
-  SparseTensor main = bn1_->forward(conv1_->forward(x, ctx), ctx);
-  main = relu_.forward(main, ctx);
+  SparseTensor main =
+      relu_.forward(bn1_->forward(conv1_->forward(x, ctx), ctx), ctx);
   main = bn2_->forward(conv2_->forward(main, ctx), ctx);
-  SparseTensor skip =
-      shortcut_conv_
-          ? shortcut_bn_->forward(shortcut_conv_->forward(x, ctx), ctx)
-          : x;
-  return relu_.forward(add_features(main, skip, ctx), ctx);
+  if (!shortcut_conv_)
+    return relu_.forward(add_features(std::move(main), x, ctx), ctx);
+  // The shortcut runs before the add, so its charges keep their place.
+  const SparseTensor skip =
+      shortcut_bn_->forward(shortcut_conv_->forward(x, ctx), ctx);
+  return relu_.forward(add_features(std::move(main), skip, ctx), ctx);
 }
 
 SparseTensor add_features(const SparseTensor& a, const SparseTensor& b,
+                          ExecContext& ctx) {
+  return add_features(SparseTensor(a), b, ctx);
+}
+
+SparseTensor add_features(SparseTensor&& a, const SparseTensor& b,
                           ExecContext& ctx) {
   if (a.num_points() != b.num_points())
     throw std::invalid_argument(
@@ -158,15 +171,14 @@ SparseTensor add_features(const SparseTensor& a, const SparseTensor& b,
         std::to_string(a.channels()) + " vs " +
         std::to_string(b.channels()) + ")");
   charge_elementwise(a.num_points(), a.channels(), ctx);
-  SparseTensor y = a;
   if (ctx.compute_numerics) {
-    Matrix& f = y.feats();
+    Matrix& f = a.feats();
     const Matrix& g = b.feats();
     for (std::size_t i = 0; i < f.size(); ++i) f.data()[i] += g.data()[i];
     if (ctx.cfg.precision != Precision::kFP32)
       f.quantize(Precision::kFP16);
   }
-  return y;
+  return std::move(a);
 }
 
 SparseTensor concat_features(const SparseTensor& a, const SparseTensor& b,

@@ -48,6 +48,8 @@ class BatchNorm : public Module {
  public:
   BatchNorm(std::size_t channels, std::mt19937_64& rng);
   SparseTensor forward(const SparseTensor& x, ExecContext& ctx) override;
+  /// Normalizes x's features in place: no copy of the tensor.
+  SparseTensor forward(SparseTensor&& x, ExecContext& ctx);
 
  private:
   std::vector<float> scale_;  // gamma / sqrt(var + eps)
@@ -57,6 +59,8 @@ class BatchNorm : public Module {
 class ReLU : public Module {
  public:
   SparseTensor forward(const SparseTensor& x, ExecContext& ctx) override;
+  /// Rectifies x's features in place: no copy of the tensor.
+  SparseTensor forward(SparseTensor&& x, ExecContext& ctx);
 };
 
 /// Conv-BN-ReLU block (the paper's Fig. 5 SparseConvBlock).
@@ -100,6 +104,9 @@ class ResidualBlock : public Module {
 
 /// Adds the features of two tensors over identical coordinates.
 SparseTensor add_features(const SparseTensor& a, const SparseTensor& b,
+                          ExecContext& ctx);
+/// As above, adding b's features onto a's in place: no copy of a.
+SparseTensor add_features(SparseTensor&& a, const SparseTensor& b,
                           ExecContext& ctx);
 
 /// Concatenates feature channels over identical coordinates (U-Net skip).

@@ -1,6 +1,7 @@
-// One persistent pool of host threads for the engine's deterministic
-// data-parallel loops: the GEMM's output-row slices (tensor/matrix.cpp)
-// and the set-partitioned L2 replay (gpusim/cache.hpp).
+// One persistent pool of host threads for the engine's two deterministic
+// data-parallel loops: the row-partitioned conv numerics, one job per
+// layer whose partitions own disjoint output rows (core/conv3d.hpp), and
+// the set-partitioned L2 replay (gpusim/cache.hpp).
 //
 // A job is a partition count `parts` and a callable fn; running it calls
 // fn(p) once for every p in [0, parts). Callers split their work so that

@@ -8,8 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "tensor/host_pool.hpp"
-
 // No fused multiply-add anywhere in this file: `acc += a * b` must round
 // the product and the sum separately, on every clone target, whatever
 // flags the file is built with.
@@ -66,18 +64,27 @@ template <std::size_t R, std::size_t W>
 #define TS_HOST_CLONES
 #endif
 
-/// Rounds data[0..n) to binary16 in place; the loop auto-vectorizes.
+}  // namespace
+
+// The loop auto-vectorizes.
 TS_HOST_CLONES
 void fp16_round_all(float* data, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) data[i] = fp16_round(data[i]);
 }
 
-/// Row-range worker for the GEMM: out[r0..r1) += a[r0..r1) * b. Each
-/// 32-column panel of b is swept over the rows in 6×32 register tiles, so
-/// the panel stays in L1 while 6 rows reuse every b load. The n mod 32
-/// column tail runs one row at a time in panels of 16/4, then 3/2/1. Each
-/// worker owns a disjoint slice of output rows, so the parallel result is
-/// bitwise identical to the sequential one.
+void int8_round_all(float* data, std::size_t n, float amax) {
+  if (amax == 0.0f) return;
+  const float scale = amax / 127.0f;
+  for (std::size_t i = 0; i < n; ++i) {
+    const float q = std::round(data[i] / scale);
+    data[i] = std::clamp(q, -127.0f, 127.0f) * scale;
+  }
+}
+
+// Each 32-column panel of b is swept over the rows in 6×32 register
+// tiles, so the panel stays in L1 while 6 rows reuse every b load. The
+// n mod 32 column tail runs one row at a time in panels of 16/4, then
+// 3/2/1.
 TS_HOST_CLONES
 void mm_rows(const float* a, const float* b, float* out, std::size_t k,
              std::size_t n, std::size_t r0, std::size_t r1) {
@@ -118,6 +125,8 @@ void mm_rows(const float* a, const float* b, float* out, std::size_t k,
 
 #undef TS_HOST_CLONES
 
+namespace {
+
 std::string shape(const Matrix& x) {
   return "[" + std::to_string(x.rows()) + "," + std::to_string(x.cols()) +
          "]";
@@ -141,16 +150,9 @@ void Matrix::quantize(Precision p) {
     case Precision::kFP16:
       fp16_round_all(data_.data(), data_.size());
       return;
-    case Precision::kINT8: {
-      const float amax = abs_max();
-      if (amax == 0.0f) return;
-      const float scale = amax / 127.0f;
-      for (float& v : data_) {
-        const float q = std::round(v / scale);
-        v = std::clamp(q, -127.0f, 127.0f) * scale;
-      }
+    case Precision::kINT8:
+      int8_round_all(data_.data(), data_.size(), abs_max());
       return;
-    }
   }
 }
 
@@ -172,24 +174,7 @@ void mm_accumulate(const Matrix& a, const Matrix& b, Matrix& out) {
     throw std::invalid_argument("ts::mm_accumulate: out is " + shape(out) +
                                 " but a * b is [" + std::to_string(a.rows()) +
                                 "," + std::to_string(b.cols()) + "]");
-  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
-
-  // Parallelize across disjoint output-row slices for large problems;
-  // results are bitwise identical to the sequential path.
-  const double work = static_cast<double>(m) * static_cast<double>(k) *
-                      static_cast<double>(n);
-  const std::size_t threads =
-      work > 3e7 ? std::min<std::size_t>(host_parallelism(), 16) : 1;
-  if (threads <= 1 || m < 2 * threads) {
-    mm_rows(a.data(), b.data(), out.data(), k, n, 0, m);
-    return;
-  }
-  const std::size_t chunk = (m + threads - 1) / threads;
-  auto slice = [&](std::size_t t) {
-    mm_rows(a.data(), b.data(), out.data(), k, n, t * chunk,
-            std::min(m, (t + 1) * chunk));
-  };
-  run_partitions((m + chunk - 1) / chunk, slice);
+  mm_rows(a.data(), b.data(), out.data(), a.cols(), b.cols(), 0, a.rows());
 }
 
 void bmm(const std::vector<Matrix>& as, const std::vector<Matrix>& bs,

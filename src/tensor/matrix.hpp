@@ -71,6 +71,22 @@ void mm(const Matrix& a, const Matrix& b, Matrix& out);
 /// out += a * b.
 void mm_accumulate(const Matrix& a, const Matrix& b, Matrix& out);
 
+/// The GEMM kernel under mm: out[r0..r1) += a[r0..r1) * b on raw row-major
+/// buffers, a with row stride k, b and out with row stride n. Each output
+/// row depends only on its own a row and sums in the naive order, so
+/// callers that split rows between threads get the bits of one call.
+void mm_rows(const float* a, const float* b, float* out, std::size_t k,
+             std::size_t n, std::size_t r0, std::size_t r1);
+
+/// Rounds data[0..n) to binary16 in place (Matrix::quantize(kFP16) on a
+/// span).
+void fp16_round_all(float* data, std::size_t n);
+
+/// Matrix::quantize(kINT8) on a span whose scale comes from `amax`, the
+/// abs_max of the whole matrix the span belongs to: symmetric int8 with
+/// scale amax / 127; amax == 0 leaves the span unchanged.
+void int8_round_all(float* data, std::size_t n, float amax);
+
 /// Batched GEMM over equal-shaped problems: outs[i] = as[i] * bs[i].
 /// All as must share [m,k] and all bs share [k,n]; in the real system the
 /// batch entries are padded to a common row count before the bmm launch

@@ -1,16 +1,26 @@
 // Sparse convolution end-to-end correctness: every engine preset and every
-// optimization combination must agree with the dense volumetric reference.
+// optimization combination must agree with the dense volumetric reference,
+// and the row-partitioned numerics with the serial loop, bit for bit.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
+#include <initializer_list>
 #include <random>
+#include <string>
+#include <thread>
 #include <unordered_set>
+#include <vector>
 
 #include "core/conv3d.hpp"
 #include "core/dense_reference.hpp"
 #include "core/downsample.hpp"
+#include "core/kernel_map.hpp"
 #include "engines/presets.hpp"
 #include "gpusim/device.hpp"
 #include "nn/layers.hpp"
+#include "tensor/half.hpp"
+#include "tensor/host_pool.hpp"
 
 namespace ts {
 namespace {
@@ -219,6 +229,245 @@ TEST(Conv3d, CostOnlyModeSkipsNumericsButKeepsShapes) {
   EXPECT_GT(ctx.timeline.total_seconds(), 0.0);
   for (std::size_t i = 0; i < y.feats().size(); ++i)
     EXPECT_EQ(y.feats().data()[i], 0.0f);
+}
+
+// ---- Row-partitioned numerics (conv_numerics) against the serial loop.
+
+/// Runs every job serially, partitions in reverse order: a schedule no
+/// pool produces, so numerics that depended on partition order would
+/// diverge here.
+class ReverseSerialRunner final : public PartitionRunner {
+ public:
+  void start(std::size_t parts, PartitionFn fn) override {
+    for (std::size_t p = parts; p-- > 0;) fn(p);
+  }
+  void join() override {}
+};
+
+/// The serial numerics loop, naively: offsets in ascending order; the
+/// in-place offset adds x * W onto out; every other offset gathers its
+/// rows, rounds them as one matrix, multiplies them in the naive
+/// per-element order, rounds the psums if asked and adds them in map
+/// order; outputs are rounded last.
+Matrix serial_numerics(const Matrix& x, const KernelMap& km,
+                       const std::vector<Matrix>& w, int in_place,
+                       Precision prec, bool round_psums, std::size_t n_out) {
+  const std::size_t c_in = x.cols(), c_out = w.front().cols();
+  Matrix out(n_out, c_out);
+  for (std::size_t n = 0; n < km.maps.size(); ++n) {
+    const std::vector<MapEntry>& m = km.maps[n];
+    if (m.empty()) continue;
+    if (static_cast<int>(n) == in_place) {
+      for (std::size_t i = 0; i < n_out; ++i)
+        for (std::size_t j = 0; j < c_out; ++j) {
+          float acc = out.at(i, j);
+          for (std::size_t p = 0; p < c_in; ++p)
+            acc += x.at(i, p) * w[n].at(p, j);
+          out.at(i, j) = acc;
+        }
+      continue;
+    }
+    Matrix f(m.size(), c_in);
+    for (std::size_t i = 0; i < m.size(); ++i)
+      for (std::size_t p = 0; p < c_in; ++p)
+        f.at(i, p) = x.at(static_cast<std::size_t>(m[i].in), p);
+    f.quantize(prec);
+    for (std::size_t i = 0; i < m.size(); ++i)
+      for (std::size_t j = 0; j < c_out; ++j) {
+        float acc = 0.0f;
+        for (std::size_t p = 0; p < c_in; ++p)
+          acc += f.at(i, p) * w[n].at(p, j);
+        if (round_psums && prec != Precision::kFP32) acc = fp16_round(acc);
+        out.at(static_cast<std::size_t>(m[i].out), j) += acc;
+      }
+  }
+  if (prec != Precision::kFP32) out.quantize(Precision::kFP16);
+  return out;
+}
+
+bool same_bits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// One layer's numerics inputs: features, map, weights, output rows.
+struct NumericsCase {
+  std::string name;
+  Matrix x;
+  KernelMap km;
+  std::vector<Matrix> w;
+  int in_place = -1;
+  bool round_psums = true;  // false: the fetch-on-demand dataflow
+  std::size_t n_out = 0;
+};
+
+/// Features in [-1, 1) with a quarter exact zeros, as after a ReLU.
+Matrix relu_like(std::size_t rows, std::size_t cols, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<float> f(-1.0f, 1.0f);
+  Matrix m(rows, cols);
+  for (std::size_t i = 0; i < m.size(); ++i)
+    m.data()[i] = rng() % 4 == 0 ? 0.0f : f(rng);
+  return m;
+}
+
+/// The geometries and dataflows sparse_conv3d runs, on `points` random
+/// points: submanifold with the center in place and gathered,
+/// fetch-on-demand, stride-2 downsample and its transposed conv. 40
+/// output channels cover a 32-column panel and its tail.
+std::vector<NumericsCase> numerics_cases(int points, int extent,
+                                         uint64_t seed) {
+  constexpr std::size_t kIn = 8, kOut = 40;
+  const SparseTensor t = random_tensor(points, extent, kIn, seed);
+  const std::vector<Coord>& fine = t.coords();
+  std::mt19937_64 rng(seed + 1);
+  MapSearchOptions sym;
+  sym.use_symmetry = true;
+  const ConvGeometry sub{3, 1, false};
+  const KernelMap sub_map = build_kernel_map(fine, fine, sub, sym);
+  const int center = center_offset_index(3);
+  const std::vector<Coord> coarse =
+      downsample_coords(fine, 2, 2, /*fused=*/true, /*simplified=*/true);
+  const KernelMap down_map =
+      build_kernel_map(fine, coarse, ConvGeometry{2, 2, false}, {});
+
+  std::vector<NumericsCase> cases;
+  const Matrix x = relu_like(fine.size(), kIn, seed + 2);
+  const auto w3 = spnn::make_conv_weights(3, kIn, kOut, rng);
+  const auto w2 = spnn::make_conv_weights(2, kIn, kOut, rng);
+  cases.push_back({"submanifold, center in place", x, sub_map, w3, center,
+                   true, fine.size()});
+  cases.push_back({"submanifold, center gathered", x, sub_map, w3, -1, true,
+                   fine.size()});
+  cases.push_back({"fetch-on-demand", x, sub_map, w3, -1, false,
+                   fine.size()});
+  cases.push_back({"stride-2 downsample", x, down_map, w2, -1, true,
+                   coarse.size()});
+  cases.push_back({"transposed", relu_like(coarse.size(), kIn, seed + 3),
+                   transpose_kernel_map(down_map), w2, -1, true,
+                   fine.size()});
+  return cases;
+}
+
+constexpr Precision kPrecisions[] = {Precision::kFP32, Precision::kFP16,
+                                     Precision::kINT8};
+
+Matrix serial_numerics(const NumericsCase& c, Precision prec) {
+  return serial_numerics(c.x, c.km, c.w, c.in_place, prec, c.round_psums,
+                         c.n_out);
+}
+
+/// conv_numerics at every count in `parts` on the pool and in reverse
+/// serial order must give the serial loop's bits.
+void expect_partitioned_matches(const NumericsCase& c, Precision prec,
+                                std::initializer_list<std::size_t> parts) {
+  const Matrix want = serial_numerics(c, prec);
+  PoolRunner pool;
+  ReverseSerialRunner reverse;
+  for (std::size_t n : parts)
+    for (PartitionRunner* run : {static_cast<PartitionRunner*>(&pool),
+                                 static_cast<PartitionRunner*>(&reverse)}) {
+      Matrix got(c.n_out, c.w.front().cols());
+      conv_numerics(c.x, c.km, c.w, c.in_place, prec, c.round_psums, n,
+                    *run, got);
+      EXPECT_TRUE(same_bits(got, want))
+          << c.name << ", " << to_string(prec) << ", " << n
+          << " partitions" << (run == &pool ? "" : ", reverse order");
+    }
+}
+
+TEST(ConvNumericsPartition, EveryDataflowMatchesSerialAtEveryPartitionCount) {
+  for (const NumericsCase& c : numerics_cases(400, 9, 100))
+    for (Precision prec : kPrecisions)
+      expect_partitioned_matches(c, prec, {1, 2, 3, 4, 7});
+}
+
+TEST(ConvNumericsPartition, FewerOutputRowsThanPartitions) {
+  // Three points in a row: every offset's map has at most three entries,
+  // and at 4 and 7 partitions some partitions own no rows.
+  std::mt19937_64 rng(200);
+  const std::vector<Coord> coords = {{0, 1, 1, 1}, {0, 1, 1, 2}, {0, 1, 2, 2}};
+  const KernelMap km =
+      build_kernel_map(coords, coords, ConvGeometry{3, 1, false}, {});
+  NumericsCase c{"three points", relu_like(3, 8, 201), km,
+                 spnn::make_conv_weights(3, 8, 40, rng),
+                 center_offset_index(3), true, 3};
+  for (Precision prec : kPrecisions)
+    expect_partitioned_matches(c, prec, {1, 2, 3, 4, 7});
+}
+
+TEST(ConvNumericsPartition, Int8ScaleComesFromAnotherPartitionsRows) {
+  // Offset n's largest input feeds the last output row only, so at 2 or
+  // more partitions every other partition must quantize offset n with a
+  // maximum that lies outside its own rows.
+  NumericsCase c = numerics_cases(400, 9, 300)[1];  // center gathered
+  const int center = center_offset_index(3);
+  std::size_t n = 0;
+  MapEntry last{};
+  for (std::size_t o = 0; o < c.km.maps.size(); ++o) {
+    if (static_cast<int>(o) == center) continue;
+    for (const MapEntry& e : c.km.maps[o])
+      if (e.out > last.out) {
+        last = e;
+        n = o;
+      }
+  }
+  ASSERT_EQ(static_cast<std::size_t>(last.out), c.n_out - 1);
+  c.x.at(static_cast<std::size_t>(last.in), 0) = 40.0f;
+  for (const MapEntry& e : c.km.maps[n])
+    if (e.in == last.in) ASSERT_EQ(e.out, last.out);
+  expect_partitioned_matches(c, Precision::kINT8, {2, 3, 4, 7});
+}
+
+TEST(ConvNumericsPartition, EnginePartitionCountMatchesSerial) {
+  // Large enough that the engine's own count splits the rows.
+  const std::size_t parts = numerics_partitions(3000, host_parallelism());
+  EXPECT_EQ(numerics_partitions(3000, 1), 1u);
+  for (const NumericsCase& c : numerics_cases(3000, 24, 400))
+    expect_partitioned_matches(c, Precision::kFP16, {parts});
+}
+
+TEST(ConvNumericsPartition, ConcurrentCallersMatchSerial) {
+  // One caller holds the pool and the other runs its partitions inline;
+  // both get the serial bits.
+  const std::vector<NumericsCase> cases = numerics_cases(600, 11, 500);
+  const NumericsCase& c = cases[0];
+  const Matrix want = serial_numerics(c, Precision::kFP16);
+  std::atomic<bool> go{false};
+  bool same[2] = {false, false};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 2; ++t)
+    callers.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      bool ok = true;
+      for (int rep = 0; rep < 4; ++rep) {
+        PoolRunner run;
+        Matrix got(c.n_out, c.w.front().cols());
+        conv_numerics(c.x, c.km, c.w, c.in_place, Precision::kFP16, true, 4,
+                      run, got);
+        ok = ok && same_bits(got, want);
+      }
+      same[t] = ok;
+    });
+  go.store(true);
+  for (std::thread& t : callers) t.join();
+  EXPECT_TRUE(same[0]);
+  EXPECT_TRUE(same[1]);
+}
+
+TEST(ConvNumericsPartition, RejectsMisshapenWeights) {
+  NumericsCase c = numerics_cases(50, 5, 600)[0];
+  PoolRunner pool;
+  Matrix out(c.n_out, 40);
+  c.w[5] = Matrix(8, 39);
+  EXPECT_THROW(conv_numerics(c.x, c.km, c.w, c.in_place, Precision::kFP32,
+                             true, 2, pool, out),
+               std::invalid_argument);
+  c.w[5] = Matrix(8, 40);
+  c.w.pop_back();
+  EXPECT_THROW(conv_numerics(c.x, c.km, c.w, c.in_place, Precision::kFP32,
+                             true, 2, pool, out),
+               std::invalid_argument);
 }
 
 }  // namespace

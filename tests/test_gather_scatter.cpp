@@ -20,40 +20,55 @@ Matrix random_matrix(std::size_t r, std::size_t c, uint64_t seed) {
   return m;
 }
 
-TEST(GatherScatter, GatherCopiesMappedRows) {
+TEST(GatherScatter, GatherTakesOwnedRowsInMapOrder) {
   const Matrix src = random_matrix(10, 4, 1);
-  std::vector<MapEntry> map = {{3, 0}, {7, 1}, {3, 2}};
-  const Matrix f = gather_rows(src, map);
-  ASSERT_EQ(f.rows(), 3u);
+  const std::vector<MapEntry> map = {{3, 5}, {7, 1}, {3, 2}, {9, 4}};
+  std::vector<float> dst(3 * 4);
+  std::vector<int32_t> rows(3);
+  std::size_t next = 0;
+  // Owner of output rows [2, 6): entries 0, 2 and 3, in map order.
+  ASSERT_EQ(gather_owned_rows(src, map, next, 2, 6, 3, dst.data(),
+                              rows.data()),
+            3u);
+  EXPECT_EQ(next, 4u);
+  EXPECT_EQ(rows, (std::vector<int32_t>{5, 2, 4}));
   for (std::size_t c = 0; c < 4; ++c) {
-    EXPECT_EQ(f.at(0, c), src.at(3, c));
-    EXPECT_EQ(f.at(1, c), src.at(7, c));
-    EXPECT_EQ(f.at(2, c), src.at(3, c));
+    EXPECT_EQ(dst[0 * 4 + c], src.at(3, c));
+    EXPECT_EQ(dst[1 * 4 + c], src.at(3, c));
+    EXPECT_EQ(dst[2 * 4 + c], src.at(9, c));
   }
-  const Matrix g = gather_rows(src, map, /*by_out=*/true);
-  for (std::size_t c = 0; c < 4; ++c) EXPECT_EQ(g.at(0, c), src.at(0, c));
 }
 
-TEST(GatherScatter, ScatterAccumulates) {
+TEST(GatherScatter, GatherStopsAtCapacityAndResumes) {
+  const Matrix src = random_matrix(10, 2, 2);
+  const std::vector<MapEntry> map = {{1, 0}, {2, 9}, {3, 1}, {4, 0}};
+  std::vector<float> dst(2 * 2);
+  std::vector<int32_t> rows(2);
+  std::size_t next = 0;
+  ASSERT_EQ(gather_owned_rows(src, map, next, 0, 2, 2, dst.data(),
+                              rows.data()),
+            2u);
+  EXPECT_EQ(next, 3u);  // stopped right after the second owned entry
+  EXPECT_EQ(rows, (std::vector<int32_t>{0, 1}));
+  ASSERT_EQ(gather_owned_rows(src, map, next, 0, 2, 2, dst.data(),
+                              rows.data()),
+            1u);
+  EXPECT_EQ(next, 4u);
+  EXPECT_EQ(rows[0], 0);
+  EXPECT_EQ(dst[0], src.at(4, 0));
+  EXPECT_EQ(gather_owned_rows(src, map, next, 0, 2, 2, dst.data(),
+                              rows.data()),
+            0u);
+}
+
+TEST(GatherScatter, ScatterAccumulatesInOrder) {
   Matrix dst(4, 2, 1.0f);
-  Matrix psum(3, 2);
-  psum.at(0, 0) = 1;
-  psum.at(1, 0) = 2;
-  psum.at(2, 1) = 5;
-  std::vector<MapEntry> map = {{0, 2}, {0, 2}, {0, 3}};
-  scatter_add_rows(psum, map, dst);
+  const float psum[] = {1, 0, 2, 0, 0, 5};
+  const int32_t rows[] = {2, 2, 3};
+  scatter_add_owned_rows(psum, rows, 3, dst);
   EXPECT_EQ(dst.at(2, 0), 4.0f);  // 1 + 1 + 2
   EXPECT_EQ(dst.at(3, 1), 6.0f);  // 1 + 5
   EXPECT_EQ(dst.at(0, 0), 1.0f);  // untouched
-}
-
-TEST(GatherScatter, GatherThenScatterWithIdentityMapIsIdentity) {
-  const Matrix src = random_matrix(20, 8, 2);
-  std::vector<MapEntry> id;
-  for (int i = 0; i < 20; ++i) id.push_back({i, i});
-  Matrix dst(20, 8);
-  scatter_add_rows(gather_rows(src, id), id, dst);
-  EXPECT_EQ(max_abs_diff(dst, src), 0.0f);
 }
 
 // ---- Cost-model orderings (Table 3). ----

@@ -1,6 +1,5 @@
 // Dense matrix substrate tests: blocked GEMM vs naive reference, batched
-// GEMM, padding, quantization, and the host pool the GEMM's row slices
-// run on.
+// GEMM, padding, quantization, and the host pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -206,41 +205,6 @@ TEST_P(MatmulBitExact, SpecialValuesMatchNaive) {
 INSTANTIATE_TEST_SUITE_P(PanelRemainders, MatmulBitExact,
                          ::testing::Values(1, 2, 3, 4, 5, 16, 19, 31, 32, 33,
                                            48, 64, 128, 129));
-
-TEST(Matrix, ThreadedMmMatchesNaiveOrder) {
-  // Large enough (m*k*n > 3e7) to take the row-sliced threaded path.
-  const Matrix a = half_zero_matrix(1900, 128, 600);
-  const Matrix b = random_matrix(128, 129, 601);
-  Matrix out;
-  mm(a, b, out);
-  EXPECT_TRUE(same_bits(out, naive_mm(a, b)));
-}
-
-TEST(Matrix, ConcurrentThreadedMmMatchesNaiveOrder) {
-  // Two callers on the threaded path at once: one holds the pool, the
-  // other runs its slices inline; both results stay bit-exact.
-  const Matrix a = half_zero_matrix(1900, 128, 610);
-  const Matrix b = random_matrix(128, 129, 611);
-  const Matrix want = naive_mm(a, b);
-  std::atomic<bool> go{false};
-  bool same[2] = {false, false};
-  std::vector<std::thread> callers;
-  for (int t = 0; t < 2; ++t)
-    callers.emplace_back([&, t] {
-      while (!go.load()) std::this_thread::yield();
-      bool ok = true;
-      for (int rep = 0; rep < 4; ++rep) {
-        Matrix out;
-        mm(a, b, out);
-        ok = ok && same_bits(out, want);
-      }
-      same[t] = ok;
-    });
-  go.store(true);
-  for (std::thread& c : callers) c.join();
-  EXPECT_TRUE(same[0]);
-  EXPECT_TRUE(same[1]);
-}
 
 TEST(Matrix, MismatchedShapesThrow) {
   // The shape contract holds in every build type: the kernel would read

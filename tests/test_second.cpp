@@ -1,14 +1,10 @@
-// SECOND-style detector tests (plain sparse middle encoder + BEV RPN)
-// and parallel-GEMM determinism.
+// SECOND-style detector tests (plain sparse middle encoder + BEV RPN).
 #include <gtest/gtest.h>
-
-#include <random>
 
 #include "data/voxelize.hpp"
 #include "engines/presets.hpp"
 #include "gpusim/device.hpp"
 #include "nn/second.hpp"
-#include "tensor/matrix.hpp"
 
 namespace ts {
 namespace {
@@ -54,27 +50,6 @@ TEST(Second, FasterUnderTorchSparseThanBaseline) {
     return ctx.timeline.total_seconds();
   };
   EXPECT_LT(run(torchsparse_config()), run(baseline_config()));
-}
-
-TEST(ParallelGemm, LargeMatmulBitwiseMatchesSequentialStructure) {
-  // The threaded path slices disjoint output rows; results must equal a
-  // per-row sequential computation exactly.
-  std::mt19937_64 rng(9);
-  std::uniform_real_distribution<float> f(-1.0f, 1.0f);
-  Matrix a(4000, 96), b(96, 64);  // large enough to engage threads
-  for (std::size_t i = 0; i < a.size(); ++i) a.data()[i] = f(rng);
-  for (std::size_t i = 0; i < b.size(); ++i) b.data()[i] = f(rng);
-  Matrix big;
-  mm(a, b, big);
-  // Row-by-row (never threaded) reference.
-  for (std::size_t r = 0; r < a.rows(); r += 997) {
-    Matrix row(1, a.cols());
-    std::copy(a.row(r), a.row(r) + a.cols(), row.data());
-    Matrix out;
-    mm(row, b, out);
-    for (std::size_t c = 0; c < b.cols(); ++c)
-      EXPECT_EQ(out.at(0, c), big.at(r, c)) << r << "," << c;
-  }
 }
 
 }  // namespace
