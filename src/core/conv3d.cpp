@@ -273,6 +273,7 @@ SparseTensor sparse_conv3d(const SparseTensor& x, const Conv3dParams& p,
     throw std::invalid_argument(
         "sparse_conv3d: input has " + std::to_string(x.channels()) +
         " channels but the layer expects " + std::to_string(c_in));
+  if (ctx.compute_numerics) require_features(x, "sparse_conv3d");
 
   int out_stride = x.stride();
   auto out_coords = resolve_output_coords(x, geom, out_stride, ctx);
@@ -294,7 +295,10 @@ SparseTensor sparse_conv3d(const SparseTensor& x, const Conv3dParams& p,
     ctx.recorder->push_back(std::move(rec));
   }
 
-  Matrix out_feats(n_out, c_out);
+  // Only a numerics pass has output features to write; it allocates them
+  // ahead of the modeled charges as it always has.
+  Matrix out_feats;
+  if (ctx.compute_numerics) out_feats = Matrix(n_out, c_out);
 
   // Dataflow selection: MinkowskiEngine-style engines switch to
   // fetch-on-demand when the mean per-offset workload is small.
@@ -321,12 +325,12 @@ SparseTensor sparse_conv3d(const SparseTensor& x, const Conv3dParams& p,
     charge_matmuls(sizes, submanifold, c_in, c_out, ctx);
   }
 
-  if (ctx.compute_numerics) {
-    PoolRunner run;
-    conv_numerics(x.feats(), *km, p.weights, center_in_place ? center : -1,
-                  ctx.cfg.precision, /*round_psums=*/!use_fod,
-                  numerics_partitions(n_out, run.threads()), run, out_feats);
-  }
+  if (!ctx.compute_numerics)
+    return SparseTensor(out_coords, c_out, out_stride, x.cache());
+  PoolRunner run;
+  conv_numerics(x.feats(), *km, p.weights, center_in_place ? center : -1,
+                ctx.cfg.precision, /*round_psums=*/!use_fod,
+                numerics_partitions(n_out, run.threads()), run, out_feats);
   return SparseTensor(out_coords, std::move(out_feats), out_stride,
                       x.cache());
 }

@@ -30,7 +30,9 @@ struct Conv3dParams {
 /// Runs one sparse convolution: output construction, mapping (with cache
 /// reuse), then the configured dataflow (grouped gather-matmul-scatter or
 /// fetch-on-demand). Numerics are exact; every kernel's modeled cost is
-/// charged to ctx.timeline.
+/// charged to ctx.timeline. A cost-only pass (ctx.compute_numerics off)
+/// returns a feature-less tensor; a numerics pass throws
+/// std::invalid_argument if `x` has no features.
 SparseTensor sparse_conv3d(const SparseTensor& x, const Conv3dParams& p,
                            ExecContext& ctx);
 

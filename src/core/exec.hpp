@@ -87,6 +87,7 @@ struct ExecContext {
   int device_index = 0;
 
   /// Compute real numerics (tests/examples) or cost only (large benches).
+  /// Cost-only passes carry tensor shapes without feature storage.
   bool compute_numerics = true;
   /// Replay access streams through the L2 simulator (true) or use the
   /// analytic no-reuse approximation (false, faster).

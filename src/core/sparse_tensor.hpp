@@ -1,4 +1,6 @@
 // Sparse tensors: a point-coordinate list plus per-point feature vectors.
+// A cost-only pass (ExecContext::compute_numerics == false) carries the
+// shape alone: coordinates and a channel count, no feature storage.
 //
 // Mirrors the paper's §4.1 API design: unlike SpConv (indice_key /
 // spatial_shape) or MinkowskiEngine (coordinate manager), the user never
@@ -39,6 +41,13 @@ class SparseTensor {
   SparseTensor(std::shared_ptr<const std::vector<Coord>> coords,
                Matrix feats, int stride, std::shared_ptr<TensorCache> cache);
 
+  /// Creates a feature-less derived tensor: `channels` wide, no storage.
+  /// What a cost-only pass produces, since no modeled charge reads a
+  /// feature value.
+  SparseTensor(std::shared_ptr<const std::vector<Coord>> coords,
+               std::size_t channels, int stride,
+               std::shared_ptr<TensorCache> cache);
+
   const std::vector<Coord>& coords() const { return *coords_; }
   std::shared_ptr<const std::vector<Coord>> coords_ptr() const {
     return coords_;
@@ -49,18 +58,37 @@ class SparseTensor {
   /// zero-copy alternative to deep-copying an input the caller already
   /// owns privately (engines/runner's borrow_input path).
   SparseTensor with_fresh_cache() &&;
+
+  /// A feature-less tensor sharing this tensor's (immutable) coordinates
+  /// and channel count under a fresh TensorCache seeded like
+  /// with_fresh_cache: the input of a cost-only pass, which must neither
+  /// copy nor touch the caller's features.
+  SparseTensor shape_with_fresh_cache() const;
+
+  /// False for a feature-less tensor. Its feats() is then an empty matrix
+  /// and only num_points()/channels() describe it.
+  bool has_features() const {
+    return feats_.rows() == num_points() && feats_.cols() == channels_;
+  }
   const Matrix& feats() const { return feats_; }
   Matrix& feats() { return feats_; }
   std::size_t num_points() const { return coords_ ? coords_->size() : 0; }
-  std::size_t channels() const { return feats_.cols(); }
+  std::size_t channels() const { return channels_; }
   int stride() const { return stride_; }
   const std::shared_ptr<TensorCache>& cache() const { return cache_; }
 
  private:
   std::shared_ptr<const std::vector<Coord>> coords_;
   Matrix feats_;
+  std::size_t channels_ = 0;
   int stride_ = 1;
   std::shared_ptr<TensorCache> cache_;
 };
+
+/// Throws std::invalid_argument naming `op` unless `x` has features: the
+/// check every numerics read of a tensor makes first, so a feature-less
+/// (cost-only) tensor reaching a numerics pass fails loudly instead of
+/// indexing an empty matrix.
+void require_features(const SparseTensor& x, const char* op);
 
 }  // namespace ts

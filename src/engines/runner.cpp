@@ -39,14 +39,21 @@ void reset_context(ExecContext& ctx, int device_index) {
 
 Timeline run_in_context(const ModelFn& model, const SparseTensor& input,
                         ExecContext& ctx) {
-  const SparseTensor in = fresh_input(input);
+  const SparseTensor in = ctx.compute_numerics
+                              ? fresh_input(input)
+                              : input.shape_with_fresh_cache();
   model(in, ctx);
   return ctx.timeline;
 }
 
 Timeline run_in_context(const ModelFn& model, SparseTensor&& input,
                         ExecContext& ctx) {
-  const SparseTensor in = std::move(input).with_fresh_cache();
+  // Consumed either way: a cost-only pass frees the features before the
+  // model starts, since nothing will read them.
+  const SparseTensor in =
+      ctx.compute_numerics
+          ? std::move(input).with_fresh_cache()
+          : std::exchange(input, SparseTensor()).shape_with_fresh_cache();
   model(in, ctx);
   return ctx.timeline;
 }
@@ -69,8 +76,7 @@ std::vector<std::vector<LayerRecord>> record_workloads(
     ctx.simulate_cache = false;  // recording needs sizes, not traffic
     std::vector<LayerRecord> records;
     ctx.recorder = &records;
-    const SparseTensor fresh = fresh_input(in);
-    model(fresh, ctx);
+    model(in.shape_with_fresh_cache(), ctx);
     all.push_back(std::move(records));
   }
   return all;

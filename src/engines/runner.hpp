@@ -40,14 +40,18 @@ struct RunOptions {
   uint64_t cache_namespace = 0;
   /// Serve-path copy elision: when true, runners that own their inputs
   /// privately (the streaming queue does) move each input into the run
-  /// via the rvalue run_in_context overload instead of deep-copying it.
-  /// Never affects results — only the redundant host copy.
+  /// via the rvalue run_in_context overload instead of deep-copying it
+  /// (numerics) or keeping its features to the end of the session
+  /// (cost-only). Never affects results — only host memory.
   bool borrow_input = false;
 };
 
 /// Deep-copies input with a fresh TensorCache, so every run rebuilds its
-/// own maps (engines must not share mapping work). Safe to call
-/// concurrently on the same tensor (reads only).
+/// own maps (engines must not share mapping work). Numerics passes in
+/// run_in_context start from this copy; cost-only passes need no features
+/// and start from x.shape_with_fresh_cache() instead, which shares the
+/// coordinates and copies nothing. Safe to call concurrently on the same
+/// tensor (reads only).
 SparseTensor fresh_input(const SparseTensor& x);
 
 /// Builds the execution context for one inference pass — the shared setup
@@ -80,17 +84,22 @@ void reset_context(ExecContext& ctx);
 /// device_index is host-side identity only (see ExecContext).
 void reset_context(ExecContext& ctx, int device_index);
 
-/// Runs the model on a private copy of `input` (fresh TensorCache) inside
-/// `ctx` and returns the context's accumulated timeline. Exceptions from
-/// the model propagate unchanged; `ctx` is then mid-request garbage and
-/// must be reset_context'ed (or discarded) before reuse.
+/// Runs the model on `input` under a fresh TensorCache inside `ctx` and
+/// returns the context's accumulated timeline: on a private copy of it
+/// with numerics on, on its feature-less shape (shared coordinates, no
+/// features) on a cost-only pass. `input` itself is never modified.
+/// Exceptions from the model propagate unchanged; `ctx` is then
+/// mid-request garbage and must be reset_context'ed (or discarded) before
+/// reuse.
 Timeline run_in_context(const ModelFn& model, const SparseTensor& input,
                         ExecContext& ctx);
 
 /// Borrowing overload (RunOptions::borrow_input): consumes `input` —
 /// stealing its storage into a tensor with a fresh TensorCache — instead
-/// of deep-copying coordinates and features. Identical results; use only
-/// when the caller owns `input` privately and is done with it.
+/// of deep-copying coordinates and features. A cost-only pass keeps only
+/// its shape, as above, and frees its features before the model starts.
+/// Identical results; use only when the caller owns `input` privately and
+/// is done with it.
 Timeline run_in_context(const ModelFn& model, SparseTensor&& input,
                         ExecContext& ctx);
 

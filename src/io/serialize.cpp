@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
+#include <utility>
 
 namespace ts::io {
 
@@ -81,6 +82,8 @@ std::vector<Point3> load_points(std::istream& is) {
 }
 
 void save_tensor(std::ostream& os, const SparseTensor& t) {
+  // The header promises n x c floats; a feature-less tensor has none.
+  require_features(t, "save_tensor");
   write_pod(os, kTensorMagic);
   write_pod(os, kVersion);
   write_pod(os, static_cast<uint64_t>(t.num_points()));
@@ -144,7 +147,7 @@ SparseTensor load_tensor(std::istream& is) {
   // strides are restored by re-wrapping.
   SparseTensor base(std::move(coords), std::move(feats));
   if (stride == 1) return base;
-  return SparseTensor(base.coords_ptr(), base.feats(), stride,
+  return SparseTensor(base.coords_ptr(), std::move(base.feats()), stride,
                       base.cache());
 }
 
@@ -162,6 +165,7 @@ std::vector<Point3> load_points_file(const std::string& path) {
 }
 
 void save_tensor_file(const std::string& path, const SparseTensor& t) {
+  require_features(t, "save_tensor");  // before the file is created
   std::ofstream os(path, std::ios::binary);
   if (!os) throw std::runtime_error("cannot open " + path);
   save_tensor(os, t);

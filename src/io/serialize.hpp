@@ -33,6 +33,8 @@ void save_points_file(const std::string& path,
 std::vector<Point3> load_points_file(const std::string& path);
 
 // --- Sparse tensors (.tsten): coords + features + stride ---
+// Saving a feature-less (cost-only) tensor throws std::invalid_argument
+// before anything is written (or, for the _file form, created).
 void save_tensor(std::ostream& os, const SparseTensor& t);
 SparseTensor load_tensor(std::istream& is);
 void save_tensor_file(const std::string& path, const SparseTensor& t);

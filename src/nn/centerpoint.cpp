@@ -1,5 +1,7 @@
 #include "nn/centerpoint.hpp"
 
+#include <utility>
+
 namespace ts::spnn {
 
 CenterPoint::CenterPoint(std::size_t in_channels, uint64_t seed) {
@@ -45,11 +47,11 @@ CenterPointOutput CenterPoint::run(const SparseTensor& x, ExecContext& ctx) {
   DenseBEV heatmap = heatmap_head_->forward(bev, ctx);
   DenseBEV boxes = box_head_->forward(bev, ctx);
 
-  CenterPointOutput out{decode_and_nms(heatmap, boxes, /*top_k=*/256,
-                                       /*score_thresh=*/0.1f,
-                                       /*iou_thresh=*/0.5f, ctx),
-                        y};
-  return out;
+  std::vector<Detection> dets =
+      decode_and_nms(heatmap, boxes, /*top_k=*/256, /*score_thresh=*/0.1f,
+                     /*iou_thresh=*/0.5f, ctx);
+  return CenterPointOutput{std::move(dets), std::move(y), std::move(heatmap),
+                           std::move(boxes)};
 }
 
 }  // namespace ts::spnn

@@ -20,6 +20,8 @@ namespace ts::spnn {
 struct CenterPointOutput {
   std::vector<Detection> detections;
   SparseTensor backbone_out;  // stride-8 sparse features (tests/debug)
+  DenseBEV heatmap;           // 1-channel head output the peaks came from
+  DenseBEV boxes;             // 4-channel box regression
 };
 
 class CenterPoint {

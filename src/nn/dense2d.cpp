@@ -2,21 +2,39 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "nn/layers.hpp"
 
 namespace ts::spnn {
 
+namespace {
+
+void require_bev_features(const DenseBEV& x, const char* op) {
+  if (!x.has_features())
+    throw std::invalid_argument(
+        std::string(op) + ": BEV map has no features (" +
+        std::to_string(x.c) + "x" + std::to_string(x.h) + "x" +
+        std::to_string(x.w) +
+        "): a cost-only map cannot feed a numerics pass");
+}
+
+}  // namespace
+
 DenseBEV sparse_to_bev(const SparseTensor& x, ExecContext& ctx) {
+  if (ctx.compute_numerics) require_features(x, "spnn::sparse_to_bev");
   int max_x = 0, max_y = 0;
   for (const Coord& c : x.coords()) {
     max_x = std::max(max_x, c.x);
     max_y = std::max(max_y, c.y);
   }
   DenseBEV bev;
+  bev.c = static_cast<int>(x.channels());
   bev.w = max_x + 1;
   bev.h = max_y + 1;
-  bev.data.resize(x.channels(), static_cast<std::size_t>(bev.h * bev.w));
+  if (ctx.compute_numerics)
+    bev.data.resize(x.channels(), static_cast<std::size_t>(bev.h * bev.w));
 
   // Scatter-to-dense: one read + one accumulate write per point-channel.
   const double bytes =
@@ -50,11 +68,18 @@ Conv2d::Conv2d(int c_in, int c_out, std::mt19937_64& rng, bool relu)
 }
 
 DenseBEV Conv2d::forward(const DenseBEV& x, ExecContext& ctx) const {
+  if (x.c != c_in_)
+    throw std::invalid_argument(
+        "spnn::Conv2d: input has " + std::to_string(x.c) +
+        " channels but the layer expects " + std::to_string(c_in_));
+  if (ctx.compute_numerics) require_bev_features(x, "spnn::Conv2d");
   DenseBEV y;
+  y.c = c_out_;
   y.h = x.h;
   y.w = x.w;
-  y.data.resize(static_cast<std::size_t>(c_out_),
-                static_cast<std::size_t>(x.h * x.w));
+  if (ctx.compute_numerics)
+    y.data.resize(static_cast<std::size_t>(c_out_),
+                  static_cast<std::size_t>(x.h * x.w));
 
   // Cost: one implicit-GEMM kernel [h*w, 9*c_in] x [9*c_in, c_out].
   const KernelCost kc =
@@ -117,6 +142,10 @@ std::vector<Detection> decode_and_nms(const DenseBEV& heatmap,
                                       const DenseBEV& boxes, int top_k,
                                       float score_thresh, float iou_thresh,
                                       ExecContext& ctx) {
+  if (ctx.compute_numerics) {
+    require_bev_features(heatmap, "spnn::decode_and_nms");
+    require_bev_features(boxes, "spnn::decode_and_nms");
+  }
   // Top-k peak extraction: streams the heatmap once (Stage::kMisc).
   const double scan_bytes = static_cast<double>(heatmap.h * heatmap.w) * 4.0;
   ctx.timeline.add(Stage::kMisc, ctx.cost.launch_seconds() +

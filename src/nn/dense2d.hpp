@@ -17,19 +17,28 @@
 
 namespace ts::spnn {
 
-/// Dense channel-major BEV feature map: data[c][y*w + x].
+/// Dense channel-major BEV feature map: data[c][y*w + x]. A cost-only
+/// pass carries the shape (c, h, w) with an empty `data`.
 struct DenseBEV {
-  int h = 0, w = 0;
-  Matrix data;  // rows = channels, cols = h*w
-  int channels() const { return static_cast<int>(data.rows()); }
+  int c = 0, h = 0, w = 0;
+  Matrix data;  // rows = channels, cols = h*w; empty when cost-only
+  int channels() const { return c; }
+  bool has_features() const {
+    return data.rows() == static_cast<std::size_t>(c) &&
+           data.cols() == static_cast<std::size_t>(h) *
+                              static_cast<std::size_t>(w);
+  }
 };
 
 /// Flattens a sparse tensor to BEV by summing features over z per (x, y)
 /// cell (SECOND-style "to dense + reshape"). Charged to Stage::kMisc.
+/// Numerics passes throw std::invalid_argument if `x` has no features.
 DenseBEV sparse_to_bev(const SparseTensor& x, ExecContext& ctx);
 
 /// Dense 3x3 conv + ReLU over a BEV map (im2col + GEMM numerics; cost is
-/// one GEMM of [h*w, 9*c_in, c_out] charged to Stage::kDense2D).
+/// one GEMM of [h*w, 9*c_in, c_out] charged to Stage::kDense2D). Throws
+/// std::invalid_argument if `x` is not c_in channels wide, or on a
+/// numerics pass if `x` has no features.
 class Conv2d {
  public:
   Conv2d(int c_in, int c_out, std::mt19937_64& rng, bool relu = true);
@@ -51,7 +60,8 @@ struct Detection {
 /// Decodes peaks of a 1-channel heatmap + 4-channel box regression into
 /// detections and applies IoU-threshold NMS. Top-k selection is charged
 /// to Stage::kMisc; the O(k^2) suppression to Stage::kNMS (NMS is the
-/// classic serial bottleneck on GPUs).
+/// classic serial bottleneck on GPUs). Numerics passes throw
+/// std::invalid_argument if either map has no features.
 std::vector<Detection> decode_and_nms(const DenseBEV& heatmap,
                                       const DenseBEV& boxes, int top_k,
                                       float score_thresh, float iou_thresh,

@@ -170,6 +170,10 @@ SparseTensor add_features(SparseTensor&& a, const SparseTensor& b,
         "spnn::add_features: channel counts differ (" +
         std::to_string(a.channels()) + " vs " +
         std::to_string(b.channels()) + ")");
+  if (ctx.compute_numerics) {
+    require_features(a, "spnn::add_features");
+    require_features(b, "spnn::add_features");
+  }
   charge_elementwise(a.num_points(), a.channels(), ctx);
   if (ctx.compute_numerics) {
     Matrix& f = a.feats();
@@ -188,17 +192,22 @@ SparseTensor concat_features(const SparseTensor& a, const SparseTensor& b,
         "spnn::concat_features: point counts differ (" +
         std::to_string(a.num_points()) + " vs " +
         std::to_string(b.num_points()) + ")");
-  charge_elementwise(a.num_points(), a.channels() + b.channels(), ctx);
-  Matrix f(a.num_points(), a.channels() + b.channels());
+  const std::size_t channels = a.channels() + b.channels();
   if (ctx.compute_numerics) {
-    for (std::size_t r = 0; r < f.rows(); ++r) {
-      float* row = f.row(r);
-      const float* ra = a.feats().row(r);
-      const float* rb = b.feats().row(r);
-      for (std::size_t c = 0; c < a.channels(); ++c) row[c] = ra[c];
-      for (std::size_t c = 0; c < b.channels(); ++c)
-        row[a.channels() + c] = rb[c];
-    }
+    require_features(a, "spnn::concat_features");
+    require_features(b, "spnn::concat_features");
+  }
+  charge_elementwise(a.num_points(), channels, ctx);
+  if (!ctx.compute_numerics)
+    return SparseTensor(a.coords_ptr(), channels, a.stride(), a.cache());
+  Matrix f(a.num_points(), channels);
+  for (std::size_t r = 0; r < f.rows(); ++r) {
+    float* row = f.row(r);
+    const float* ra = a.feats().row(r);
+    const float* rb = b.feats().row(r);
+    for (std::size_t c = 0; c < a.channels(); ++c) row[c] = ra[c];
+    for (std::size_t c = 0; c < b.channels(); ++c)
+      row[a.channels() + c] = rb[c];
   }
   return SparseTensor(a.coords_ptr(), std::move(f), a.stride(), a.cache());
 }

@@ -102,7 +102,9 @@ class ResidualBlock : public Module {
   ReLU relu_;
 };
 
-/// Adds the features of two tensors over identical coordinates.
+/// Adds the features of two tensors over identical coordinates. Like
+/// concat_features, it throws std::invalid_argument on a numerics pass
+/// if either tensor has no features; a cost-only pass carries shapes.
 SparseTensor add_features(const SparseTensor& a, const SparseTensor& b,
                           ExecContext& ctx);
 /// As above, adding b's features onto a's in place: no copy of a.

@@ -45,7 +45,9 @@ void validate_batch_indices(const SparseTensor& x,
 
 Matrix pool_validated(const SparseTensor& x, PoolKind kind, int num_batches,
                       ExecContext& ctx) {
+  if (ctx.compute_numerics) require_features(x, "global_pool");
   charge_elementwise(x.num_points(), x.channels(), ctx);
+  if (!ctx.compute_numerics) return Matrix();
   if (num_batches == 0) return Matrix(0, x.channels());
 
   const std::size_t ch = x.channels();

@@ -22,6 +22,9 @@ enum class PoolKind { kAvg, kMax };
 /// the packable batch range — no valid tensor can carry it) would turn
 /// the output allocation itself into the failure, so both are validated
 /// at this API boundary instead. Empty tensors pool to a 0-row matrix.
+/// A cost-only pass (ctx.compute_numerics off) validates and charges
+/// the same, but returns an empty 0x0 matrix; a numerics pass throws
+/// std::invalid_argument if `x` has no features.
 Matrix global_pool(const SparseTensor& x, PoolKind kind, ExecContext& ctx);
 
 /// Fixed-shape overload for serving heads: the caller declares the batch

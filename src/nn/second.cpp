@@ -1,5 +1,7 @@
 #include "nn/second.hpp"
 
+#include <utility>
+
 namespace ts::spnn {
 
 SecondDetector::SecondDetector(std::size_t in_channels, uint64_t seed) {
@@ -44,10 +46,11 @@ SecondOutput SecondDetector::run(const SparseTensor& x, ExecContext& ctx) {
   DenseBEV score = score_head_->forward(bev, ctx);
   DenseBEV boxes = box_head_->forward(bev, ctx);
 
-  return SecondOutput{decode_and_nms(score, boxes, /*top_k=*/256,
-                                     /*score_thresh=*/0.1f,
-                                     /*iou_thresh=*/0.5f, ctx),
-                      y};
+  std::vector<Detection> dets =
+      decode_and_nms(score, boxes, /*top_k=*/256, /*score_thresh=*/0.1f,
+                     /*iou_thresh=*/0.5f, ctx);
+  return SecondOutput{std::move(dets), std::move(y), std::move(score),
+                      std::move(boxes)};
 }
 
 }  // namespace ts::spnn

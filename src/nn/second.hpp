@@ -20,6 +20,8 @@ namespace ts::spnn {
 struct SecondOutput {
   std::vector<Detection> detections;
   SparseTensor middle_out;  // stride-8 sparse features
+  DenseBEV score;           // 1-channel head output the peaks came from
+  DenseBEV boxes;           // 4-channel box regression
 };
 
 class SecondDetector {

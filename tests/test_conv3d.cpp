@@ -227,8 +227,9 @@ TEST(Conv3d, CostOnlyModeSkipsNumericsButKeepsShapes) {
   EXPECT_EQ(y.num_points(), x.num_points());
   EXPECT_EQ(y.channels(), 8u);
   EXPECT_GT(ctx.timeline.total_seconds(), 0.0);
-  for (std::size_t i = 0; i < y.feats().size(); ++i)
-    EXPECT_EQ(y.feats().data()[i], 0.0f);
+  // A cost-only pass carries the output's shape, not feature storage.
+  EXPECT_FALSE(y.has_features());
+  EXPECT_TRUE(y.feats().empty());
 }
 
 // ---- Row-partitioned numerics (conv_numerics) against the serial loop.

@@ -16,6 +16,7 @@
 #include "engines/presets.hpp"
 #include "gpusim/device.hpp"
 #include "io/serialize.hpp"
+#include "nn/dense2d.hpp"
 #include "nn/layers.hpp"
 #include "nn/minkunet.hpp"
 #include "nn/pooling.hpp"
@@ -325,6 +326,96 @@ TEST(EdgeCases, AddFeaturesShapeMismatchThrows) {
   EXPECT_THROW(spnn::add_features(a, b, ctx), std::invalid_argument);
   EXPECT_THROW(spnn::add_features(a, c, ctx), std::invalid_argument);
   EXPECT_THROW(spnn::concat_features(a, b, ctx), std::invalid_argument);
+}
+
+TEST(EdgeCases, FeaturelessTensorRejectedByNumerics) {
+  // A cost-only tensor carries coordinates and a channel count but no
+  // features. Every numerics read must reject it with a descriptive
+  // error instead of indexing the empty matrix.
+  std::vector<Coord> coords = {{0, 1, 1, 1}, {0, 2, 1, 1}, {0, 2, 2, 1}};
+  const SparseTensor full(coords, Matrix(3, 4, 1.0f));
+  const SparseTensor shape = full.shape_with_fresh_cache();
+  ASSERT_TRUE(full.has_features());
+  ASSERT_FALSE(shape.has_features());
+  EXPECT_EQ(shape.num_points(), 3u);
+  EXPECT_EQ(shape.channels(), 4u);
+  EXPECT_EQ(shape.coords_ptr(), full.coords_ptr());  // shared, not copied
+
+  ExecContext ctx = fp32_ctx();
+  try {
+    sparse_conv3d(shape, conv(3, 1, 4, 8, 3), ctx);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "sparse_conv3d: input has no features (3 points, 4 "
+                 "channels): a cost-only tensor cannot feed a numerics pass");
+  }
+  EXPECT_THROW(spnn::add_features(shape, full, ctx), std::invalid_argument);
+  EXPECT_THROW(spnn::add_features(full, shape, ctx), std::invalid_argument);
+  EXPECT_THROW(spnn::concat_features(shape, full, ctx),
+               std::invalid_argument);
+  EXPECT_THROW(spnn::concat_features(full, shape, ctx),
+               std::invalid_argument);
+  EXPECT_THROW(spnn::global_pool(shape, spnn::PoolKind::kAvg, ctx),
+               std::invalid_argument);
+  EXPECT_THROW(spnn::global_pool(shape, spnn::PoolKind::kMax, 1, ctx),
+               std::invalid_argument);
+  EXPECT_THROW(spnn::sparse_to_bev(shape, ctx), std::invalid_argument);
+  EXPECT_EQ(ctx.timeline.total_seconds(), 0.0);  // rejected before charging
+
+  // Dense maps follow the same rule.
+  spnn::DenseBEV bev_shape;
+  bev_shape.c = 4;
+  bev_shape.h = bev_shape.w = 3;
+  std::mt19937_64 rng(5);
+  const spnn::Conv2d conv2d(4, 2, rng);
+  EXPECT_THROW(conv2d.forward(bev_shape, ctx), std::invalid_argument);
+  EXPECT_THROW(spnn::decode_and_nms(bev_shape, bev_shape, 4, 0.1f, 0.5f, ctx),
+               std::invalid_argument);
+
+  // Cost-only, the same calls carry shapes and allocate no features.
+  ctx.compute_numerics = false;
+  const SparseTensor y = sparse_conv3d(shape, conv(3, 1, 4, 8, 3), ctx);
+  EXPECT_FALSE(y.has_features());
+  EXPECT_EQ(y.channels(), 8u);
+  EXPECT_EQ(y.num_points(), 3u);
+  const SparseTensor cat = spnn::concat_features(shape, full, ctx);
+  EXPECT_FALSE(cat.has_features());
+  EXPECT_EQ(cat.channels(), 8u);
+  EXPECT_FALSE(spnn::add_features(shape, full, ctx).has_features());
+  EXPECT_TRUE(spnn::global_pool(shape, spnn::PoolKind::kAvg, ctx).empty());
+  const spnn::DenseBEV bev = spnn::sparse_to_bev(shape, ctx);
+  EXPECT_FALSE(bev.has_features());
+  EXPECT_EQ(bev.channels(), 4);
+  EXPECT_EQ(bev.h, 3);
+  EXPECT_EQ(bev.w, 3);
+  const spnn::DenseBEV out = conv2d.forward(bev, ctx);
+  EXPECT_FALSE(out.has_features());
+  EXPECT_EQ(out.channels(), 2);
+  EXPECT_GT(ctx.timeline.total_seconds(), 0.0);
+}
+
+TEST(EdgeCases, Conv2dRejectsChannelMismatch) {
+  // Always on, like BatchNorm's: a mis-wired head must not read past the
+  // input's channel rows on a numerics pass, nor be charged silently on a
+  // cost-only one.
+  std::mt19937_64 rng(6);
+  const spnn::Conv2d conv2d(4, 2, rng);
+  spnn::DenseBEV bev;
+  bev.c = 3;
+  bev.h = bev.w = 2;
+  bev.data.resize(3, 4);
+  ExecContext ctx = fp32_ctx();
+  try {
+    conv2d.forward(bev, ctx);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "spnn::Conv2d: input has 3 channels but the layer "
+                 "expects 4");
+  }
+  ctx.compute_numerics = false;
+  EXPECT_THROW(conv2d.forward(bev, ctx), std::invalid_argument);
 }
 
 TEST(EdgeCases, VoxelizeRejectsBadSpecAndPoints) {

@@ -2,11 +2,21 @@
 // orderings that the paper's Figure 11 reports.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <functional>
+#include <utility>
+#include <vector>
+
+#include "data/voxelize.hpp"
 #include "engines/presets.hpp"
 #include "engines/runner.hpp"
 #include "engines/workloads.hpp"
 #include "gpusim/device.hpp"
+#include "nn/centerpoint.hpp"
 #include "nn/minkunet.hpp"
+#include "nn/second.hpp"
 
 namespace ts {
 namespace {
@@ -156,6 +166,166 @@ TEST(Workloads, MultiFrameInputsAreLarger) {
   const auto& ns3 = ws[2];  // NS-MinkUNet (3f)
   const auto& ns1 = ws[3];  // NS-MinkUNet (1f)
   EXPECT_GT(ns3.input.num_points(), ns1.input.num_points());
+}
+
+// ---- Feature-free cost-only passes: whole models.
+
+/// What one pass left behind: its timeline, and each output's shape and
+/// whether that output holds feature storage.
+struct PassResult {
+  Timeline timeline;
+  std::vector<std::array<std::size_t, 3>> shapes;
+  std::vector<bool> has_features;
+
+  void note(const SparseTensor& t) {
+    shapes.push_back({t.num_points(), t.channels(),
+                      static_cast<std::size_t>(t.stride())});
+    has_features.push_back(t.has_features());
+  }
+  void note(const spnn::DenseBEV& m) {
+    shapes.push_back({static_cast<std::size_t>(m.c),
+                      static_cast<std::size_t>(m.h),
+                      static_cast<std::size_t>(m.w)});
+    has_features.push_back(m.has_features());
+  }
+};
+
+/// Runs a model and notes its outputs into the pass result.
+using NotingModel =
+    std::function<void(const SparseTensor&, ExecContext&, PassResult&)>;
+
+ExecContext pass_context(bool numerics, bool l2_replay) {
+  RunOptions opt;
+  opt.numerics = numerics;
+  opt.simulate_cache = l2_replay;
+  return make_run_context(rtx3090(), torchsparse_config(), opt);
+}
+
+PassResult run_pass(const NotingModel& net, const SparseTensor& input,
+                    bool numerics, bool l2_replay) {
+  PassResult r;
+  ExecContext ctx = pass_context(numerics, l2_replay);
+  r.timeline = run_in_context(
+      [&](const SparseTensor& x, ExecContext& c) { net(x, c, r); }, input,
+      ctx);
+  return r;
+}
+
+void expect_bit_equal(const Timeline& a, const Timeline& b) {
+  for (std::size_t s = 0; s < kNumStages; ++s)
+    EXPECT_EQ(a.stage_seconds(static_cast<Stage>(s)),
+              b.stage_seconds(static_cast<Stage>(s)))
+        << to_string(static_cast<Stage>(s));
+  EXPECT_EQ(a.total_seconds(), b.total_seconds());
+  EXPECT_EQ(a.dram_bytes(), b.dram_bytes());
+  EXPECT_EQ(a.kernel_launches(), b.kernel_launches());
+  EXPECT_EQ(a.flops(), b.flops());
+}
+
+/// A cost-only pass must return every output with a numerics pass's
+/// shape but no feature storage, charge a bit-equal timeline with L2
+/// replay on and off, and leave the caller's input as it was.
+void expect_cost_only_matches_numerics(const NotingModel& net,
+                                       const SparseTensor& input) {
+  const Matrix feats_before = input.feats();
+  for (const bool l2 : {true, false}) {
+    SCOPED_TRACE(l2 ? "L2 replay" : "analytic L2");
+    const PassResult num = run_pass(net, input, true, l2);
+    const PassResult cost = run_pass(net, input, false, l2);
+    ASSERT_FALSE(num.shapes.empty());
+    EXPECT_EQ(cost.shapes, num.shapes);
+    for (std::size_t i = 0; i < num.shapes.size(); ++i) {
+      EXPECT_TRUE(num.has_features[i]) << "output " << i;
+      EXPECT_FALSE(cost.has_features[i]) << "output " << i;
+    }
+    expect_bit_equal(cost.timeline, num.timeline);
+
+    // The consuming overload charges the same and takes the input.
+    SparseTensor owned = fresh_input(input);
+    ExecContext ctx = pass_context(false, l2);
+    PassResult moved;
+    moved.timeline = run_in_context(
+        [&](const SparseTensor& x, ExecContext& c) { net(x, c, moved); },
+        std::move(owned), ctx);
+    EXPECT_EQ(moved.shapes, num.shapes);
+    expect_bit_equal(moved.timeline, num.timeline);
+  }
+  EXPECT_TRUE(input.has_features());
+  EXPECT_EQ(input.feats(), feats_before);
+  EXPECT_TRUE(input.cache()->kmaps.empty());  // passes use their own cache
+}
+
+/// A detection scan cropped to a 256 x 256 voxel window around its mean
+/// point (near the sensor, where the points are dense) and moved to the
+/// origin, so that the dense BEV heads of the numerics passes stay small.
+SparseTensor detection_input(uint64_t seed) {
+  LidarSpec spec = waymo_spec(1);
+  spec.azimuth_steps = 360;
+  VoxelSpec vox = detection_voxels();
+  vox.feature_channels = 5;
+  const SparseTensor scan = make_input(spec, vox, seed);
+  int64_t sum_x = 0, sum_y = 0;
+  for (const Coord& c : scan.coords()) {
+    sum_x += c.x;
+    sum_y += c.y;
+  }
+  const auto n = static_cast<int64_t>(scan.num_points());
+  const auto x0 = static_cast<int32_t>(sum_x / n) - 128;
+  const auto y0 = static_cast<int32_t>(sum_y / n) - 128;
+  std::vector<Coord> coords;
+  std::vector<std::size_t> rows;
+  for (std::size_t i = 0; i < scan.num_points(); ++i) {
+    Coord c = scan.coords()[i];
+    if (c.x < x0 || c.x >= x0 + 256 || c.y < y0 || c.y >= y0 + 256) continue;
+    c.x -= x0;
+    c.y -= y0;
+    coords.push_back(c);
+    rows.push_back(i);
+  }
+  EXPECT_GT(rows.size(), 1000u);  // still a scan's worth of work
+  Matrix feats(rows.size(), scan.channels());
+  for (std::size_t r = 0; r < rows.size(); ++r)
+    std::copy(scan.feats().row(rows[r]),
+              scan.feats().row(rows[r]) + scan.channels(), feats.row(r));
+  return SparseTensor(std::move(coords), std::move(feats));
+}
+
+TEST(CostOnly, MinkUNetCarriesShapesNotFeatures) {
+  LidarSpec spec = semantic_kitti_spec();
+  spec.azimuth_steps = 120;
+  const SparseTensor x = make_input(spec, segmentation_voxels(), 41);
+  spnn::MinkUNet net(0.25, 4, 19, 42);
+  expect_cost_only_matches_numerics(
+      [&](const SparseTensor& in, ExecContext& ctx, PassResult& r) {
+        r.note(net.forward(in, ctx));
+      },
+      x);
+}
+
+TEST(CostOnly, CenterPointCarriesShapesNotFeatures) {
+  const SparseTensor x = detection_input(43);
+  spnn::CenterPoint net(5, 44);
+  expect_cost_only_matches_numerics(
+      [&](const SparseTensor& in, ExecContext& ctx, PassResult& r) {
+        const spnn::CenterPointOutput out = net.run(in, ctx);
+        r.note(out.backbone_out);
+        r.note(out.heatmap);
+        r.note(out.boxes);
+      },
+      x);
+}
+
+TEST(CostOnly, SecondCarriesShapesNotFeatures) {
+  const SparseTensor x = detection_input(45);
+  spnn::SecondDetector net(5, 46);
+  expect_cost_only_matches_numerics(
+      [&](const SparseTensor& in, ExecContext& ctx, PassResult& r) {
+        const spnn::SecondOutput out = net.run(in, ctx);
+        r.note(out.middle_out);
+        r.note(out.score);
+        r.note(out.boxes);
+      },
+      x);
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 // Serialization round-trip and malformed-input tests.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -57,6 +60,47 @@ TEST(Io, TensorFileRoundTrip) {
   const SparseTensor back = io::load_tensor_file(path);
   EXPECT_EQ(back.coords(), t.coords());
   EXPECT_EQ(back.feats(), t.feats());
+}
+
+TEST(Io, StridedTensorRoundTrip) {
+  // load_tensor re-wraps a non-unit stride around the loaded features.
+  std::vector<Coord> coords = {{0, 1, 2, 3}, {0, 4, 5, 6}};
+  Matrix feats(2, 2);
+  feats.at(0, 1) = 3.5f;
+  feats.at(1, 0) = -1.0f;
+  const SparseTensor base(coords, feats);
+  const SparseTensor strided(base.coords_ptr(), base.feats(), 4,
+                             base.cache());
+  std::stringstream ss;
+  io::save_tensor(ss, strided);
+  const SparseTensor back = io::load_tensor(ss);
+  EXPECT_EQ(back.stride(), 4);
+  EXPECT_EQ(back.coords(), strided.coords());
+  EXPECT_EQ(back.feats(), strided.feats());
+  EXPECT_EQ(back.channels(), 2u);
+}
+
+TEST(Io, SaveRejectsFeaturelessTensor) {
+  // A cost-only tensor carries a channel count but no features; its
+  // header would promise n x c floats that never follow.
+  std::vector<Coord> coords = {{0, 1, 2, 3}, {1, 4, 5, 6}};
+  const SparseTensor shape =
+      SparseTensor(coords, Matrix(2, 3)).shape_with_fresh_cache();
+  ASSERT_FALSE(shape.has_features());
+  std::stringstream ss;
+  try {
+    io::save_tensor(ss, shape);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("save_tensor: input has no features"),
+              std::string::npos);
+  }
+  EXPECT_TRUE(ss.str().empty());  // nothing written
+
+  const std::string path = "/tmp/ts_io_featureless.tsten";
+  std::remove(path.c_str());
+  EXPECT_THROW(io::save_tensor_file(path, shape), std::invalid_argument);
+  EXPECT_FALSE(std::ifstream(path).is_open());  // nor created
 }
 
 TEST(Io, RejectsBadMagic) {

@@ -216,6 +216,7 @@ TEST(Dense2d, Conv2dChargesDense2DStage) {
   std::mt19937_64 rng(15);
   spnn::Conv2d conv(4, 8, rng);
   spnn::DenseBEV bev;
+  bev.c = 4;
   bev.h = bev.w = 16;
   bev.data.resize(4, 256);
   for (std::size_t i = 0; i < bev.data.size(); ++i)
