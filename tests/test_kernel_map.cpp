@@ -62,7 +62,8 @@ TEST(KernelOffsets, MirrorSymmetryProperty) {
 }
 
 /// Brute-force map search (quadratic; oracle for Alg. 1). Entries come
-/// out per offset in ascending output position, like the builders'.
+/// out per offset in ascending output position, like the builders'; a
+/// duplicated input coordinate matches at its first position only.
 KernelMap brute_force_map(const std::vector<Coord>& in,
                           const std::vector<Coord>& out,
                           const ConvGeometry& geom) {
@@ -88,9 +89,11 @@ KernelMap brute_force_map(const std::vector<Coord>& in,
         r = Coord{out[k].b, ux / s, uy / s, uz / s};
       }
       for (std::size_t j = 0; j < in.size(); ++j)
-        if (in[j] == r)
+        if (in[j] == r) {
           km.maps[n].push_back(
               {static_cast<int32_t>(j), static_cast<int32_t>(k)});
+          break;
+        }
     }
   }
   return km;
@@ -308,6 +311,64 @@ TEST(MapSearch, TransposedMatchesBruteForce) {
   expect_same_maps(
       build_kernel_map(coarse, fine, geom, {MapBackend::kGrid, false}),
       brute_force_map(coarse, fine, geom));
+}
+
+/// Transposed builds on both backends, pinned. Fine outputs straddle
+/// the origin over 2 batches; the coarse inputs are their floor-halves
+/// in first-seen order, with one coordinate repeated at the end (its
+/// first position must win). `huge_box` adds one far input that
+/// stretches the (b, x, y, z) bounding box past 2^22 cells. The maps
+/// must equal the oracle in emission order and the modeled counters
+/// must equal the pinned constants.
+TEST(MapSearch, TransposedBuildsPinned) {
+  struct Pin {
+    bool huge_box;
+    int kernel;
+    MapBackend backend;
+    std::size_t queries, index_accesses, build_accesses;
+  };
+  const Pin pins[] = {
+      {false, 2, MapBackend::kHashMap, 300, 364, 355},
+      {false, 2, MapBackend::kGrid, 300, 300, 291},
+      {false, 3, MapBackend::kHashMap, 985, 1361, 355},
+      {false, 3, MapBackend::kGrid, 985, 985, 291},
+      {true, 2, MapBackend::kHashMap, 300, 364, 357},
+      {true, 2, MapBackend::kGrid, 300, 300, 292},
+      {true, 3, MapBackend::kHashMap, 985, 1365, 357},
+      {true, 3, MapBackend::kGrid, 985, 985, 292},
+  };
+  std::vector<Coord> fine = random_coords(300, 24, 13, 2);
+  for (Coord& p : fine) {
+    p.x -= 12;
+    p.y -= 12;
+    p.z -= 12;
+  }
+  const auto half = [](int32_t v) { return v >= 0 ? v / 2 : (v - 1) / 2; };
+  std::vector<Coord> coarse;
+  std::unordered_set<uint64_t> seen;
+  for (const Coord& p : fine) {
+    const Coord q{p.b, half(p.x), half(p.y), half(p.z)};
+    if (seen.insert(pack_coord(q)).second) coarse.push_back(q);
+  }
+  coarse.push_back(coarse[5]);
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(::testing::Message()
+                 << "huge_box=" << pin.huge_box << " kernel=" << pin.kernel
+                 << " backend=" << static_cast<int>(pin.backend));
+    std::vector<Coord> in = coarse;
+    if (pin.huge_box) in.push_back(Coord{1, 3000, -3000, 3000});
+    Coord lo, hi;
+    ASSERT_TRUE(coord_bounds(in, lo, hi));
+    const double cells = (hi.b - lo.b + 1.0) * (hi.x - lo.x + 1.0) *
+                         (hi.y - lo.y + 1.0) * (hi.z - lo.z + 1.0);
+    EXPECT_EQ(cells > double(1 << 22), pin.huge_box);
+    const ConvGeometry geom{pin.kernel, 2, true};
+    const KernelMap km = build_kernel_map(in, fine, geom, {pin.backend, false});
+    expect_same_maps(km, brute_force_map(in, fine, geom), /*ordered=*/true);
+    EXPECT_EQ(km.stats.queries, pin.queries);
+    EXPECT_EQ(km.stats.index_accesses, pin.index_accesses);
+    EXPECT_EQ(km.stats.build_accesses, pin.build_accesses);
+  }
 }
 
 TEST(MapSearch, TransposeOfForwardEqualsTransposedSearch) {
