@@ -25,7 +25,6 @@
 #include "gpusim/cache.hpp"
 #include "gpusim/device.hpp"
 #include "hash/flat_hashmap.hpp"
-#include "hash/grid_hashmap.hpp"
 #include "tensor/host_pool.hpp"
 #include "nn/layers.hpp"
 #include "tensor/matrix.hpp"
@@ -81,19 +80,6 @@ void BM_FlatHashMapBuild(benchmark::State& state) {
                           static_cast<int64_t>(coords.size()));
 }
 BENCHMARK(BM_FlatHashMapBuild)->Arg(10000)->Arg(100000);
-
-void BM_GridHashMapBuild(benchmark::State& state) {
-  const auto coords = make_coords(static_cast<int>(state.range(0)), 256, 1);
-  for (auto _ : state) {
-    ts::GridHashMap g(ts::Coord{0, 0, 0, 0}, ts::Coord{0, 256, 256, 256});
-    for (std::size_t i = 0; i < coords.size(); ++i)
-      g.insert(coords[i], static_cast<int64_t>(i));
-    benchmark::DoNotOptimize(g.size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(coords.size()));
-}
-BENCHMARK(BM_GridHashMapBuild)->Arg(10000)->Arg(100000);
 
 void BM_MapSearch(benchmark::State& state) {
   const bool grid = state.range(1) != 0;

@@ -1,10 +1,11 @@
 #include "core/downsample.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "core/kernel_offsets.hpp"
-#include "hash/grid_hashmap.hpp"
+#include "hash/coords.hpp"
 
 namespace ts {
 
@@ -48,7 +49,9 @@ std::vector<Coord> downsample_coords(const std::vector<Coord>& in,
                                      int kernel_size, int stride, bool fused,
                                      bool simplified_control,
                                      DownsampleCounters* counters) {
-  assert(stride > 1);
+  if (stride < 2)
+    throw std::invalid_argument("downsample_coords: stride must be >= 2 (got " +
+                                std::to_string(stride) + ")");
   const auto offsets = kernel_offsets(kernel_size);
   const std::size_t k = offsets.size();
   const std::size_t n_cand = in.size() * k;

@@ -31,7 +31,8 @@ struct DownsampleCounters {
 /// returned in sorted (b,x,y,z) order. `fused` selects the single-kernel
 /// implementation; `simplified_control` models the §4.4 control-logic
 /// simplification + loop unrolling. Both variants return identical
-/// coordinates — only the counters differ.
+/// coordinates — only the counters differ. Throws std::invalid_argument
+/// for a stride below 2.
 std::vector<Coord> downsample_coords(const std::vector<Coord>& in,
                                      int kernel_size, int stride, bool fused,
                                      bool simplified_control,

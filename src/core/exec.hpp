@@ -11,12 +11,12 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/kernel_map.hpp"
 #include "core/kernel_map_cache.hpp"
 #include "core/matmul_group.hpp"
 #include "gpusim/cache.hpp"
 #include "gpusim/cost_model.hpp"
 #include "gpusim/timeline.hpp"
-#include "hash/grid_hashmap.hpp"
 #include "tensor/precision.hpp"
 
 namespace ts {

@@ -4,14 +4,89 @@
 #include <stdexcept>
 #include <string>
 
+#include "hash/flat_hashmap.hpp"
+
 namespace ts {
 
 namespace {
 
+/// Paper §4.4: the collision-free grid "requires exactly one DRAM access
+/// per entry" — one per input coordinate it indexes and one per query it
+/// answers, a query outside the grid's box included. Both grid builders
+/// charge this rule, whatever the host does to find the matches.
+void charge_grid_accesses(MapBuildStats& stats, std::size_t n_in) {
+  stats.build_accesses = n_in;
+  stats.index_accesses = stats.queries;
+}
+
+/// The probe loop's coordinate index: `in_coords` in one FlatHashMap,
+/// inserted in order so a duplicated coordinate keeps its first position.
+/// The hashmap backend is charged its real probe counts. The grid
+/// backend is charged by charge_grid_accesses; its lookups skip any
+/// candidate outside the input's (b, x, y, z) bounding box, which cannot
+/// match (and whose packed key could alias an in-range one).
+class ProbeIndex {
+ public:
+  ProbeIndex(const std::vector<Coord>& in_coords, MapBackend backend)
+      : table_(in_coords.size()), grid_(backend == MapBackend::kGrid) {
+    for (std::size_t i = 0; i < in_coords.size(); ++i)
+      build_probes_ += table_.insert(in_coords[i], static_cast<int64_t>(i));
+    coord_bounds(in_coords, lo_, hi_);
+  }
+
+  /// Returns the input position of `c`, or -1.
+  int64_t find(const Coord& c) {
+    if (grid_) {
+      const bool in_box = c.b >= lo_.b && c.b <= hi_.b && c.x >= lo_.x &&
+                          c.x <= hi_.x && c.y >= lo_.y && c.y <= hi_.y &&
+                          c.z >= lo_.z && c.z <= hi_.z;
+      return in_box ? table_.find(c) : FlatHashMap::kNotFound;
+    }
+    std::size_t probes = 0;
+    const int64_t j = table_.find(c, &probes);
+    find_probes_ += probes;
+    return j;
+  }
+
+  /// Host-side cache hint for an upcoming find(c); no modeled counters.
+  void prefetch(const Coord& c) const { table_.prefetch(pack_coord(c)); }
+
+  /// Hashmap backend: summed insert probes and summed find probes.
+  std::size_t build_probes() const { return build_probes_; }
+  std::size_t find_probes() const { return find_probes_; }
+
+ private:
+  FlatHashMap table_;
+  bool grid_;
+  Coord lo_{}, hi_{};
+  std::size_t build_probes_ = 0;
+  std::size_t find_probes_ = 0;
+};
+
+/// Completes a symmetric search of the first `volume / 2` offsets: mirrors
+/// each searched map into its negated offset (in and out swapped) and
+/// emits the center offset as the identity map over `n` points, with zero
+/// queries.
+void mirror_and_center(KernelMap& km, std::size_t n) {
+  const int volume = km.volume();
+  const int mid = volume / 2;
+  for (int i = 0; i < mid; ++i) {
+    const auto& m = km.maps[static_cast<std::size_t>(i)];
+    auto& mm = km.maps[static_cast<std::size_t>(
+        mirror_offset_index(volume, i))];
+    mm.reserve(m.size());
+    for (const MapEntry& e : m) mm.push_back({e.out, e.in});
+  }
+  auto& center = km.maps[static_cast<std::size_t>(mid)];
+  center.reserve(n);
+  for (std::size_t i = 0; i < n; ++i)
+    center.push_back({static_cast<int32_t>(i), static_cast<int32_t>(i)});
+}
+
 /// Appends entries for offset `n` by querying candidate input coordinates
 /// for every output point.
 void search_offset(const std::vector<Coord>& out_coords, const Offset3& d,
-                   const ConvGeometry& geom, const CoordIndex& index,
+                   const ConvGeometry& geom, ProbeIndex& index,
                    std::vector<MapEntry>& out, std::size_t& queries) {
   const int s = geom.stride;
   const int dil = geom.dilation;
@@ -66,10 +141,9 @@ void search_offset(const std::vector<Coord>& out_coords, const Offset3& d,
 // Grid-backend fast path: column-fused sorted merge-join instead of
 // per-point probes.
 //
-// The collision-free grid models exactly one DRAM access per in-bounds
-// query, so its modeled cost is independent of how the host finds the
-// matches. The host-side probe (a random access into a grid or compact
-// hash far larger than L1) is the map-build wall-clock hotspot; we replace
+// The grid's modeled cost (charge_grid_accesses) is independent of how
+// the host finds the matches. The host-side probe (a random access into
+// a table far larger than L1) is the map-build wall-clock hotspot; we replace
 // it with a merge-join over key-sorted coordinate lists: packed keys are
 // lexicographic in (b, x, y, z), and the candidate map r = s*q + dil*delta
 // is componentwise monotone, so candidates generated from sorted outputs
@@ -86,9 +160,8 @@ void search_offset(const std::vector<Coord>& out_coords, const Offset3& d,
 // compare.
 //
 // Emission order is the probe loop's — ascending output position, one
-// entry per output at most — and every modeled counter (queries, index
-// accesses, build accesses) is accounted identically, so the maps are
-// byte-identical to the probe loop's.
+// entry per output at most — and the modeled counters are charged by the
+// same rule, so the maps and stats are byte-identical to the probe loop's.
 // ---------------------------------------------------------------------
 
 constexpr uint64_t kZFieldMask = 0x3ffff;  // z field of a packed key
@@ -205,7 +278,7 @@ void search_column_grid_merge(const KeyOrder& in, const Coord* sq,
       const int iz =
           slot_of[static_cast<uint32_t>(keys[p] & kZFieldMask) - z_base];
       // A duplicated input coordinate matches at its first (lowest)
-      // position only, as GridHashMap::insert keeps the first value.
+      // position only, as the probe loop's index keeps the first value.
       if (iz < 0 || (p > ip && keys[p] == keys[p - 1])) continue;
       const int32_t j = in.position(p);
       const auto k = static_cast<std::size_t>(iz);
@@ -241,22 +314,18 @@ KernelMap build_kernel_map_grid_merge(const std::vector<Coord>& in_coords,
                                       bool symmetric, bool same_sets) {
   const auto offsets = kernel_offsets(geom.kernel_size);
   const int volume = static_cast<int>(offsets.size());
-  const int mid = volume / 2;
-  const int searched = symmetric ? mid : volume;
+  const int searched = symmetric ? volume / 2 : volume;
 
   KernelMap km;
   km.kernel_size = geom.kernel_size;
   km.maps.resize(static_cast<std::size_t>(volume));
   km.stats.backend = opts.backend;
-  // Grid construction: exactly one access per entry (paper §4.4), charged
-  // analytically — the host never materializes the grid on this path.
-  km.stats.build_accesses = in_coords.size();
   km.stats.used_symmetry = symmetric;
-  // Each searched offset issues (and charges) one query per output —
-  // bounds-rejected ones included, as in the probe loop.
+  // Each searched offset issues one query per output, bounds-rejected
+  // ones included, as in the probe loop. The host never builds a grid.
   km.stats.queries =
       static_cast<std::size_t>(searched) * out_coords.size();
-  km.stats.index_accesses = km.stats.queries;
+  charge_grid_accesses(km.stats, in_coords.size());
 
   Coord lo{}, hi{};
   if (!coord_bounds(in_coords, lo, hi)) return km;  // empty input
@@ -307,21 +376,7 @@ KernelMap build_kernel_map_grid_merge(const std::vector<Coord>& in_coords,
       n += nz;
     }
   }
-  if (symmetric) {
-    // Mirror each searched map (swap in/out, negated offset) and emit
-    // the center offset as the identity map with zero queries.
-    for (int n = 0; n < mid; ++n) {
-      const auto& m = km.maps[static_cast<std::size_t>(n)];
-      auto& mm = km.maps[static_cast<std::size_t>(
-          mirror_offset_index(volume, n))];
-      mm.reserve(m.size());
-      for (const MapEntry& e : m) mm.push_back({e.out, e.in});
-    }
-    auto& center = km.maps[static_cast<std::size_t>(mid)];
-    center.reserve(out_coords.size());
-    for (std::size_t i = 0; i < out_coords.size(); ++i)
-      center.push_back({static_cast<int32_t>(i), static_cast<int32_t>(i)});
-  }
+  if (symmetric) mirror_and_center(km, out_coords.size());
   return km;
 }
 
@@ -346,7 +401,8 @@ KernelMap build_kernel_map(const std::vector<Coord>& in_coords,
   // Grid backend, forward convs: probe-free merge-join (identical maps,
   // identical modeled counters, much cheaper host-side). The hashmap
   // backend keeps the real probe loop — its modeled cost depends on the
-  // actual collision/probe counts of the table.
+  // actual collision/probe counts of the table — and so do transposed
+  // grid builds, which are rare: decoders reuse the encoder's maps.
   if (opts.backend == MapBackend::kGrid && !geom.transposed)
     return build_kernel_map_grid_merge(in_coords, out_coords, geom, opts,
                                        symmetric, same_sets);
@@ -358,40 +414,24 @@ KernelMap build_kernel_map(const std::vector<Coord>& in_coords,
   km.kernel_size = geom.kernel_size;
   km.maps.resize(static_cast<std::size_t>(volume));
   km.stats.backend = opts.backend;
-
-  CoordIndex index(in_coords, opts.backend);
-  km.stats.build_accesses = index.build_accesses();
-
-  std::size_t queries = 0;
   km.stats.used_symmetry = symmetric;
 
-  if (symmetric) {
-    // Submanifold: P_in == P_out. Search the first half of the offsets,
-    // mirror each map (swap in/out, negated offset), and emit the center
-    // offset as the identity map with zero queries.
-    const int mid = volume / 2;
-    for (int n = 0; n < mid; ++n) {
-      auto& m = km.maps[static_cast<std::size_t>(n)];
-      search_offset(out_coords, offsets[static_cast<std::size_t>(n)], geom,
-                    index, m, queries);
-      auto& mm = km.maps[static_cast<std::size_t>(
-          mirror_offset_index(volume, n))];
-      mm.reserve(m.size());
-      for (const MapEntry& e : m) mm.push_back({e.out, e.in});
-    }
-    auto& center = km.maps[static_cast<std::size_t>(mid)];
-    center.reserve(out_coords.size());
-    for (std::size_t i = 0; i < out_coords.size(); ++i)
-      center.push_back(
-          {static_cast<int32_t>(i), static_cast<int32_t>(i)});
-  } else {
-    for (int n = 0; n < volume; ++n)
-      search_offset(out_coords, offsets[static_cast<std::size_t>(n)], geom,
-                    index, km.maps[static_cast<std::size_t>(n)], queries);
-  }
+  ProbeIndex index(in_coords, opts.backend);
+  // Submanifold: P_in == P_out. Search the first half of the offsets and
+  // infer the rest by mirroring.
+  const int searched = symmetric ? volume / 2 : volume;
+  for (int n = 0; n < searched; ++n)
+    search_offset(out_coords, offsets[static_cast<std::size_t>(n)], geom,
+                  index, km.maps[static_cast<std::size_t>(n)],
+                  km.stats.queries);
+  if (symmetric) mirror_and_center(km, out_coords.size());
 
-  km.stats.queries = queries;
-  km.stats.index_accesses = index.query_accesses();
+  if (opts.backend == MapBackend::kGrid) {
+    charge_grid_accesses(km.stats, in_coords.size());
+  } else {
+    km.stats.build_accesses = index.build_probes();
+    km.stats.index_accesses = index.find_probes();
+  }
   return km;
 }
 

@@ -16,9 +16,13 @@
 
 #include "core/conv_config.hpp"
 #include "core/kernel_offsets.hpp"
-#include "hash/grid_hashmap.hpp"
+#include "hash/coords.hpp"
 
 namespace ts {
+
+/// Map-search backend selection (paper §4.4 chooses per layer between the
+/// conventional hashmap and the collision-free grid).
+enum class MapBackend { kHashMap, kGrid };
 
 /// One input-output pair for a given kernel offset.
 struct MapEntry {

@@ -1,10 +1,20 @@
 #include "core/sparse_tensor.hpp"
 
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
 namespace ts {
+
+namespace {
+
+/// The feature-carrying constructors' check: one feature row per point.
+void require_row_per_point(std::size_t points, const Matrix& feats) {
+  if (feats.rows() != points)
+    throw std::invalid_argument(
+        "SparseTensor: " + std::to_string(points) + " points but " +
+        std::to_string(feats.rows()) + " feature rows");
+}
+}  // namespace
 
 SparseTensor::SparseTensor(std::vector<Coord> coords, Matrix feats)
     : coords_(std::make_shared<const std::vector<Coord>>(std::move(coords))),
@@ -12,7 +22,7 @@ SparseTensor::SparseTensor(std::vector<Coord> coords, Matrix feats)
       channels_(feats_.cols()),
       stride_(1),
       cache_(std::make_shared<TensorCache>()) {
-  assert(coords_->size() == feats_.rows());
+  require_row_per_point(num_points(), feats_);
   cache_->coords_at_stride[1] = coords_;
 }
 
@@ -24,7 +34,7 @@ SparseTensor::SparseTensor(std::shared_ptr<const std::vector<Coord>> coords,
       channels_(feats_.cols()),
       stride_(stride),
       cache_(std::move(cache)) {
-  assert(coords_->size() == feats_.rows());
+  require_row_per_point(num_points(), feats_);
 }
 
 SparseTensor::SparseTensor(std::shared_ptr<const std::vector<Coord>> coords,

@@ -35,6 +35,8 @@ class SparseTensor {
   SparseTensor() = default;
 
   /// Creates a stride-1 tensor and seeds a fresh cache with its coords.
+  /// This and the derived-tensor constructor throw std::invalid_argument
+  /// unless `feats` has one row per coordinate.
   SparseTensor(std::vector<Coord> coords, Matrix feats);
 
   /// Creates a derived tensor (same cache, possibly different stride).

@@ -39,6 +39,7 @@ void reset_context(ExecContext& ctx, int device_index) {
 
 Timeline run_in_context(const ModelFn& model, const SparseTensor& input,
                         ExecContext& ctx) {
+  if (ctx.compute_numerics) require_features(input, "run_in_context");
   const SparseTensor in = ctx.compute_numerics
                               ? fresh_input(input)
                               : input.shape_with_fresh_cache();
@@ -48,6 +49,7 @@ Timeline run_in_context(const ModelFn& model, const SparseTensor& input,
 
 Timeline run_in_context(const ModelFn& model, SparseTensor&& input,
                         ExecContext& ctx) {
+  if (ctx.compute_numerics) require_features(input, "run_in_context");
   // Consumed either way: a cost-only pass frees the features before the
   // model starts, since nothing will read them.
   const SparseTensor in =

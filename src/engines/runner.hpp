@@ -88,6 +88,8 @@ void reset_context(ExecContext& ctx, int device_index);
 /// returns the context's accumulated timeline: on a private copy of it
 /// with numerics on, on its feature-less shape (shared coordinates, no
 /// features) on a cost-only pass. `input` itself is never modified.
+/// Throws std::invalid_argument, before copying anything, when numerics
+/// are on and `input` has no features.
 /// Exceptions from the model propagate unchanged; `ctx` is then
 /// mid-request garbage and must be reset_context'ed (or discarded) before
 /// reuse.

@@ -7,10 +7,12 @@
 // single integer compare/hash handles the full coordinate.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <ostream>
 #include <string>
+#include <vector>
 
 namespace ts {
 
@@ -58,6 +60,25 @@ inline bool coord_in_packable_range(const Coord& c) {
     return v >= kCoordSpatialMin && v <= kCoordSpatialMax;
   };
   return c.b >= 0 && c.b <= kCoordBatchMax && ok(c.x) && ok(c.y) && ok(c.z);
+}
+
+/// Computes the inclusive coordinate bounding box of a point set.
+/// Returns false (and leaves lo/hi untouched) for an empty set.
+inline bool coord_bounds(const std::vector<Coord>& coords, Coord& lo,
+                         Coord& hi) {
+  if (coords.empty()) return false;
+  lo = hi = coords[0];
+  for (const Coord& c : coords) {
+    lo.b = std::min(lo.b, c.b);
+    lo.x = std::min(lo.x, c.x);
+    lo.y = std::min(lo.y, c.y);
+    lo.z = std::min(lo.z, c.z);
+    hi.b = std::max(hi.b, c.b);
+    hi.x = std::max(hi.x, c.x);
+    hi.y = std::max(hi.y, c.y);
+    hi.z = std::max(hi.z, c.z);
+  }
+  return true;
 }
 
 /// 64-bit mix (splitmix64 finalizer) — the hash function applied to packed

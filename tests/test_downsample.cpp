@@ -5,11 +5,13 @@
 #include <algorithm>
 #include <random>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 #include "core/downsample.hpp"
 #include "core/kernel_offsets.hpp"
-#include "hash/grid_hashmap.hpp"
+#include "hash/coords.hpp"
 
 namespace ts {
 namespace {
@@ -121,6 +123,24 @@ TEST(Downsample, StrideMustDividePointsConsistently) {
   EXPECT_TRUE(got.count(pack_coord(Coord{0, 0, 0, 0})));
   EXPECT_TRUE(got.count(pack_coord(Coord{0, 2, 2, 2})));
   EXPECT_TRUE(got.count(pack_coord(Coord{0, 4, 0, 2})));
+}
+
+TEST(Downsample, RejectsStrideBelowTwo) {
+  // Without the check, stride 0 would divide by zero and a negative
+  // stride would return no coordinates.
+  const std::vector<Coord> in = {{0, 0, 0, 0}, {0, 4, 4, 4}};
+  for (int stride : {1, 0, -2}) {
+    for (bool fused : {false, true}) {
+      try {
+        downsample_coords(in, 2, stride, fused, true);
+        FAIL() << "expected std::invalid_argument for stride " << stride;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "downsample_coords: stride must be >= 2 (got " +
+                      std::to_string(stride) + ")");
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "core/downsample.hpp"
 #include "data/voxelize.hpp"
 #include "engines/presets.hpp"
+#include "engines/runner.hpp"
 #include "gpusim/device.hpp"
 #include "io/serialize.hpp"
 #include "nn/dense2d.hpp"
@@ -362,6 +363,35 @@ TEST(EdgeCases, FeaturelessTensorRejectedByNumerics) {
                std::invalid_argument);
   EXPECT_THROW(spnn::sparse_to_bev(shape, ctx), std::invalid_argument);
   EXPECT_EQ(ctx.timeline.total_seconds(), 0.0);  // rejected before charging
+
+  // A numerics run rejects a feature-less input before copying it, and
+  // the feature-carrying constructors reject a row count that is not the
+  // point count.
+  const ModelFn model = [](const SparseTensor& in, ExecContext& c) {
+    sparse_conv3d(in, conv(3, 1, 4, 8, 3), c);
+  };
+  RunOptions numerics;
+  numerics.numerics = true;
+  try {
+    run_model(model, shape, rtx2080ti(), torchsparse_config(), numerics);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "run_in_context: input has no features (3 points, 4 "
+                 "channels): a cost-only tensor cannot feed a numerics pass");
+  }
+  ExecContext run_ctx = make_run_context(rtx2080ti(), torchsparse_config(),
+                                         numerics);
+  EXPECT_THROW(run_in_context(model, SparseTensor(shape), run_ctx),
+               std::invalid_argument);
+  try {
+    (void)SparseTensor(coords, Matrix(2, 4));
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "SparseTensor: 3 points but 2 feature rows");
+  }
+  EXPECT_THROW(SparseTensor(full.coords_ptr(), Matrix(), 1, full.cache()),
+               std::invalid_argument);
 
   // Dense maps follow the same rule.
   spnn::DenseBEV bev_shape;

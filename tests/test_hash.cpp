@@ -1,4 +1,4 @@
-// Coordinate packing, conventional hashmap, and collision-free grid tests.
+// Coordinate packing, bounding boxes, and the conventional hashmap.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -6,7 +6,6 @@
 
 #include "hash/coords.hpp"
 #include "hash/flat_hashmap.hpp"
-#include "hash/grid_hashmap.hpp"
 
 namespace ts {
 namespace {
@@ -43,6 +42,15 @@ TEST(Coords, RangeValidation) {
   EXPECT_TRUE(coord_in_packable_range({0, 0, 0, 0}));
 }
 
+TEST(CoordBounds, ComputesInclusiveBox) {
+  Coord lo, hi;
+  EXPECT_FALSE(coord_bounds({}, lo, hi));
+  std::vector<Coord> cs = {{0, 1, -2, 3}, {0, -4, 5, 0}, {1, 2, 2, 2}};
+  ASSERT_TRUE(coord_bounds(cs, lo, hi));
+  EXPECT_EQ(lo, (Coord{0, -4, -2, 0}));
+  EXPECT_EQ(hi, (Coord{1, 2, 5, 3}));
+}
+
 TEST(FlatHashMap, InsertAndFind) {
   FlatHashMap m(16);
   m.insert(Coord{0, 1, 2, 3}, 42);
@@ -77,135 +85,6 @@ TEST(FlatHashMap, ProbeCountingIsPositive) {
   m.find(Coord{0, 1, 2, 3}, &q);
   EXPECT_GE(q, 1u);
   EXPECT_GT(m.total_insert_probes(), 0u);
-}
-
-TEST(GridHashMap, ExactlyOneAccessSemantics) {
-  GridHashMap g(Coord{0, 0, 0, 0}, Coord{0, 9, 9, 9});
-  EXPECT_EQ(g.capacity(), 1000u);
-  g.insert(Coord{0, 3, 4, 5}, 77);
-  EXPECT_EQ(g.find(Coord{0, 3, 4, 5}), 77);
-  EXPECT_EQ(g.find(Coord{0, 3, 4, 6}), GridHashMap::kNotFound);
-  // Out of bounds: reported missing without touching memory.
-  EXPECT_EQ(g.find(Coord{0, -1, 0, 0}), GridHashMap::kNotFound);
-  EXPECT_EQ(g.find(Coord{0, 10, 0, 0}), GridHashMap::kNotFound);
-}
-
-TEST(GridHashMap, SparseBackedHugeBoundingBox) {
-  // Above kDenseCellLimit the grid keeps its modeled dense capacity but
-  // backs storage with a compact hash; semantics must be identical.
-  const Coord lo{0, 0, 0, 0};
-  const Coord hi{0, 4000, 4000, 4000};  // ~6.4e10 cells >> 2^22
-  GridHashMap g(lo, hi);
-  EXPECT_GT(g.capacity(), GridHashMap::kDenseCellLimit);
-  EXPECT_EQ(g.capacity(), 4001ull * 4001ull * 4001ull);
-
-  g.insert(Coord{0, 3999, 17, 2500}, 7);
-  g.insert(Coord{0, 0, 0, 0}, 8);
-  g.insert(Coord{0, 3999, 17, 2500}, 99);  // duplicate keeps first
-  EXPECT_EQ(g.size(), 2u);
-  EXPECT_EQ(g.find(Coord{0, 3999, 17, 2500}), 7);
-  EXPECT_EQ(g.find(Coord{0, 0, 0, 0}), 8);
-  EXPECT_EQ(g.find(Coord{0, 1, 2, 3}), GridHashMap::kNotFound);
-  EXPECT_EQ(g.find(Coord{0, 4001, 0, 0}), GridHashMap::kNotFound);
-
-  // Many inserts across the box: all retrievable, misses stay misses.
-  std::mt19937_64 rng(9);
-  std::uniform_int_distribution<int32_t> d(0, 4000);
-  std::vector<Coord> pts;
-  std::unordered_set<uint64_t> seen;
-  while (pts.size() < 3000) {
-    const Coord c{0, d(rng), d(rng), d(rng)};
-    if (seen.insert(pack_coord(c)).second) pts.push_back(c);
-  }
-  for (std::size_t i = 0; i < pts.size(); ++i)
-    g.insert(pts[i], static_cast<int64_t>(i));
-  EXPECT_EQ(g.size(), 2u + pts.size());
-  for (std::size_t i = 0; i < pts.size(); ++i)
-    ASSERT_EQ(g.find(pts[i]), static_cast<int64_t>(i)) << i;
-}
-
-TEST(CoordIndex, SparseAndDenseGridAgreeAcrossLimit) {
-  // The same point set indexed inside a small box (dense path) and after
-  // translating one point out to inflate the box (sparse path) answers
-  // queries identically, with the same access accounting.
-  std::mt19937_64 rng(10);
-  std::uniform_int_distribution<int32_t> d(0, 30);
-  std::vector<Coord> coords;
-  std::unordered_set<uint64_t> seen;
-  while (coords.size() < 500) {
-    const Coord c{0, d(rng), d(rng), d(rng)};
-    if (seen.insert(pack_coord(c)).second) coords.push_back(c);
-  }
-  CoordIndex dense(coords, MapBackend::kGrid);
-  std::vector<Coord> stretched = coords;
-  stretched.push_back(Coord{0, 8000, 8000, 8000});  // inflates the box
-  CoordIndex sparse(stretched, MapBackend::kGrid);
-  EXPECT_LE(dense.memory_bytes() / 8, GridHashMap::kDenseCellLimit);
-  EXPECT_GT(sparse.memory_bytes() / 8, GridHashMap::kDenseCellLimit);
-  EXPECT_EQ(sparse.build_accesses(), stretched.size());
-
-  for (int i = 0; i < 2000; ++i) {
-    const Coord q{0, d(rng), d(rng), d(rng)};
-    ASSERT_EQ(dense.find(q), sparse.find(q));
-  }
-  EXPECT_EQ(sparse.find(Coord{0, 8000, 8000, 8000}),
-            static_cast<int64_t>(stretched.size() - 1));
-}
-
-TEST(GridHashMap, NegativeCoordinateBounds) {
-  GridHashMap g(Coord{0, -5, -5, -5}, Coord{1, 5, 5, 5});
-  g.insert(Coord{1, -5, 0, 5}, 3);
-  EXPECT_EQ(g.find(Coord{1, -5, 0, 5}), 3);
-  EXPECT_EQ(g.find(Coord{0, -5, 0, 5}), GridHashMap::kNotFound);
-}
-
-TEST(CoordBounds, ComputesInclusiveBox) {
-  Coord lo, hi;
-  EXPECT_FALSE(coord_bounds({}, lo, hi));
-  std::vector<Coord> cs = {{0, 1, -2, 3}, {0, -4, 5, 0}, {1, 2, 2, 2}};
-  ASSERT_TRUE(coord_bounds(cs, lo, hi));
-  EXPECT_EQ(lo, (Coord{0, -4, -2, 0}));
-  EXPECT_EQ(hi, (Coord{1, 2, 5, 3}));
-}
-
-/// Property: both CoordIndex backends answer every query identically;
-/// the grid uses exactly one DRAM access per build entry and per query.
-class CoordIndexEquivalence : public ::testing::TestWithParam<int> {};
-
-TEST_P(CoordIndexEquivalence, BackendsAgree) {
-  const int n = GetParam();
-  std::mt19937_64 rng(static_cast<uint64_t>(n));
-  std::uniform_int_distribution<int32_t> d(-40, 40);
-  std::vector<Coord> coords;
-  std::unordered_set<uint64_t> seen;
-  while (static_cast<int>(coords.size()) < n) {
-    const Coord c{0, d(rng), d(rng), d(rng)};
-    if (seen.insert(pack_coord(c)).second) coords.push_back(c);
-  }
-  CoordIndex hash_idx(coords, MapBackend::kHashMap);
-  CoordIndex grid_idx(coords, MapBackend::kGrid);
-  EXPECT_EQ(grid_idx.build_accesses(), coords.size());
-
-  std::size_t queries = 0;
-  for (int i = 0; i < 2000; ++i) {
-    const Coord q{0, d(rng), d(rng), d(rng)};
-    EXPECT_EQ(hash_idx.find(q), grid_idx.find(q));
-    ++queries;
-  }
-  EXPECT_EQ(grid_idx.query_accesses(), queries);
-  EXPECT_GE(hash_idx.query_accesses(), queries);  // probing costs >= 1 each
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, CoordIndexEquivalence,
-                         ::testing::Values(1, 10, 100, 1000, 5000));
-
-TEST(CoordIndex, GridUsesMoreMemoryThanHash) {
-  // The paper's trade-off: collision-free grid costs memory space.
-  std::vector<Coord> coords;
-  for (int i = 0; i < 50; ++i) coords.push_back({0, i * 7, i * 11, i * 13});
-  CoordIndex hash_idx(coords, MapBackend::kHashMap);
-  CoordIndex grid_idx(coords, MapBackend::kGrid);
-  EXPECT_GT(grid_idx.memory_bytes(), hash_idx.memory_bytes());
 }
 
 }  // namespace
