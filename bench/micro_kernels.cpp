@@ -1,9 +1,10 @@
 // google-benchmark microbenchmarks for the substrate kernels: synthetic
-// scan ray casting, coordinate hashing (conventional vs grid), map search
-// (synthetic sets and a real scan's layer stack), the conv gather, one
-// layer's row-partitioned numerics, GEMM on the segmentation workload's
-// shapes, the L2 cache simulator (serial and set-partitioned), FP16
-// quantization of a feature matrix, and ReLU on one.
+// scan ray casting, coordinate hashing, map search (synthetic sets and a
+// real scan's layer stack), output-coordinate construction on real
+// scans, the conv gather, one layer's row-partitioned numerics, GEMM on
+// the segmentation workload's shapes, the L2 cache simulator (serial and
+// set-partitioned), FP16 quantization of a feature matrix, and ReLU on
+// one.
 //
 // These measure the *host implementation* (this repo runs the algorithms
 // on CPU); the paper-facing performance numbers come from the cost model
@@ -156,6 +157,43 @@ BENCHMARK(BM_MapSearchScan)
     ->ArgNames({"det", "level", "strided"})
     ->ArgsProduct({{0, 1}, {0, 1, 2, 3}, {0}})
     ->ArgsProduct({{0, 1}, {0, 1, 2}, {1}});
+
+/// The voxelized input of one fixed-seed scan: segmentation (MinkUNet's
+/// SemanticKITTI-like scan) or detection (CenterPoint's Waymo 3-frame
+/// scan), at scale 0.05 as the workloads run it or at the preset's full
+/// resolution.
+const std::vector<ts::Coord>& scan_input(bool detection, bool full) {
+  if (!full) return scan_levels(detection)[0];
+  static const auto build = [](bool det) {
+    const ts::LidarSpec spec =
+        det ? ts::waymo_spec(3) : ts::semantic_kitti_spec();
+    const ts::VoxelSpec vox =
+        det ? ts::detection_voxels() : ts::segmentation_voxels();
+    return ts::make_input(spec, vox, /*seed=*/1).coords();
+  };
+  static const auto seg = build(false);
+  static const auto det = build(true);
+  return detection ? det : seg;
+}
+
+// Args are {kernel, full}: the stride-2 output coordinates of a scan's
+// voxelized input, K=2 on the segmentation scan (MinkUNet's downsample)
+// and K=3 on the detection scan (CenterPoint's), at serving scale
+// (full = 0) or full resolution (full = 1). Items are input points.
+void BM_DownsampleCoords(benchmark::State& state) {
+  const int kernel = static_cast<int>(state.range(0));
+  const auto& in = scan_input(kernel == 3, state.range(1) != 0);
+  for (auto _ : state) {
+    auto out = ts::downsample_coords(in, kernel, 2, true, true);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.counters["points"] = static_cast<double>(in.size());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(in.size()));
+}
+BENCHMARK(BM_DownsampleCoords)
+    ->ArgNames({"kernel", "full"})
+    ->ArgsProduct({{2, 3}, {0, 1}});
 
 /// Random [-1,1) matrix with about half its entries exactly zero when
 /// `zero_half` is set (a gathered feature matrix after ReLU).

@@ -65,7 +65,21 @@ std::shared_ptr<const std::vector<Coord>> resolve_output_coords(
       it != cache.coords_at_stride.end())
     return it->second;
 
+  // The input level's bounds come from its record when a map build has
+  // made one. The output's sorted keys become the coarse level's record,
+  // unless the coordinates come out of the cross-request cache.
+  const std::shared_ptr<const LevelKeys> in_level =
+      cache.find_level_keys(x.stride(), x.coords_ptr());
   std::shared_ptr<const std::vector<Coord>> coords;
+  std::shared_ptr<const LevelKeys> out_level;
+  const auto downsample = [&](DownsampleCounters& dc) {
+    DownsampledLevel level = downsample_level(
+        x.coords(), in_level.get(), geom.kernel_size, geom.stride,
+        ctx.cfg.fused_downsample, ctx.cfg.simplified_control, &dc);
+    out_level = std::make_shared<const LevelKeys>(std::move(level.keys));
+    return std::make_shared<const std::vector<Coord>>(
+        std::move(level.coords));
+  };
   if (ctx.map_cache) {
     // The model namespace salts the digest so two models with identical
     // geometry resolve disjoint cache entries (salt 0 = identity).
@@ -75,32 +89,29 @@ std::shared_ptr<const std::vector<Coord>> resolve_output_coords(
                              ctx.cfg.simplified_control),
         ctx.cache_namespace);
     bool hit = false;
+    std::shared_ptr<const std::vector<Coord>> built;
     const MapCachePayload payload = ctx.map_cache->get_or_build(
         ck,
         [&] {
           MapCachePayload p;
-          DownsampleCounters dc;
-          p.coords = std::make_shared<const std::vector<Coord>>(
-              downsample_coords(x.coords(), geom.kernel_size, geom.stride,
-                                ctx.cfg.fused_downsample,
-                                ctx.cfg.simplified_control, &dc));
-          p.ds_counters = dc;
+          p.coords = built = downsample(p.ds_counters);
           return p;
         },
         &hit);
     coords = payload.coords;
+    // A racing builder's payload replaces ours: its record is not kept.
+    if (coords != built) out_level = nullptr;
     account_cache_resolve(
         ck, map_cache_payload_bytes(payload),
         downsample_charge(payload.ds_counters, ctx),
         map_cache_hit_charge(x.num_points(), coords->size(), ctx), hit, ctx);
   } else {
     DownsampleCounters dc;
-    coords = std::make_shared<const std::vector<Coord>>(downsample_coords(
-        x.coords(), geom.kernel_size, geom.stride, ctx.cfg.fused_downsample,
-        ctx.cfg.simplified_control, &dc));
+    coords = downsample(dc);
     charge_downsample(dc, ctx);
   }
   cache.coords_at_stride[out_stride] = coords;
+  if (out_level) cache.levels_at_stride[out_stride] = {coords, out_level};
   return coords;
 }
 
@@ -111,8 +122,10 @@ std::shared_ptr<const std::vector<Coord>> resolve_output_coords(
 /// enabled) is consulted by content key before building from scratch.
 std::shared_ptr<const KernelMap> resolve_kernel_map(
     const SparseTensor& x, const ConvGeometry& geom,
-    const std::vector<Coord>& out_coords, ExecContext& ctx) {
+    const std::shared_ptr<const std::vector<Coord>>& out_ptr, int out_stride,
+    ExecContext& ctx) {
   TensorCache& cache = *x.cache();
+  const std::vector<Coord>& out_coords = *out_ptr;
   const int fine_stride =
       geom.transposed ? x.stride() / geom.stride : x.stride();
   const MapKey key{fine_stride, geom.kernel_size, geom.stride,
@@ -129,6 +142,17 @@ std::shared_ptr<const KernelMap> resolve_kernel_map(
   opts.backend = ctx.cfg.map_backend;
   opts.use_symmetry = ctx.cfg.symmetric_map_search && geom.is_submanifold();
 
+  // A build that reads level records takes them from the tensor cache,
+  // making each on first use; a cache hit reads none.
+  const auto build = [&] {
+    std::shared_ptr<const LevelKeys> in_level, out_level;
+    if (map_search_reads_levels(geom, opts)) {
+      in_level = cache.level_keys(x.stride(), x.coords_ptr());
+      out_level = cache.level_keys(out_stride, out_ptr);
+    }
+    return build_kernel_map(x.coords(), out_coords, geom, opts,
+                            in_level.get(), out_level.get());
+  };
   std::shared_ptr<const KernelMap> km;
   if (ctx.map_cache) {
     const MapCacheKey ck = salt_cache_key(
@@ -139,8 +163,7 @@ std::shared_ptr<const KernelMap> resolve_kernel_map(
         ck,
         [&] {
           MapCachePayload p;
-          p.kmap = std::make_shared<const KernelMap>(
-              build_kernel_map(x.coords(), out_coords, geom, opts));
+          p.kmap = std::make_shared<const KernelMap>(build());
           return p;
         },
         &hit);
@@ -151,7 +174,7 @@ std::shared_ptr<const KernelMap> resolve_kernel_map(
         map_cache_hit_charge(x.num_points(), out_coords.size(), ctx), hit,
         ctx);
   } else {
-    KernelMap built = build_kernel_map(x.coords(), out_coords, geom, opts);
+    KernelMap built = build();
     charge_map_build(built.stats, built.total(), out_coords.size(), ctx);
     km = std::make_shared<const KernelMap>(std::move(built));
   }
@@ -277,7 +300,7 @@ SparseTensor sparse_conv3d(const SparseTensor& x, const Conv3dParams& p,
 
   int out_stride = x.stride();
   auto out_coords = resolve_output_coords(x, geom, out_stride, ctx);
-  auto km = resolve_kernel_map(x, geom, *out_coords, ctx);
+  auto km = resolve_kernel_map(x, geom, out_coords, out_stride, ctx);
 
   const std::size_t n_in = x.num_points();
   const std::size_t n_out = out_coords->size();

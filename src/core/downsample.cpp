@@ -25,21 +25,42 @@ bool boundary_ok(const Coord& u, const Coord& lo, const Coord& hi) {
          u.z >= lo.z && u.z <= hi.z;
 }
 
-std::vector<Coord> unique_sorted(std::vector<uint64_t>& keys,
-                                 DownsampleCounters* c) {
+/// Sorts and deduplicates the surviving keys into the output level. The
+/// radix sort's scratch is the second half of `keys`, which the sweep's
+/// reservation already holds for every geometry the models use.
+DownsampledLevel unique_sorted(std::vector<uint64_t>& keys,
+                               DownsampleCounters* c) {
   // Sort + unique models the final "Unique Filtering" kernel; its DRAM
   // traffic (a few passes over the key array) exists in both the staged
   // and the fused pipeline.
+  const std::size_t n = keys.size();
   if (c) {
     c->kernel_launches += 1;
-    c->dram_bytes += 4.0 * kKeyBytes * static_cast<double>(keys.size());
-    c->instr_ops += 8.0 * static_cast<double>(keys.size());
+    c->dram_bytes += 4.0 * kKeyBytes * static_cast<double>(n);
+    c->instr_ops += 8.0 * static_cast<double>(n);
   }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  std::vector<Coord> out;
-  out.reserve(keys.size());
-  for (uint64_t k : keys) out.push_back(unpack_coord(k));
+  keys.resize(2 * n);
+  uint64_t* sorted =
+      radix_sort_keys(keys.data(), keys.data() + n, nullptr, nullptr, n);
+  const std::size_t m = static_cast<std::size_t>(
+      std::unique(sorted, sorted + n) - sorted);
+  DownsampledLevel out;
+  out.keys.keys.reserve(m + 1);
+  out.keys.keys.assign(sorted, sorted + m);
+  out.keys.keys.push_back(~uint64_t{0});
+  out.coords.resize(m);
+  if (m == 0) return out;
+  Coord lo = unpack_coord(sorted[0]), hi = lo;
+  for (std::size_t i = 0; i < m; ++i) {
+    const Coord u = unpack_coord(sorted[i]);
+    out.coords[i] = u;
+    lo = {std::min(lo.b, u.b), std::min(lo.x, u.x), std::min(lo.y, u.y),
+          std::min(lo.z, u.z)};
+    hi = {std::max(hi.b, u.b), std::max(hi.x, u.x), std::max(hi.y, u.y),
+          std::max(hi.z, u.z)};
+  }
+  out.keys.lo = lo;
+  out.keys.hi = hi;
   return out;
 }
 
@@ -49,16 +70,35 @@ std::vector<Coord> downsample_coords(const std::vector<Coord>& in,
                                      int kernel_size, int stride, bool fused,
                                      bool simplified_control,
                                      DownsampleCounters* counters) {
+  return downsample_level(in, nullptr, kernel_size, stride, fused,
+                          simplified_control, counters)
+      .coords;
+}
+
+DownsampledLevel downsample_level(const std::vector<Coord>& in,
+                                  const LevelKeys* in_level, int kernel_size,
+                                  int stride, bool fused,
+                                  bool simplified_control,
+                                  DownsampleCounters* counters) {
   if (stride < 2)
     throw std::invalid_argument("downsample_coords: stride must be >= 2 (got " +
                                 std::to_string(stride) + ")");
+  if (kernel_size < 1)
+    throw std::invalid_argument(
+        "downsample_coords: kernel_size must be >= 1 (got " +
+        std::to_string(kernel_size) + ")");
   const auto offsets = kernel_offsets(kernel_size);
   const std::size_t k = offsets.size();
   const std::size_t n_cand = in.size() * k;
   if (counters) counters->candidates = n_cand;
 
   Coord lo{}, hi{};
-  coord_bounds(in, lo, hi);
+  if (in_level) {
+    lo = in_level->lo;
+    hi = in_level->hi;
+  } else {
+    coord_bounds(in, lo, hi);
+  }
 
   std::vector<uint64_t> keys;
   keys.reserve(n_cand / static_cast<std::size_t>(stride));

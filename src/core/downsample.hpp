@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/level_keys.hpp"
 #include "hash/coords.hpp"
 
 namespace ts {
@@ -32,10 +33,26 @@ struct DownsampleCounters {
 /// implementation; `simplified_control` models the §4.4 control-logic
 /// simplification + loop unrolling. Both variants return identical
 /// coordinates — only the counters differ. Throws std::invalid_argument
-/// for a stride below 2.
+/// for a kernel size below 1 or a stride below 2.
 std::vector<Coord> downsample_coords(const std::vector<Coord>& in,
                                      int kernel_size, int stride, bool fused,
                                      bool simplified_control,
                                      DownsampleCounters* counters = nullptr);
+
+/// The output of downsample_coords together with its level record: the
+/// sorted unique keys the computation ends in, with their bounds.
+struct DownsampledLevel {
+  std::vector<Coord> coords;
+  LevelKeys keys;
+};
+
+/// downsample_coords, also returning the output's level record. `in_level`,
+/// when non-null, must be level_keys(in); its bounds replace a pass over
+/// `in`.
+DownsampledLevel downsample_level(const std::vector<Coord>& in,
+                                  const LevelKeys* in_level, int kernel_size,
+                                  int stride, bool fused,
+                                  bool simplified_control,
+                                  DownsampleCounters* counters = nullptr);
 
 }  // namespace ts

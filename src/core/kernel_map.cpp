@@ -24,14 +24,17 @@ void charge_grid_accesses(MapBuildStats& stats, std::size_t n_in) {
 /// The hashmap backend is charged its real probe counts. The grid
 /// backend is charged by charge_grid_accesses; its lookups skip any
 /// candidate outside the input's (b, x, y, z) bounding box, which cannot
-/// match (and whose packed key could alias an in-range one).
+/// match. A candidate outside the packable range cannot match either (its
+/// packed key would wrap onto an in-range one): it misses without a
+/// lookup, and the hashmap backend charges it one probe, as a miss on an
+/// empty table.
 class ProbeIndex {
  public:
   ProbeIndex(const std::vector<Coord>& in_coords, MapBackend backend)
       : table_(in_coords.size()), grid_(backend == MapBackend::kGrid) {
     for (std::size_t i = 0; i < in_coords.size(); ++i)
       build_probes_ += table_.insert(in_coords[i], static_cast<int64_t>(i));
-    coord_bounds(in_coords, lo_, hi_);
+    if (grid_) coord_bounds(in_coords, lo_, hi_);
   }
 
   /// Returns the input position of `c`, or -1.
@@ -41,6 +44,10 @@ class ProbeIndex {
                           c.x <= hi_.x && c.y >= lo_.y && c.y <= hi_.y &&
                           c.z >= lo_.z && c.z <= hi_.z;
       return in_box ? table_.find(c) : FlatHashMap::kNotFound;
+    }
+    if (!coord_in_packable_range(c)) {
+      ++find_probes_;
+      return FlatHashMap::kNotFound;
     }
     std::size_t probes = 0;
     const int64_t j = table_.find(c, &probes);
@@ -166,56 +173,18 @@ void search_offset(const std::vector<Coord>& out_coords, const Offset3& d,
 
 constexpr uint64_t kZFieldMask = 0x3ffff;  // z field of a packed key
 
-/// A coordinate set in packed-key order. A set that is already strictly
-/// ascending (every downsample_coords output) is used in place and `pos`
-/// stays empty; otherwise (key, position) pairs are sorted, so equal
-/// coordinates keep ascending position order. `keys` ends in a ~0
-/// sentinel, so a cursor looking for a smaller key needs no end check.
-struct KeyOrder {
-  std::vector<uint64_t> keys;  // ascending packed keys, then the sentinel
-  std::vector<int32_t> pos;    // original index of each key (if re-sorted)
-
-  std::size_t size() const { return keys.size() - 1; }
-  int32_t position(std::size_t i) const {
-    return pos.empty() ? static_cast<int32_t>(i) : pos[i];
-  }
-};
-
-KeyOrder key_order(const std::vector<Coord>& coords) {
-  KeyOrder s;
-  const std::size_t n = coords.size();
-  s.keys.resize(n + 1);
-  bool ascending = true;
-  for (std::size_t i = 0; i < n; ++i) {
-    s.keys[i] = pack_coord(coords[i]);
-    if (i > 0) ascending &= s.keys[i - 1] < s.keys[i];
-  }
-  s.keys[n] = ~uint64_t{0};
-  if (ascending) return s;
-  std::vector<std::pair<uint64_t, int32_t>> order(n);
-  for (std::size_t i = 0; i < n; ++i)
-    order[i] = {s.keys[i], static_cast<int32_t>(i)};
-  std::sort(order.begin(), order.end());
-  s.pos.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    s.keys[i] = order[i].first;
-    s.pos[i] = order[i].second;
-  }
-  return s;
-}
-
 /// Merge-join for one column: offsets `col[0..nz)` share (dx, dy), and
-/// their candidates for output q are s*q + dil*delta. `sq` holds the
-/// outputs in key order, scaled by the stride (s*q). The matches of
+/// their candidates for output q are s*q + dil*delta, searched within
+/// the input level `in`'s bounds by one cursor over its keys. `sq` holds
+/// the outputs in key order, scaled by the stride (s*q). The matches of
 /// col[iz] go to `maps[iz]` in ascending output position, at exact
 /// capacity (`count` holds the nz tallies): staged in `found` (`n_out`
 /// slots per offset) when `out_pos` is empty (outputs in place), else
 /// scattered into `scratch` (nz slots per output, all -1 on entry and on
 /// return) and gathered by output position.
-void search_column_grid_merge(const KeyOrder& in, const Coord* sq,
+void search_column_grid_merge(const LevelKeys& in, const Coord* sq,
                               std::size_t n_out,
                               const std::vector<int32_t>& out_pos,
-                              const Coord& lo, const Coord& hi,
                               const Offset3* col, int nz, int dil,
                               std::vector<MapEntry>* maps, std::size_t* count,
                               std::vector<MapEntry>& found,
@@ -233,6 +202,8 @@ void search_column_grid_merge(const KeyOrder& in, const Coord* sq,
     slot_of[static_cast<std::size_t>(dil * col[iz].dz - oz_min)] = iz;
 
   // In-bounds tests as one unsigned compare per axis.
+  const Coord& lo = in.lo;
+  const Coord& hi = in.hi;
   const auto span = [](int32_t l, int32_t h) {
     return static_cast<uint32_t>(h) - static_cast<uint32_t>(l);
   };
@@ -307,14 +278,22 @@ void search_column_grid_merge(const KeyOrder& in, const Coord* sq,
   }
 }
 
+/// Offsets a build searches: half the volume (rounded down) when it
+/// mirrors the rest, else all of them.
+int searched_offsets(const ConvGeometry& geom, const MapSearchOptions& opts) {
+  const int volume = kernel_volume(geom.kernel_size);
+  return opts.use_symmetry && geom.is_submanifold() ? volume / 2 : volume;
+}
+
 KernelMap build_kernel_map_grid_merge(const std::vector<Coord>& in_coords,
                                       const std::vector<Coord>& out_coords,
                                       const ConvGeometry& geom,
                                       const MapSearchOptions& opts,
-                                      bool symmetric, bool same_sets) {
+                                      bool symmetric, const LevelKeys& in,
+                                      const LevelKeys& out) {
   const auto offsets = kernel_offsets(geom.kernel_size);
   const int volume = static_cast<int>(offsets.size());
-  const int searched = symmetric ? volume / 2 : volume;
+  const int searched = searched_offsets(geom, opts);
 
   KernelMap km;
   km.kernel_size = geom.kernel_size;
@@ -326,87 +305,77 @@ KernelMap build_kernel_map_grid_merge(const std::vector<Coord>& in_coords,
   km.stats.queries =
       static_cast<std::size_t>(searched) * out_coords.size();
   charge_grid_accesses(km.stats, in_coords.size());
+  if (in.size() == 0) return km;  // empty input
 
-  Coord lo{}, hi{};
-  if (!coord_bounds(in_coords, lo, hi)) return km;  // empty input
-  {
-    const KeyOrder in = key_order(in_coords);
-    // Submanifold layers search the input set against itself; share the
-    // key order instead of packing (or sorting) it twice.
-    KeyOrder out_distinct;
-    if (!same_sets) out_distinct = key_order(out_coords);
-    const KeyOrder& out = same_sets ? in : out_distinct;
-
-    const std::size_t n_out = out_coords.size();
-    // A column groups the offsets sharing (dx, dy); a zero dilation
-    // collapses each column onto one z, so it searches offsets singly.
-    const int kz = geom.dilation == 0 ? 1 : geom.kernel_size;
-    // Outputs in key order, scaled by the stride: used in place when
-    // already sorted at stride 1, else copied. Matches of sorted outputs
-    // are staged per offset; others are scattered by output position.
-    const int st = geom.stride;
-    std::vector<Coord> scaled;
-    if (!out.pos.empty() || st != 1) {
-      scaled.resize(n_out);
-      for (std::size_t t = 0; t < n_out; ++t) {
-        const Coord& q =
-            out_coords[static_cast<std::size_t>(out.position(t))];
-        scaled[t] = {q.b, st * q.x, st * q.y, st * q.z};
-      }
-    }
-    const Coord* sq = scaled.empty() ? out_coords.data() : scaled.data();
-    std::vector<MapEntry> found;
-    std::vector<int32_t> scratch;
-    std::vector<std::size_t> count(static_cast<std::size_t>(kz));
-    if (out.pos.empty())
-      found.resize(static_cast<std::size_t>(kz) * n_out);
-    else
-      scratch.assign(n_out * static_cast<std::size_t>(kz), -1);
-    for (int n = 0; n < searched;) {
-      const Offset3& d = offsets[static_cast<std::size_t>(n)];
-      int nz = 1;
-      while (nz < kz && n + nz < searched &&
-             offsets[static_cast<std::size_t>(n + nz)].dx == d.dx &&
-             offsets[static_cast<std::size_t>(n + nz)].dy == d.dy)
-        ++nz;
-      search_column_grid_merge(in, sq, n_out, out.pos, lo, hi, &d, nz,
-                               geom.dilation,
-                               &km.maps[static_cast<std::size_t>(n)],
-                               count.data(), found, scratch);
-      n += nz;
+  const std::size_t n_out = out_coords.size();
+  // A column groups the offsets sharing (dx, dy); a zero dilation
+  // collapses each column onto one z, so it searches offsets singly.
+  const int kz = geom.dilation == 0 ? 1 : geom.kernel_size;
+  // Outputs in key order, scaled by the stride: used in place when
+  // already sorted at stride 1, else copied. Matches of sorted outputs
+  // are staged per offset; others are scattered by output position.
+  const int st = geom.stride;
+  std::vector<Coord> scaled;
+  if (!out.pos.empty() || st != 1) {
+    scaled.resize(n_out);
+    for (std::size_t t = 0; t < n_out; ++t) {
+      const Coord& q = out_coords[static_cast<std::size_t>(out.position(t))];
+      scaled[t] = {q.b, st * q.x, st * q.y, st * q.z};
     }
   }
-  if (symmetric) mirror_and_center(km, out_coords.size());
+  const Coord* sq = scaled.empty() ? out_coords.data() : scaled.data();
+  std::vector<MapEntry> found;
+  std::vector<int32_t> scratch;
+  std::vector<std::size_t> count(static_cast<std::size_t>(kz));
+  if (out.pos.empty())
+    found.resize(static_cast<std::size_t>(kz) * n_out);
+  else
+    scratch.assign(n_out * static_cast<std::size_t>(kz), -1);
+  for (int n = 0; n < searched;) {
+    const Offset3& d = offsets[static_cast<std::size_t>(n)];
+    int nz = 1;
+    while (nz < kz && n + nz < searched &&
+           offsets[static_cast<std::size_t>(n + nz)].dx == d.dx &&
+           offsets[static_cast<std::size_t>(n + nz)].dy == d.dy)
+      ++nz;
+    search_column_grid_merge(in, sq, n_out, out.pos, &d, nz, geom.dilation,
+                             &km.maps[static_cast<std::size_t>(n)],
+                             count.data(), found, scratch);
+    n += nz;
+  }
+  if (symmetric) mirror_and_center(km, n_out);
   return km;
 }
 
-}  // namespace
-
-KernelMap build_kernel_map(const std::vector<Coord>& in_coords,
-                           const std::vector<Coord>& out_coords,
-                           const ConvGeometry& geom,
-                           const MapSearchOptions& opts) {
-  const bool symmetric = opts.use_symmetry && geom.is_submanifold();
-  const bool same_sets =
-      &in_coords == &out_coords || in_coords == out_coords;
+/// Throws std::invalid_argument for a kernel size or stride below 1, or
+/// for symmetric search over two different sets.
+void check_build(const std::vector<Coord>& in_coords,
+                 const std::vector<Coord>& out_coords,
+                 const ConvGeometry& geom, const MapSearchOptions& opts) {
+  if (geom.kernel_size < 1)
+    throw std::invalid_argument(
+        "build_kernel_map: kernel_size must be >= 1 (got " +
+        std::to_string(geom.kernel_size) + ")");
+  if (geom.stride < 1)
+    throw std::invalid_argument("build_kernel_map: stride must be >= 1 (got " +
+                                std::to_string(geom.stride) + ")");
   // Mirroring a searched map is only valid when P_in == P_out; with
   // distinct sets it would emit entries indexing past the input set.
-  if (symmetric && !same_sets)
+  if (opts.use_symmetry && geom.is_submanifold() &&
+      &in_coords != &out_coords && in_coords != out_coords)
     throw std::invalid_argument(
         "build_kernel_map: symmetric map search needs identical input and "
         "output coordinate sets (got " +
         std::to_string(in_coords.size()) + " inputs, " +
         std::to_string(out_coords.size()) + " outputs)");
+}
 
-  // Grid backend, forward convs: probe-free merge-join (identical maps,
-  // identical modeled counters, much cheaper host-side). The hashmap
-  // backend keeps the real probe loop — its modeled cost depends on the
-  // actual collision/probe counts of the table — and so do transposed
-  // grid builds, which are rare: decoders reuse the encoder's maps.
-  if (opts.backend == MapBackend::kGrid && !geom.transposed)
-    return build_kernel_map_grid_merge(in_coords, out_coords, geom, opts,
-                                       symmetric, same_sets);
-
+/// The probe loop: the hashmap backend, and transposed grid builds.
+KernelMap build_kernel_map_probe(const std::vector<Coord>& in_coords,
+                                 const std::vector<Coord>& out_coords,
+                                 const ConvGeometry& geom,
+                                 const MapSearchOptions& opts,
+                                 bool symmetric) {
   const auto offsets = kernel_offsets(geom.kernel_size);
   const int volume = static_cast<int>(offsets.size());
 
@@ -419,7 +388,7 @@ KernelMap build_kernel_map(const std::vector<Coord>& in_coords,
   ProbeIndex index(in_coords, opts.backend);
   // Submanifold: P_in == P_out. Search the first half of the offsets and
   // infer the rest by mirroring.
-  const int searched = symmetric ? volume / 2 : volume;
+  const int searched = searched_offsets(geom, opts);
   for (int n = 0; n < searched; ++n)
     search_offset(out_coords, offsets[static_cast<std::size_t>(n)], geom,
                   index, km.maps[static_cast<std::size_t>(n)],
@@ -433,6 +402,54 @@ KernelMap build_kernel_map(const std::vector<Coord>& in_coords,
     km.stats.index_accesses = index.find_probes();
   }
   return km;
+}
+
+}  // namespace
+
+// Grid backend, forward convs: probe-free merge-join (identical maps,
+// identical modeled counters, much cheaper host-side). The hashmap
+// backend keeps the real probe loop — its modeled cost depends on the
+// actual collision/probe counts of the table — and so do transposed grid
+// builds, which are rare: decoders reuse the encoder's maps.
+bool map_search_reads_levels(const ConvGeometry& geom,
+                             const MapSearchOptions& opts) {
+  return opts.backend == MapBackend::kGrid && !geom.transposed &&
+         searched_offsets(geom, opts) > 0;
+}
+
+KernelMap build_kernel_map(const std::vector<Coord>& in_coords,
+                           const std::vector<Coord>& out_coords,
+                           const ConvGeometry& geom,
+                           const MapSearchOptions& opts) {
+  if (!map_search_reads_levels(geom, opts))
+    return build_kernel_map(in_coords, out_coords, geom, opts, nullptr,
+                            nullptr);
+  // Submanifold layers search the input set against itself; share its
+  // record instead of packing (or sorting) it twice.
+  const LevelKeys in = level_keys(in_coords);
+  if (&in_coords == &out_coords || in_coords == out_coords)
+    return build_kernel_map(in_coords, out_coords, geom, opts, &in, &in);
+  const LevelKeys out = level_keys(out_coords);
+  return build_kernel_map(in_coords, out_coords, geom, opts, &in, &out);
+}
+
+KernelMap build_kernel_map(const std::vector<Coord>& in_coords,
+                           const std::vector<Coord>& out_coords,
+                           const ConvGeometry& geom,
+                           const MapSearchOptions& opts,
+                           const LevelKeys* in_level,
+                           const LevelKeys* out_level) {
+  check_build(in_coords, out_coords, geom, opts);
+  const bool symmetric = opts.use_symmetry && geom.is_submanifold();
+  if (!map_search_reads_levels(geom, opts))
+    return build_kernel_map_probe(in_coords, out_coords, geom, opts,
+                                  symmetric);
+  if (!in_level || !out_level)
+    throw std::invalid_argument(
+        "build_kernel_map: a grid-backend forward build needs the level "
+        "records of both coordinate sets");
+  return build_kernel_map_grid_merge(in_coords, out_coords, geom, opts,
+                                     symmetric, *in_level, *out_level);
 }
 
 KernelMap transpose_kernel_map(const KernelMap& km) {

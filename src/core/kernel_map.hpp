@@ -16,6 +16,7 @@
 
 #include "core/conv_config.hpp"
 #include "core/kernel_offsets.hpp"
+#include "core/level_keys.hpp"
 #include "hash/coords.hpp"
 
 namespace ts {
@@ -75,12 +76,31 @@ struct MapSearchOptions {
 ///
 /// `in_coords` and `out_coords` are both expressed at their own stride
 /// level (i.e. already divided by tensor stride). Throws
-/// std::invalid_argument when symmetric search applies (`use_symmetry`
-/// on a submanifold geometry) but the two coordinate sets differ.
+/// std::invalid_argument for a kernel size or stride below 1, and when
+/// symmetric search applies (`use_symmetry` on a submanifold geometry)
+/// but the two coordinate sets differ.
 KernelMap build_kernel_map(const std::vector<Coord>& in_coords,
                            const std::vector<Coord>& out_coords,
                            const ConvGeometry& geom,
                            const MapSearchOptions& opts);
+
+/// True when a build with this geometry and these options reads its
+/// coordinate sets' level records: forward grid builds that search at
+/// least one offset (a symmetric k=1 build searches none).
+bool map_search_reads_levels(const ConvGeometry& geom,
+                             const MapSearchOptions& opts);
+
+/// build_kernel_map on level records the caller keeps: when
+/// map_search_reads_levels(geom, opts), `in_level` and `out_level` must
+/// be level_keys(in_coords) and level_keys(out_coords); otherwise they
+/// are not read and may be null. Same maps and stats as the overload
+/// above, which builds the records itself.
+KernelMap build_kernel_map(const std::vector<Coord>& in_coords,
+                           const std::vector<Coord>& out_coords,
+                           const ConvGeometry& geom,
+                           const MapSearchOptions& opts,
+                           const LevelKeys* in_level,
+                           const LevelKeys* out_level);
 
 /// Returns the transpose of `km` (inputs and outputs swapped, offsets
 /// mirrored) — how cached downsample maps are reused by the matching

@@ -16,6 +16,25 @@ void require_row_per_point(std::size_t points, const Matrix& feats) {
 }
 }  // namespace
 
+std::shared_ptr<const LevelKeys> TensorCache::level_keys(
+    int stride, const std::shared_ptr<const std::vector<Coord>>& coords) {
+  Level& level = levels_at_stride[stride];
+  if (level.coords != coords || !level.keys) {
+    level.coords = coords;
+    level.keys = std::make_shared<const LevelKeys>(ts::level_keys(*coords));
+  }
+  return level.keys;
+}
+
+std::shared_ptr<const LevelKeys> TensorCache::find_level_keys(
+    int stride,
+    const std::shared_ptr<const std::vector<Coord>>& coords) const {
+  const auto it = levels_at_stride.find(stride);
+  if (it == levels_at_stride.end() || it->second.coords != coords)
+    return nullptr;
+  return it->second.keys;
+}
+
 SparseTensor::SparseTensor(std::vector<Coord> coords, Matrix feats)
     : coords_(std::make_shared<const std::vector<Coord>>(std::move(coords))),
       feats_(std::move(feats)),

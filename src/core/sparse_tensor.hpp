@@ -22,12 +22,30 @@ namespace ts {
 /// Shared per-network cache of coordinate sets (per tensor-stride level)
 /// and kernel maps (per MapKey). Downsample convs deposit the coarse
 /// coordinates and the forward maps; transposed convs in the decoder pick
-/// them back up.
+/// them back up. Beside each level's coordinates sits its level record
+/// (sorted keys and bounds), made on the first map build that reads it or
+/// deposited by the downsample that made the level.
 struct TensorCache {
   std::unordered_map<int, std::shared_ptr<const std::vector<Coord>>>
       coords_at_stride;
   std::unordered_map<MapKey, std::shared_ptr<const KernelMap>, MapKeyHash>
       kmaps;
+
+  /// A level's record, with the coordinate set it was made from.
+  struct Level {
+    std::shared_ptr<const std::vector<Coord>> coords;
+    std::shared_ptr<const LevelKeys> keys;
+  };
+  std::unordered_map<int, Level> levels_at_stride;
+
+  /// The record of `coords`, the set at `stride`; made on first use, and
+  /// remade if the level's set has been replaced.
+  std::shared_ptr<const LevelKeys> level_keys(
+      int stride, const std::shared_ptr<const std::vector<Coord>>& coords);
+  /// The record of `coords` if one was made, else null.
+  std::shared_ptr<const LevelKeys> find_level_keys(
+      int stride,
+      const std::shared_ptr<const std::vector<Coord>>& coords) const;
 };
 
 class SparseTensor {

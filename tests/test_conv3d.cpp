@@ -3,6 +3,7 @@
 // and the row-partitioned numerics with the serial loop, bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <initializer_list>
@@ -16,6 +17,7 @@
 #include "core/dense_reference.hpp"
 #include "core/downsample.hpp"
 #include "core/kernel_map.hpp"
+#include "core/level_keys.hpp"
 #include "engines/presets.hpp"
 #include "gpusim/device.hpp"
 #include "nn/layers.hpp"
@@ -469,6 +471,162 @@ TEST(ConvNumericsPartition, RejectsMisshapenWeights) {
   EXPECT_THROW(conv_numerics(c.x, c.km, c.w, c.in_place, Precision::kFP32,
                              true, 2, pool, out),
                std::invalid_argument);
+}
+
+/// Coordinates spread over every digit of a packed key: negative and
+/// edge-of-range values, batches 0-3 and one near kCoordBatchMax. With
+/// `dups`, about a third of them repeat an earlier coordinate.
+std::vector<Coord> digit_spread_coords(int n, bool dups, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int32_t> d(-8, 8);
+  const int32_t batches[] = {0, 1, 2, 3, kCoordBatchMax - 1};
+  const int32_t origins[] = {0, kCoordSpatialMin + 8, kCoordSpatialMax - 8};
+  std::vector<Coord> coords;
+  while (static_cast<int>(coords.size()) < n) {
+    if (dups && !coords.empty() && rng() % 3 == 0) {
+      coords.push_back(coords[rng() % coords.size()]);
+      continue;
+    }
+    const int32_t o = origins[rng() % 3];
+    const int32_t b = batches[rng() % 5];
+    const int32_t x = o + d(rng), y = o + d(rng), z = d(rng);
+    coords.push_back({b, x, y, z});
+  }
+  return coords;
+}
+
+TEST(LevelKeys, RadixSortMatchesStdSort) {
+  std::mt19937_64 rng(21);
+  for (const uint64_t mask :
+       {~uint64_t{0}, uint64_t{0xff00ff0000ff00ff}, uint64_t{0}}) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                                std::size_t{7}, std::size_t{5000}}) {
+      SCOPED_TRACE(::testing::Message() << "mask=" << mask << " n=" << n);
+      std::vector<uint64_t> keys(n), tmp(n);
+      std::vector<int32_t> pos(n), pos_tmp(n);
+      std::vector<std::pair<uint64_t, int32_t>> want(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const uint64_t high = rng() & mask;
+        keys[i] = high | (rng() % 4);  // many equal keys
+        pos[i] = static_cast<int32_t>(i);
+        want[i] = {keys[i], pos[i]};
+      }
+      std::sort(want.begin(), want.end());
+      std::vector<uint64_t> alone = keys, alone_tmp(n);
+      const uint64_t* sorted = radix_sort_keys(keys.data(), tmp.data(),
+                                               pos.data(), pos_tmp.data(), n);
+      const int32_t* sorted_pos =
+          sorted == keys.data() ? pos.data() : pos_tmp.data();
+      const uint64_t* sorted_alone = radix_sort_keys(
+          alone.data(), alone_tmp.data(), nullptr, nullptr, n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(sorted[i], want[i].first) << i;
+        ASSERT_EQ(sorted_pos[i], want[i].second) << i;
+        ASSERT_EQ(sorted_alone[i], want[i].first) << i;
+      }
+    }
+  }
+}
+
+/// A level record's order equals std::sort on (key, position) pairs, so
+/// equal coordinates keep ascending position order; its bounds equal
+/// coord_bounds; a strictly ascending set keeps its order.
+TEST(LevelKeys, TieOrderMatchesPairSort) {
+  for (bool dups : {false, true}) {
+    const auto coords = digit_spread_coords(3000, dups, 22);
+    std::vector<std::pair<uint64_t, int32_t>> want;
+    for (std::size_t i = 0; i < coords.size(); ++i)
+      want.push_back({pack_coord(coords[i]), static_cast<int32_t>(i)});
+    std::sort(want.begin(), want.end());
+    const LevelKeys level = level_keys(coords);
+    ASSERT_EQ(level.size(), coords.size());
+    ASSERT_EQ(level.pos.size(), coords.size());
+    for (std::size_t i = 0; i < coords.size(); ++i) {
+      ASSERT_EQ(level.keys[i], want[i].first) << i;
+      ASSERT_EQ(level.position(i), want[i].second) << i;
+    }
+    EXPECT_EQ(level.keys.back(), ~uint64_t{0});
+    Coord lo, hi;
+    ASSERT_TRUE(coord_bounds(coords, lo, hi));
+    EXPECT_EQ(level.lo, lo);
+    EXPECT_EQ(level.hi, hi);
+
+    std::vector<Coord> ascending = coords;
+    std::sort(ascending.begin(), ascending.end());
+    ascending.erase(std::unique(ascending.begin(), ascending.end()),
+                    ascending.end());
+    const LevelKeys in_place = level_keys(ascending);
+    EXPECT_TRUE(in_place.pos.empty());
+    for (std::size_t i = 0; i < ascending.size(); ++i)
+      ASSERT_EQ(in_place.keys[i], pack_coord(ascending[i])) << i;
+  }
+}
+
+/// The conv path builds maps on level records kept in the tensor cache;
+/// the vector API builds its own. For sorted, unsorted and duplicated
+/// sets, on both backends, with the cross-request map cache off and on,
+/// a k in {1, 2, 3} layer stack (stride 1, stride 2, then stride 1 on the
+/// coarse level) must leave the maps, their stats and the coarse
+/// coordinates that the vector API gives for the same sets.
+TEST(LevelKeys, ConvPathMapsEqualVectorApi) {
+  enum class Kind { kSorted, kUnsorted, kDuplicated };
+  for (Kind kind : {Kind::kSorted, Kind::kUnsorted, Kind::kDuplicated}) {
+    std::vector<Coord> coords =
+        digit_spread_coords(600, kind == Kind::kDuplicated, 23);
+    if (kind == Kind::kSorted) {
+      std::sort(coords.begin(), coords.end());
+      coords.erase(std::unique(coords.begin(), coords.end()), coords.end());
+    }
+    for (MapBackend backend : {MapBackend::kGrid, MapBackend::kHashMap}) {
+      for (bool map_cache : {false, true}) {
+        EngineConfig cfg = torchsparse_config();
+        cfg.map_backend = backend;
+        ExecContext ctx(rtx2080ti(), cfg);
+        ctx.compute_numerics = false;
+        ctx.simulate_cache = false;
+        if (map_cache)
+          ctx.map_cache = std::make_shared<KernelMapCache>(std::size_t(64)
+                                                           << 20);
+        for (int k : {1, 2, 3}) {
+          // The second pass with the map cache on hits every product.
+          for (int pass = 0; pass < (map_cache ? 2 : 1); ++pass) {
+            SCOPED_TRACE(::testing::Message()
+                         << "kind=" << static_cast<int>(kind)
+                         << " backend=" << static_cast<int>(backend)
+                         << " map_cache=" << map_cache << " k=" << k
+                         << " pass=" << pass);
+            SparseTensor x(coords, Matrix(coords.size(), 4));
+            x = sparse_conv3d(x, random_conv(k, 1, false, 4, 4, 1), ctx);
+            x = sparse_conv3d(x, random_conv(k, 2, false, 4, 4, 2), ctx);
+            x = sparse_conv3d(x, random_conv(k, 1, false, 4, 4, 3), ctx);
+            const TensorCache& cache = *x.cache();
+            const auto& fine = *cache.coords_at_stride.at(1);
+            const auto& coarse = *cache.coords_at_stride.at(2);
+            EXPECT_EQ(coarse, downsample_coords(fine, k, 2, true, true));
+            ASSERT_EQ(cache.kmaps.size(), 3u);
+            for (const auto& [key, km] : cache.kmaps) {
+              const ConvGeometry geom{key.kernel_size, key.stride, false,
+                                      key.dilation};
+              const MapSearchOptions opts{
+                  backend, cfg.symmetric_map_search && geom.is_submanifold()};
+              const auto& in = *cache.coords_at_stride.at(key.tensor_stride);
+              const auto& out = *cache.coords_at_stride.at(
+                  key.tensor_stride * key.stride);
+              const KernelMap want = build_kernel_map(in, out, geom, opts);
+              EXPECT_EQ(km->maps, want.maps) << "stride " << key.stride;
+              EXPECT_EQ(km->stats.queries, want.stats.queries);
+              EXPECT_EQ(km->stats.index_accesses, want.stats.index_accesses);
+              EXPECT_EQ(km->stats.build_accesses, want.stats.build_accesses);
+              EXPECT_EQ(km->stats.used_symmetry, want.stats.used_symmetry);
+              EXPECT_EQ(km->stats.backend, want.stats.backend);
+            }
+            // A pass whose products all hit the cache builds no record.
+            if (pass == 1) EXPECT_TRUE(cache.levels_at_stride.empty());
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

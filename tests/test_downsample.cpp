@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <random>
 #include <set>
 #include <stdexcept>
@@ -16,13 +17,23 @@
 namespace ts {
 namespace {
 
-std::vector<Coord> random_coords(int n, int extent, uint64_t seed) {
+/// `n` distinct random coordinates: spatial axes in [origin, origin +
+/// extent] (z in [origin, origin + z_extent] when z_extent >= 0), batch
+/// indices drawn from `batches` when it holds more than one.
+std::vector<Coord> random_coords(int n, int extent, uint64_t seed,
+                                 const std::vector<int32_t>& batches = {0},
+                                 int32_t origin = 0, int32_t z_extent = -1) {
   std::mt19937_64 rng(seed);
   std::uniform_int_distribution<int32_t> d(0, extent);
+  std::uniform_int_distribution<int32_t> dz(0, std::max(z_extent, 0));
+  std::uniform_int_distribution<std::size_t> db(0, batches.size() - 1);
   std::vector<Coord> coords;
   std::unordered_set<uint64_t> seen;
   while (static_cast<int>(coords.size()) < n) {
-    const Coord c{0, d(rng), d(rng), d(rng)};
+    const int32_t b = batches.size() > 1 ? batches[db(rng)] : batches[0];
+    const int32_t x = d(rng), y = d(rng);
+    const int32_t z = z_extent >= 0 ? dz(rng) : d(rng);
+    const Coord c{b, origin + x, origin + y, origin + z};
     if (seen.insert(pack_coord(c)).second) coords.push_back(c);
   }
   return coords;
@@ -48,31 +59,113 @@ std::set<uint64_t> oracle(const std::vector<Coord>& in, int k, int s) {
   return out;
 }
 
+/// The counters of one case, for the staged (fused = simplified = false)
+/// and fused (both true) pipelines.
+struct DsPin {
+  std::size_t candidates, kept;
+  std::size_t staged_launches, fused_launches;
+  double staged_dram, fused_dram, staged_instr, fused_instr;
+};
+
 struct DsCase {
   int n, extent, kernel, stride;
+  std::vector<int32_t> batches = {0};
+  int32_t origin = 0;
+  int32_t z_extent = -1;
+  DsPin pin{};
 };
+
+void PrintTo(const DsCase& c, std::ostream* os) {
+  *os << "n=" << c.n << " extent=" << c.extent << " k=" << c.kernel
+      << " s=" << c.stride << " origin=" << c.origin;
+}
 
 class DownsampleOracle : public ::testing::TestWithParam<DsCase> {};
 
+/// Both pipelines return the oracle's keys in ascending order, and their
+/// counters equal the pinned constants.
 TEST_P(DownsampleOracle, FusedAndStagedMatchOracle) {
-  const auto [n, extent, kernel, stride] = GetParam();
-  const auto in = random_coords(n, extent, 123 + n);
-  const auto expect = oracle(in, kernel, stride);
+  const DsCase& c = GetParam();
+  const auto in = random_coords(c.n, c.extent, 123 + c.n, c.batches,
+                                c.origin, c.z_extent);
+  const auto oracle_keys = oracle(in, c.kernel, c.stride);
+  const std::vector<uint64_t> expect(oracle_keys.begin(), oracle_keys.end());
 
+  DownsampleCounters counters[2];
   for (bool fused : {false, true}) {
-    const auto got = downsample_coords(in, kernel, stride, fused, fused);
-    std::set<uint64_t> got_keys;
-    for (const Coord& c : got) got_keys.insert(pack_coord(c));
+    const auto got = downsample_coords(in, c.kernel, c.stride, fused, fused,
+                                       &counters[fused]);
+    std::vector<uint64_t> got_keys;
+    got_keys.reserve(got.size());
+    for (const Coord& p : got) got_keys.push_back(pack_coord(p));
     EXPECT_EQ(got_keys, expect) << "fused=" << fused;
-    EXPECT_EQ(got.size(), got_keys.size()) << "duplicates in output";
   }
+  const DsPin& pin = c.pin;
+  for (const DownsampleCounters& dc : counters) {
+    EXPECT_EQ(dc.candidates, pin.candidates);
+    EXPECT_EQ(dc.kept, pin.kept);
+  }
+  EXPECT_EQ(counters[0].kernel_launches, pin.staged_launches);
+  EXPECT_EQ(counters[1].kernel_launches, pin.fused_launches);
+  EXPECT_EQ(counters[0].dram_bytes, pin.staged_dram);
+  EXPECT_EQ(counters[1].dram_bytes, pin.fused_dram);
+  EXPECT_EQ(counters[0].instr_ops, pin.staged_instr);
+  EXPECT_EQ(counters[1].instr_ops, pin.fused_instr);
 }
+
+// The sweep covers every digit a packed key has: negative coordinates,
+// several batches (one near kCoordBatchMax, so the top digits vary), the
+// edges of the packable range, flat sets whose keys share digits, and
+// large sets, at k in {2, 3} and s in {2, 3}.
+const std::vector<int32_t> kFourBatches = {0, 1, 2, 3};
+const std::vector<int32_t> kFarBatch = {0, 1, 2, 3, kCoordBatchMax - 1};
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, DownsampleOracle,
-    ::testing::Values(DsCase{50, 8, 2, 2}, DsCase{200, 16, 2, 2},
-                      DsCase{100, 12, 3, 2}, DsCase{80, 10, 3, 3},
-                      DsCase{150, 20, 2, 4}, DsCase{1, 1, 2, 2}));
+    ::testing::Values(
+        DsCase{50, 8, 2, 2, {0}, 0, -1,
+               {400, 50, 5, 2, 30000, 2800, 14800, 2400}},
+        DsCase{200, 16, 2, 2, {0}, 0, -1,
+               {1600, 200, 5, 2, 120000, 11200, 59200, 9600}},
+        DsCase{100, 12, 3, 2, {0}, 0, -1,
+               {2700, 302, 5, 2, 197280, 13680, 99616, 15916}},
+        DsCase{80, 10, 3, 3, {0}, 0, -1,
+               {2160, 80, 5, 2, 151360, 4480, 78400, 11440}},
+        DsCase{150, 20, 2, 4, {0}, 0, -1,
+               {1200, 20, 5, 2, 84800, 3200, 43360, 6160}},
+        DsCase{1, 1, 2, 2, {0}, 0, -1,
+               {8, 0, 5, 2, 560, 16, 288, 40}},
+        // Negative coordinates.
+        DsCase{3000, 60, 3, 2, {0}, -30, -1,
+               {81000, 10144, 5, 2, 5961760, 453760, 2997152, 486152}},
+        DsCase{3000, 60, 2, 3, {0}, -31, -1,
+               {24000, 861, 5, 2, 1714440, 82440, 870888, 126888}},
+        // Batches 0-3, then one near kCoordBatchMax.
+        DsCase{4000, 30, 2, 2, kFourBatches, -15, -1,
+               {32000, 3640, 5, 2, 2385600, 209600, 1181120, 189120}},
+        DsCase{4000, 30, 3, 3, kFarBatch, 0, -1,
+               {108000, 4000, 5, 2, 7568000, 224000, 3920000, 572000}},
+        DsCase{4000, 30, 3, 2, kFarBatch, -16, -1,
+               {108000, 13045, 5, 2, 7929800, 585800, 3992360, 644360}},
+        // The edges of the packable range.
+        DsCase{3000, 40, 3, 2, {0}, kCoordSpatialMin, -1,
+               {81000, 9876, 5, 2, 5951040, 443040, 2995008, 484008}},
+        DsCase{3000, 40, 2, 3, kFourBatches, kCoordSpatialMin, -1,
+               {24000, 779, 5, 2, 1711160, 79160, 870232, 126232}},
+        DsCase{3000, 40, 3, 3, {0}, kCoordSpatialMax - 40, -1,
+               {81000, 3000, 5, 2, 5676000, 168000, 2940000, 429000}},
+        DsCase{3000, 40, 2, 2, kFarBatch, kCoordSpatialMax - 40, -1,
+               {24000, 2766, 5, 2, 1790640, 158640, 886128, 142128}},
+        // Flat sets: every key shares its batch and z digits.
+        DsCase{2000, 80, 3, 2, {0}, 0, 0,
+               {54000, 4458, 5, 2, 3882320, 210320, 1979664, 305664}},
+        DsCase{2000, 80, 2, 3, {5}, 6, 1,
+               {16000, 909, 5, 2, 1156360, 68360, 583272, 87272}},
+        // Large sets.
+        DsCase{20000, 70, 3, 2, {0}, -35, -1,
+               {540000, 64723, 5, 2, 39628920, 2908920, 19957784, 3217784}},
+        DsCase{24000, 50, 2, 3, kFourBatches, -20, -1,
+               {192000, 6500, 5, 2, 13700000, 644000, 6964000, 1012000}}));
 
 TEST(Downsample, OutputSortedAndDeduplicated) {
   const auto in = random_coords(300, 15, 5);
@@ -139,6 +232,22 @@ TEST(Downsample, RejectsStrideBelowTwo) {
                   "downsample_coords: stride must be >= 2 (got " +
                       std::to_string(stride) + ")");
       }
+    }
+  }
+}
+
+TEST(Downsample, RejectsKernelSizeBelowOne) {
+  // Without the check, kernel_offsets(-3) asked vector::reserve for a
+  // negative volume and threw std::length_error.
+  const std::vector<Coord> in = {{0, 0, 0, 0}, {0, 4, 4, 4}};
+  for (int kernel : {0, -3}) {
+    try {
+      downsample_coords(in, kernel, 2, true, true);
+      FAIL() << "expected std::invalid_argument for kernel " << kernel;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "downsample_coords: kernel_size must be >= 1 (got " +
+                    std::to_string(kernel) + ")");
     }
   }
 }

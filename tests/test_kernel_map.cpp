@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 #include "core/downsample.hpp"
@@ -388,6 +389,59 @@ TEST(MapSearch, TransposeOfForwardEqualsTransposedSearch) {
   const KernelMap direct =
       build_kernel_map(coarse, fine, inv, {MapBackend::kGrid, false});
   expect_same_maps(transpose_kernel_map(forward), direct);
+}
+
+/// Candidates outside the packable range cannot match: a packed key
+/// would wrap x = kCoordSpatialMin - 1 onto kCoordSpatialMax. Both
+/// backends must equal the oracle, and the hashmap backend charges each
+/// such candidate one probe, as a miss on an empty table.
+TEST(MapSearch, EdgeCandidatesDoNotWrap) {
+  const std::vector<Coord> in = {{0, kCoordSpatialMin, 0, 0},
+                                 {0, kCoordSpatialMax, 0, 0}};
+  const ConvGeometry geom{3, 1, false};
+  const KernelMap want = brute_force_map(in, in, geom);
+  EXPECT_EQ(want.total(), 2u);
+  for (MapBackend backend : {MapBackend::kHashMap, MapBackend::kGrid}) {
+    SCOPED_TRACE(static_cast<int>(backend));
+    const KernelMap direct = build_kernel_map(in, in, geom, {backend, false});
+    expect_same_maps(direct, want, /*ordered=*/true);
+    const KernelMap sym = build_kernel_map(in, in, geom, {backend, true});
+    expect_same_maps(sym, want);
+    EXPECT_EQ(sym.stats.queries, 26u);
+    if (backend == MapBackend::kHashMap) {
+      EXPECT_EQ(direct.stats.index_accesses, 57u);
+      EXPECT_EQ(sym.stats.index_accesses, 27u);
+    }
+  }
+}
+
+/// A bad geometry is a typed error naming the value, on both backends.
+TEST(MapSearch, RejectsBadGeometry) {
+  const auto coords = random_coords(20, 4, 14);
+  struct Bad {
+    ConvGeometry geom;
+    std::string message;
+  };
+  const Bad bad[] = {
+      {{2, 0, true}, "build_kernel_map: stride must be >= 1 (got 0)"},
+      {{2, -2, true}, "build_kernel_map: stride must be >= 1 (got -2)"},
+      {{3, 0, false}, "build_kernel_map: stride must be >= 1 (got 0)"},
+      {{-3, 1, false}, "build_kernel_map: kernel_size must be >= 1 (got -3)"},
+      {{0, 2, false}, "build_kernel_map: kernel_size must be >= 1 (got 0)"},
+  };
+  for (MapBackend backend : {MapBackend::kHashMap, MapBackend::kGrid}) {
+    for (const Bad& b : bad) {
+      try {
+        build_kernel_map(coords, coords, b.geom, {backend, false});
+        FAIL() << "expected std::invalid_argument: " << b.message;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()), b.message);
+      }
+    }
+    // Zero dilation stays supported.
+    EXPECT_NO_THROW(build_kernel_map(
+        coords, coords, ConvGeometry{3, 1, false, 0}, {backend, false}));
+  }
 }
 
 TEST(MapSearch, GridAndHashBackendsReportDifferentAccessCosts) {
