@@ -65,7 +65,9 @@ int main() {
 
   double mink_fps_w1 = 0, mink_fps_w4 = 0;
   for (const EngineConfig& cfg : paper_engines()) {
-    // 8 workers size the measurement pool: wall time only.
+    // Measurement session: its threads come from the host's cores, and
+    // the per-request timelines read below do not depend on its 8 lanes;
+    // the grid sweeps the lane counts on the modeled schedule instead.
     serve::ServerConfig scfg;
     scfg.with_device(dev).with_engine(cfg).with_workers(8);
     if (cfg.grouping == GroupingStrategy::kAdaptive)

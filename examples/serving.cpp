@@ -3,7 +3,7 @@
 // deployment key in a shared TunedParamStore and reused by every
 // request; the ServerConfig carries every serving knob, and
 // Server::run_batch serves the pre-collected batch as a zero-arrival
-// session across worker threads while keeping each request's result
+// session on the host's cores while keeping each request's result
 // identical to a serial run. (For the streaming session API — priority
 // classes, incremental handles, sharding — see examples/streaming.cpp.)
 #include <algorithm>
@@ -49,7 +49,7 @@ int main() {
               batch.front().num_points(), batch.back().num_points());
 
   // 4. One ServerConfig describes the deployment; run_batch serves the
-  //    pre-collected scans on 4 workers and reports the modeled
+  //    pre-collected scans on 4 modeled lanes and reports the modeled
   //    schedule.
   serve::ServerConfig scfg;
   scfg.with_device(dev).with_engine(cfg).with_workers(4).with_run(run);

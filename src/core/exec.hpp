@@ -69,22 +69,12 @@ struct ExecContext {
   ExecContext(const DeviceSpec& dev, const EngineConfig& config)
       : cost(dev),
         cfg(config),
-        l2(static_cast<std::size_t>(dev.l2_bytes)),
-        device_index(dev.device_index) {}
+        l2(static_cast<std::size_t>(dev.l2_bytes)) {}
 
   CostModel cost;
   EngineConfig cfg;
   Timeline timeline;
   CacheSim l2;
-
-  /// Identity of the modeled device this context was built for (from
-  /// DeviceSpec::device_index). Host-side provenance only: it records
-  /// which device shard's measurement pool owns the context, never
-  /// changes results, and survives reset_context. It is NOT the modeled
-  /// placement — batch routing happens later in the deterministic
-  /// accounting pass, and StreamResult::device is the authoritative
-  /// device a request's batch ran on.
-  int device_index = 0;
 
   /// Compute real numerics (tests/examples) or cost only (large benches).
   /// Cost-only passes carry tensor shapes without feature storage.

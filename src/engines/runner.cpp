@@ -24,17 +24,10 @@ void reset_context(ExecContext& ctx) {
   ctx.l2.reset();
   ctx.layer_id = -1;
   ctx.cache_events = nullptr;
-  // ctx.map_cache, ctx.cache_namespace, and ctx.device_index are
-  // intentionally kept: warm kernel maps are the point of sharing the
-  // cache across requests, the digest namespace belongs to the options
-  // the context was built from (multi-model workers restamp it per
-  // request), and a serving worker's pool provenance doesn't change
-  // between requests.
-}
-
-void reset_context(ExecContext& ctx, int device_index) {
-  reset_context(ctx);
-  ctx.device_index = device_index;
+  // ctx.map_cache and ctx.cache_namespace are intentionally kept: warm
+  // kernel maps are the point of sharing the cache across requests, and
+  // the digest namespace belongs to the options the context was built
+  // from (multi-model workers restamp it per request).
 }
 
 Timeline run_in_context(const ModelFn& model, const SparseTensor& input,

@@ -64,25 +64,14 @@ ExecContext make_run_context(const DeviceSpec& dev, const EngineConfig& cfg,
 /// Resets `ctx` for reuse on the next request: clears the accumulated
 /// timeline, the L2 replay simulator, the current layer id, and the
 /// deferred cache-event pointer, while keeping the cost model, engine
-/// config, numerics/cache flags, tuned parameters, the device identity
-/// (ExecContext::device_index — host-pool provenance a serving worker
-/// keeps across requests), and the shared kernel-map cache
-/// (warm maps survive across requests by design). After
+/// config, numerics/cache flags, tuned parameters, and the shared
+/// kernel-map cache (warm maps survive across requests by design). After
 /// reset_context, running a model yields the exact timeline a freshly
 /// built context would — this is the serving runtime's context-reuse hook
 /// (one context per worker, reset between requests, skipping repeated
 /// cost-model and cache-simulator construction).
 /// Precondition: no request is currently executing in `ctx`.
 void reset_context(ExecContext& ctx);
-
-/// Hand-off variant for context reuse *across* serving sessions: resets
-/// `ctx` exactly like reset_context(ctx) and restamps its device
-/// identity. A serve::Server keeps each worker's warm context in a pool
-/// between start()/drain() sessions; the next session's workers may
-/// belong to a different device shard, so the adopted context's
-/// provenance is restamped at checkout. Results are unaffected —
-/// device_index is host-side identity only (see ExecContext).
-void reset_context(ExecContext& ctx, int device_index);
 
 /// Runs the model on `input` under a fresh TensorCache inside `ctx` and
 /// returns the context's accumulated timeline: on a private copy of it

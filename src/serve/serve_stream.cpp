@@ -191,31 +191,21 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
 
   // Batch membership only shapes the modeled schedule, so measurement
   // starts the moment a request is drained — no need to wait for its
-  // batch.
-  auto worker = [&](int device_index) {
-    // The measurement threads keep the host's cores busy themselves, so
-    // while more than one runs, their replays and GEMMs run inline
-    // rather than on the host pool.
-    const ConcurrentCallerScope host_share;
-    // Each device shard contributes its own measurement pool; a worker
-    // carries its pool's identity in its (reusable) context as host-side
-    // provenance. Measurement itself is device-agnostic — every request
-    // is measured on the reference spec fleet.front() and cache
-    // accounting is deferred — and the modeled placement
-    // (StreamResult::device) is decided by the routing pass,
-    // independently of which pool measured a request.
-    DeviceSpec shard_dev = config.fleet.front();
-    shard_dev.device_index = device_index;
+  // batch. Measurement is device-agnostic: every request is measured on
+  // the reference spec fleet.front() with cache accounting deferred, and
+  // the modeled placement (StreamResult::device) is decided by the
+  // routing pass, independently of which thread measured a request.
+  auto worker = [&] {
     std::optional<ExecContext> ctx;
     if (context_pool) {
-      // Context hand-off: adopt a warm context from a previous session,
-      // restamped to this worker's device pool. st.mu doubles as the
-      // pool's lock — hand-offs only happen at worker start/exit.
+      // Context hand-off: adopt a warm context from a previous session
+      // (reset before its first request like any reused context). st.mu
+      // doubles as the pool's lock — hand-offs only happen at thread
+      // start/exit.
       MutexLock lock(st.mu);
       if (!context_pool->empty()) {
         ctx.emplace(std::move(context_pool->back()));
         context_pool->pop_back();
-        reset_context(*ctx, device_index);
       }
     }
     for (;;) {
@@ -236,7 +226,8 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
         // (bit-identical to a fresh context; skips repeated cost-model
         // construction).
         if (!ctx)
-          ctx.emplace(make_run_context(shard_dev, config.engine, run));
+          ctx.emplace(
+              make_run_context(config.fleet.front(), config.engine, run));
         else
           reset_context(*ctx);
         // Per-request context restamp: every digest this request
@@ -253,12 +244,18 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
         if (item.events) ctx->cache_events = item.events;
         // borrow_input: the queue owns the drained tensor and nothing
         // reads it after measurement, so steal it instead of copying.
-        const Timeline t =
-            run.borrow_input
-                ? run_in_context(entry.fn, std::move(*item.input), *ctx)
-                : run_in_context(entry.fn, *item.input, *ctx);
-        item.result->timeline = t;
-        item.result->service_seconds = t.total_seconds();
+        {
+          // While more than one measurement is in flight, the measuring
+          // threads keep the host's cores busy themselves and each runs
+          // its replays and GEMMs inline; a measurement alone (a
+          // session's tail, a trickle of requests) gets the host pool.
+          const ConcurrentCallerScope host_share;
+          item.result->timeline =
+              run.borrow_input
+                  ? run_in_context(entry.fn, std::move(*item.input), *ctx)
+                  : run_in_context(entry.fn, *item.input, *ctx);
+        }
+        item.result->service_seconds = item.result->timeline.total_seconds();
         {
           MutexLock lock(st.mu);
           st.measured[item.index] = 1;
@@ -281,22 +278,15 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
     }
   };
 
-  // One measurement pool of `workers` threads per device shard, capped
-  // at the host's core count: modeled stats are thread-count independent
-  // (deterministic accounting above), so oversubscribing the host beyond
-  // its cores buys contention, not wall time.
-  const int pool_cap = std::max(
-      workers,
-      static_cast<int>(std::max(1u, std::thread::hardware_concurrency())));
-  const int pool = static_cast<int>(
-      std::min<long long>(static_cast<long long>(workers) * devices,
-                          pool_cap));
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(pool));
-  for (int t = 0; t < pool; ++t) threads.emplace_back(worker, t / workers);
+  // Measurement threads are a wall-clock resource only — modeled stats
+  // are thread-count independent (deterministic accounting above) — so
+  // their number comes from the host's cores, not from the modeled
+  // lanes: `workers` sizes the schedule, never the thread count.
+  std::vector<std::thread> threads(host_parallelism());
+  for (std::thread& t : threads) t = std::thread(worker);
 
   // Coordinator (this thread): drain the queue in arrival order, feed
-  // the batching policy, and hand each request to the measurement pool.
+  // the batching policy, and hand each request to the measurement threads.
   // After a failure the queue is already closed; keep draining it so
   // every outstanding promise can receive the error.
   PendingRequest pr;

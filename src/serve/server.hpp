@@ -89,8 +89,8 @@ struct ModelEntry {
   std::unordered_map<int, GroupParams> tuned;
 };
 
-/// One unified deployment description: device fleet/engine, worker
-/// pool, per-request run options, admission, batching, sharding, and the
+/// One unified deployment description: device fleet/engine, modeled
+/// lanes, per-request run options, admission, batching, sharding, and the
 /// pluggable policies. Plain struct with chainable with_* setters —
 /// set fields directly or build fluently, both are fine.
 struct ServerConfig {
@@ -98,13 +98,16 @@ struct ServerConfig {
   /// device description (one device is a fleet of one, the default).
   /// with_device, with_devices and with_fleet all write this list, so
   /// their call order does not matter. fleet.front() is the measurement
-  /// reference: serve_stream's workers measure every request on it, and
+  /// reference: serve_stream measures every request on it, and
   /// the other tiers enter the schedule through the routing policy's
   /// device_service_estimate scaling, never through measurement. Server's
   /// constructor rejects an empty fleet or one past kMaxModeledDevices.
   std::vector<DeviceSpec> fleet = std::vector<DeviceSpec>(1);
   EngineConfig engine;
-  int workers = 1;                 // worker threads and lanes per device
+  /// Modeled lanes per device: how many batches one shard serves at
+  /// once on the modeled clock. It never sizes host threads — a session
+  /// measures requests on host_parallelism() threads whatever its value.
+  int workers = 1;
   RunOptions run;                  // numerics, tuned params, map_cache...
   /// Byte budget for a server-owned cross-request KernelMapCache (0 =
   /// disabled; ignored when run.map_cache is already set, which is how
@@ -268,21 +271,22 @@ StreamStats schedule_stream_dispatch(
 
 /// One serving session over an externally owned queue with explicit
 /// policies — the engine room Server runs on its background thread.
-/// Drains `queue` until closed and empty, measures every request on the
-/// worker pool, forms batches with `batching`, and places them
-/// incrementally: each batch is routed, cache-accounted, and laned as
-/// soon as all earlier batches are placed and its members measured,
+/// Drains `queue` until closed and empty, measures every request on
+/// host_parallelism() measurement threads, forms batches with
+/// `batching`, and places them incrementally: each batch is routed,
+/// cache-accounted, and laned as soon as all earlier batches are placed
+/// and its members measured,
 /// fulfilling the members' StreamHandles once their results are final.
 /// `context_pool`, when non-null, supplies reusable ExecContexts handed
 /// back on return (Server keeps warm contexts across sessions this
 /// way).
 ///
 /// Requests resolve against `models` (by PendingRequest::model).
-/// Workers restamp their context per request — the entry's ModelFn,
-/// tuned parameters, and cache namespace — so every digest a request
-/// resolves lives in its model's namespace and two models can never
-/// alias each other's kernel-map entries. Dedup digests are salted the
-/// same way, keeping duplicate grouping within a model.
+/// Measurement threads restamp their context per request — the entry's
+/// ModelFn, tuned parameters, and cache namespace — so every digest a
+/// request resolves lives in its model's namespace and two models can
+/// never alias each other's kernel-map entries. Dedup digests are salted
+/// the same way, keeping duplicate grouping within a model.
 ///
 /// Determinism: the report depends only on the drained (input, arrival,
 /// priority, model) stream, the config, and the policies. Preconditions
@@ -298,14 +302,14 @@ StreamReport serve_stream(const std::vector<ModelEntry>& models,
                           std::vector<ExecContext>* context_pool = nullptr);
 
 /// Long-lived serving session host: owns the admission queue, the
-/// serving thread, and warm per-worker contexts kept across sessions.
+/// serving thread, and warm measurement contexts kept across sessions.
 ///
 /// Lifecycle: construct → start(model) → submit(...)* → drain() →
 /// (start again with the same or another model) → ... → stop().
 /// start/drain pairs are serving *sessions*; modeled statistics are
 /// per session (cold modeled caches each time, or warm-seeded from
-/// warm_snapshot), while the wall-clock KernelMapCache and the worker
-/// contexts stay warm across sessions.
+/// warm_snapshot), while the wall-clock KernelMapCache and the
+/// measurement contexts stay warm across sessions.
 ///
 /// Thread-safety: submit/try_submit are safe from any number of
 /// producer threads while the session runs. start/drain/stop are
@@ -403,7 +407,7 @@ class Server {
   /// (including the shared kernel-map cache); requests are in input
   /// order and bit-identical to a serial run_model. Does not interact
   /// with the streaming session. Exception guarantee: the first request
-  /// failure is rethrown after the session's workers drain.
+  /// failure is rethrown after the session's measurement threads drain.
   StreamReport run_batch(const ModelFn& model,
                          const std::vector<SparseTensor>& inputs) const;
 
@@ -453,8 +457,8 @@ class Server {
   /// deadlock against drain's join).
   StreamReport report_;
   std::exception_ptr error_;
-  /// Warm contexts handed back by the session's workers, reused by the
-  /// next session (restamped to their new device via reset_context).
+  /// Warm contexts handed back by the session's measurement threads,
+  /// reused by the next session (reset before their first request).
   std::vector<ExecContext> spare_contexts_;
 };
 

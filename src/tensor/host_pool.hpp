@@ -20,11 +20,11 @@
 // the pool for its lifetime, so one caller at a time runs jobs on the
 // workers; a runner made while another holds the pool, or from inside a
 // partition, runs its jobs inline on its own thread. And while more than
-// one ConcurrentCallerScope is open (the serving measurement workers
-// each open one) no runner takes the pool at all: those threads already
-// occupy the cores, so each runs its jobs inline. Callers that run at
-// once without a scope (say, two user threads each replaying) share the
-// cores with the one runner that holds the pool.
+// one ConcurrentCallerScope is open (serving opens one around each
+// request it measures) no runner takes the pool at all: the measuring
+// threads already occupy the cores, so each runs its jobs inline.
+// Callers that run at once without a scope (say, two user threads each
+// replaying) share the cores with the one runner that holds the pool.
 #pragma once
 
 #include <concepts>

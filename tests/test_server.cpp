@@ -13,6 +13,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/sync.hpp"
 #include "engines/presets.hpp"
 #include "engines/runner.hpp"
 #include "gpusim/device.hpp"
@@ -22,6 +23,7 @@
 #include "serve/serve_policies.hpp"
 #include "serve/serve_stats.hpp"
 #include "serve/server.hpp"
+#include "tensor/host_pool.hpp"
 
 namespace ts {
 namespace {
@@ -529,20 +531,6 @@ TEST(ScheduleStreamDispatch, RejectsMalformedPlans) {
 
 // --- Context hand-off across sessions ---------------------------------
 
-TEST(ContextHandOff, ResetWithDeviceRestampsIdentityOnly) {
-  const ModelFn model = small_unet(44);
-  const SparseTensor x = random_tensor(120, 12, 4, 4400);
-  RunOptions opt;
-  opt.numerics = true;
-  ExecContext ctx = make_run_context(rtx2080ti(), torchsparse_config(), opt);
-  EXPECT_EQ(ctx.device_index, 0);
-  const Timeline first = run_in_context(model, x, ctx);
-  reset_context(ctx, 3);
-  EXPECT_EQ(ctx.device_index, 3);
-  const Timeline second = run_in_context(model, x, ctx);
-  expect_same_timeline(first, second);
-}
-
 TEST(ContextHandOff, SessionsReuseWarmContextsWithIdenticalResults) {
   const ModelFn model = small_unet(45);
   const auto stream = duplicate_stream(6, 4500);
@@ -568,6 +556,96 @@ TEST(ContextHandOff, SessionsReuseWarmContextsWithIdenticalResults) {
   const serve::StreamReport ref = run_session(fresh);
   expect_same_report(s1, s2);
   expect_same_report(ref, s2);
+}
+
+// --- Measurement threads ---------------------------------------------
+
+TEST(MeasurementThreads, HostSizesThemWhateverTheModeledLanes) {
+  // `workers` is modeled lanes per device: 64 lanes on each of 2 shards
+  // still measure on at most host_parallelism() threads, and the report
+  // is a function of the config and stream alone.
+  const ModelFn net = small_unet(48);
+  std::vector<SparseTensor> stream;
+  for (int i = 0; i < 24; ++i)
+    stream.push_back(random_tensor(60 + 5 * i, 10, 4,
+                                   4800 + static_cast<uint64_t>(i)));
+  auto serve_once = [&](std::unordered_set<std::thread::id>& ids) {
+    Mutex mu;
+    const ModelFn model = [&](const SparseTensor& x, ExecContext& ctx) {
+      {
+        MutexLock lock(mu);
+        ids.insert(std::this_thread::get_id());
+      }
+      net(x, ctx);
+    };
+    serve::ServerConfig cfg;
+    cfg.with_device(rtx2080ti())
+        .with_engine(torchsparse_config())
+        .with_workers(64)
+        .with_devices(2)
+        .with_queue_depth(stream.size() + 1);
+    serve::Server server(cfg);
+    server.start(model);
+    for (std::size_t i = 0; i < stream.size(); ++i)
+      server.submit(stream[i], 0.001 * static_cast<double>(i));
+    return server.drain();
+  };
+  std::unordered_set<std::thread::id> first_ids, second_ids;
+  const serve::StreamReport first = serve_once(first_ids);
+  const serve::StreamReport second = serve_once(second_ids);
+  EXPECT_EQ(first.stats.completed, stream.size());
+  EXPECT_LE(first_ids.size(), host_parallelism());
+  EXPECT_LE(second_ids.size(), host_parallelism());
+  expect_same_report(first, second);
+}
+
+TEST(MeasurementThreads, ScopeCoversEachMeasurementOnly) {
+  // The ConcurrentCallerScope is open per measurement, not per thread: a
+  // request measured alone gets the host pool for its replay and
+  // numerics, requests measured together run inline, and both are bit
+  // for bit a serial run_model. Once drained, no scope is left open.
+  const ModelFn net = small_unet(49);
+  RunOptions opt;
+  opt.numerics = true;
+  opt.simulate_cache = true;
+  auto serve_session = [&](int n, std::vector<std::size_t>& pool_threads) {
+    std::vector<SparseTensor> stream;
+    for (int i = 0; i < n; ++i)
+      stream.push_back(random_tensor(90 + 7 * i, 12, 4,
+                                     4900 + static_cast<uint64_t>(i)));
+    Mutex mu;
+    const ModelFn model = [&](const SparseTensor& x, ExecContext& ctx) {
+      const std::size_t threads = PoolRunner().threads();
+      {
+        MutexLock lock(mu);
+        pool_threads.push_back(threads);
+      }
+      net(x, ctx);
+    };
+    serve::ServerConfig cfg;
+    cfg.with_device(rtx2080ti())
+        .with_engine(torchsparse_config())
+        .with_run(opt)
+        .with_devices(2)
+        .with_queue_depth(stream.size() + 1);
+    serve::Server server(cfg);
+    server.start(model);
+    for (std::size_t i = 0; i < stream.size(); ++i)
+      server.submit(stream[i], 0.001 * static_cast<double>(i));
+    const serve::StreamReport report = server.drain();
+    ASSERT_EQ(report.requests.size(), stream.size());
+    for (std::size_t i = 0; i < stream.size(); ++i)
+      expect_same_timeline(
+          report.requests[i].timeline,
+          run_model(net, stream[i], rtx2080ti(), torchsparse_config(), opt));
+    EXPECT_EQ(PoolRunner().threads(), host_parallelism());
+  };
+  std::vector<std::size_t> alone, together;
+  serve_session(1, alone);
+  ASSERT_EQ(alone.size(), 1u);
+  EXPECT_EQ(alone[0], host_parallelism());
+  serve_session(12, together);
+  EXPECT_EQ(together.size(), 12u);
 }
 
 // --- Error delivery ----------------------------------------------------
