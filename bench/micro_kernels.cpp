@@ -1,10 +1,10 @@
 // google-benchmark microbenchmarks for the substrate kernels: synthetic
 // scan ray casting, coordinate hashing, map search (synthetic sets and a
 // real scan's layer stack), output-coordinate construction on real
-// scans, the conv gather, one layer's row-partitioned numerics, GEMM on
-// the segmentation workload's shapes, the L2 cache simulator (serial and
-// set-partitioned), FP16 quantization of a feature matrix, and ReLU on
-// one.
+// scans (alone and emitting the strided kernel map), the conv gather,
+// one layer's row-partitioned numerics, GEMM on the segmentation
+// workload's shapes, the L2 cache simulator (serial and set-partitioned),
+// FP16 quantization of a feature matrix, and ReLU on one.
 //
 // These measure the *host implementation* (this repo runs the algorithms
 // on CPU); the paper-facing performance numbers come from the cost model
@@ -192,6 +192,25 @@ void BM_DownsampleCoords(benchmark::State& state) {
                           static_cast<int64_t>(in.size()));
 }
 BENCHMARK(BM_DownsampleCoords)
+    ->ArgNames({"kernel", "full"})
+    ->ArgsProduct({{2, 3}, {0, 1}});
+
+// BM_DownsampleCoords's scans, also emitting the strided layer's kernel
+// map: at full = 0 it replaces BM_DownsampleCoords plus the strided
+// BM_MapSearchScan of level 0 on the conv path.
+void BM_DownsampleWithMap(benchmark::State& state) {
+  const int kernel = static_cast<int>(state.range(0));
+  const auto& in = scan_input(kernel == 3, state.range(1) != 0);
+  for (auto _ : state) {
+    auto out =
+        ts::downsample_level_with_map(in, nullptr, kernel, 2, true, true);
+    benchmark::DoNotOptimize(out.map->total());
+  }
+  state.counters["points"] = static_cast<double>(in.size());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(in.size()));
+}
+BENCHMARK(BM_DownsampleWithMap)
     ->ArgNames({"kernel", "full"})
     ->ArgsProduct({{2, 3}, {0, 1}});
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -67,16 +68,24 @@ std::shared_ptr<const std::vector<Coord>> resolve_output_coords(
 
   // The input level's bounds come from its record when a map build has
   // made one. The output's sorted keys become the coarse level's record,
-  // unless the coordinates come out of the cross-request cache.
+  // unless the coordinates come out of the cross-request cache. Where the
+  // layer's map search would be the grid merge-join (grid backend,
+  // dilation 1), the downsample emits the layer's kernel map as well.
   const std::shared_ptr<const LevelKeys> in_level =
       cache.find_level_keys(x.stride(), x.coords_ptr());
+  const bool emit_map = ctx.cfg.map_backend == MapBackend::kGrid &&
+                        geom.dilation == 1 &&
+                        downsample_map_fits(x.num_points(), geom.kernel_size);
   std::shared_ptr<const std::vector<Coord>> coords;
   std::shared_ptr<const LevelKeys> out_level;
+  std::optional<KernelMap> map;
   const auto downsample = [&](DownsampleCounters& dc) {
-    DownsampledLevel level = downsample_level(
-        x.coords(), in_level.get(), geom.kernel_size, geom.stride,
-        ctx.cfg.fused_downsample, ctx.cfg.simplified_control, &dc);
+    DownsampledLevel level =
+        (emit_map ? downsample_level_with_map : downsample_level)(
+            x.coords(), in_level.get(), geom.kernel_size, geom.stride,
+            ctx.cfg.fused_downsample, ctx.cfg.simplified_control, &dc);
     out_level = std::make_shared<const LevelKeys>(std::move(level.keys));
+    map = std::move(level.map);
     return std::make_shared<const std::vector<Coord>>(
         std::move(level.coords));
   };
@@ -99,8 +108,12 @@ std::shared_ptr<const std::vector<Coord>> resolve_output_coords(
         },
         &hit);
     coords = payload.coords;
-    // A racing builder's payload replaces ours: its record is not kept.
-    if (coords != built) out_level = nullptr;
+    // A racing builder's payload replaces ours: its record and map are
+    // not kept.
+    if (coords != built) {
+      out_level = nullptr;
+      map.reset();
+    }
     account_cache_resolve(
         ck, map_cache_payload_bytes(payload),
         downsample_charge(payload.ds_counters, ctx),
@@ -112,6 +125,10 @@ std::shared_ptr<const std::vector<Coord>> resolve_output_coords(
   }
   cache.coords_at_stride[out_stride] = coords;
   if (out_level) cache.levels_at_stride[out_stride] = {coords, out_level};
+  if (map)
+    cache.downsample_map = TensorCache::DownsampleMap{
+        MapKey{x.stride(), geom.kernel_size, geom.stride, geom.dilation},
+        x.coords_ptr(), coords, std::move(*map)};
   return coords;
 }
 
@@ -119,7 +136,8 @@ std::shared_ptr<const std::vector<Coord>> resolve_output_coords(
 /// shared by every submanifold layer at the same level, and transposed
 /// convolutions relabel the matching downsample map (in/out swapped).
 /// On a tensor-cache miss, the cross-request KernelMapCache (when
-/// enabled) is consulted by content key before building from scratch.
+/// enabled) is consulted by content key before building from scratch; a
+/// build takes the map the layer's downsample emitted, when there is one.
 std::shared_ptr<const KernelMap> resolve_kernel_map(
     const SparseTensor& x, const ConvGeometry& geom,
     const std::shared_ptr<const std::vector<Coord>>& out_ptr, int out_stride,
@@ -130,6 +148,10 @@ std::shared_ptr<const KernelMap> resolve_kernel_map(
       geom.transposed ? x.stride() / geom.stride : x.stride();
   const MapKey key{fine_stride, geom.kernel_size, geom.stride,
                    geom.dilation};
+  // Taken whether or not a build reads it, so that none outlives the
+  // layer.
+  std::optional<KernelMap> emitted =
+      cache.take_downsample_map(key, x.coords_ptr(), out_ptr);
 
   if (auto it = cache.kmaps.find(key); it != cache.kmaps.end()) {
     if (!geom.transposed) return it->second;  // direct reuse, no kernels
@@ -145,6 +167,11 @@ std::shared_ptr<const KernelMap> resolve_kernel_map(
   // A build that reads level records takes them from the tensor cache,
   // making each on first use; a cache hit reads none.
   const auto build = [&] {
+    if (emitted) {
+      KernelMap km = std::move(*emitted);
+      emitted.reset();
+      return km;
+    }
     std::shared_ptr<const LevelKeys> in_level, out_level;
     if (map_search_reads_levels(geom, opts)) {
       in_level = cache.level_keys(x.stride(), x.coords_ptr());

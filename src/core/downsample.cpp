@@ -1,6 +1,7 @@
 #include "core/downsample.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -25,25 +26,18 @@ bool boundary_ok(const Coord& u, const Coord& lo, const Coord& hi) {
          u.z >= lo.z && u.z <= hi.z;
 }
 
-/// Sorts and deduplicates the surviving keys into the output level. The
-/// radix sort's scratch is the second half of `keys`, which the sweep's
-/// reservation already holds for every geometry the models use.
-DownsampledLevel unique_sorted(std::vector<uint64_t>& keys,
-                               DownsampleCounters* c) {
-  // Sort + unique models the final "Unique Filtering" kernel; its DRAM
-  // traffic (a few passes over the key array) exists in both the staged
-  // and the fused pipeline.
-  const std::size_t n = keys.size();
-  if (c) {
-    c->kernel_launches += 1;
-    c->dram_bytes += 4.0 * kKeyBytes * static_cast<double>(n);
-    c->instr_ops += 8.0 * static_cast<double>(n);
-  }
-  keys.resize(2 * n);
-  uint64_t* sorted =
-      radix_sort_keys(keys.data(), keys.data() + n, nullptr, nullptr, n);
-  const std::size_t m = static_cast<std::size_t>(
-      std::unique(sorted, sorted + n) - sorted);
+/// Charges the final "Unique Filtering" kernel over `n` surviving keys.
+/// Sort + unique touch the key array a few times in both the staged and
+/// the fused pipeline.
+void charge_unique(std::size_t n, DownsampleCounters* c) {
+  if (!c) return;
+  c->kernel_launches += 1;
+  c->dram_bytes += 4.0 * kKeyBytes * static_cast<double>(n);
+  c->instr_ops += 8.0 * static_cast<double>(n);
+}
+
+/// The output level of the `m` ascending unique keys at `sorted`.
+DownsampledLevel make_level(const uint64_t* sorted, std::size_t m) {
   DownsampledLevel out;
   out.keys.keys.reserve(m + 1);
   out.keys.keys.assign(sorted, sorted + m);
@@ -64,22 +58,81 @@ DownsampledLevel unique_sorted(std::vector<uint64_t>& keys,
   return out;
 }
 
-}  // namespace
-
-std::vector<Coord> downsample_coords(const std::vector<Coord>& in,
-                                     int kernel_size, int stride, bool fused,
-                                     bool simplified_control,
-                                     DownsampleCounters* counters) {
-  return downsample_level(in, nullptr, kernel_size, stride, fused,
-                          simplified_control, counters)
-      .coords;
+/// Sorts and deduplicates the surviving keys into the output level. The
+/// radix sort's scratch is the second half of `keys`, which the sweep's
+/// reservation already holds for every geometry the models use.
+DownsampledLevel unique_sorted(std::vector<uint64_t>& keys) {
+  const std::size_t n = keys.size();
+  keys.resize(2 * n);
+  uint64_t* sorted =
+      radix_sort_keys(keys.data(), keys.data() + n, nullptr, nullptr, n);
+  return make_level(sorted, static_cast<std::size_t>(
+                                std::unique(sorted, sorted + n) - sorted));
 }
 
-DownsampledLevel downsample_level(const std::vector<Coord>& in,
-                                  const LevelKeys* in_level, int kernel_size,
-                                  int stride, bool fused,
-                                  bool simplified_control,
-                                  DownsampleCounters* counters) {
+/// unique_sorted, moving each key's candidate index (input position *
+/// volume + offset index) along, then filling the strided map from the
+/// sorted pairs. Candidates of one output stay in sweep order, ascending
+/// input position, so the first pair of an (output, offset) holds the
+/// lowest input position; a later one comes from a duplicated input and
+/// is dropped. Each offset's entries come out in ascending output order.
+DownsampledLevel unique_sorted_with_map(std::vector<uint64_t>& keys,
+                                        std::vector<int32_t>& cand,
+                                        int kernel_size, std::size_t n_in) {
+  const std::size_t n = keys.size();
+  keys.resize(2 * n);
+  cand.resize(2 * n);
+  uint64_t* sorted = radix_sort_keys(keys.data(), keys.data() + n,
+                                     cand.data(), cand.data() + n, n);
+  const bool first_half = sorted == keys.data();
+  // Each pair's candidate index, rewritten to its offset index, or to -1
+  // for a dropped pair.
+  int32_t* pair = first_half ? cand.data() : cand.data() + n;
+  // The sort's other key half is free: it holds each pair's entry,
+  // output rank above input position, until the fill.
+  uint64_t* entry = first_half ? keys.data() + n : keys.data();
+  const int32_t volume = kernel_volume(kernel_size);
+  const auto v = static_cast<std::size_t>(volume);
+  std::vector<int32_t> last_out(v, -1);  // last output given each offset
+  std::vector<std::size_t> count(v, 0);
+  std::size_t m = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (m == 0 || sorted[i] != sorted[m - 1]) sorted[m++] = sorted[i];
+    const auto t = static_cast<int32_t>(m - 1);
+    const int32_t j = pair[i] / volume;
+    const int32_t o = pair[i] - j * volume;
+    const auto slot = static_cast<std::size_t>(o);
+    if (last_out[slot] == t) {
+      pair[i] = -1;
+      continue;
+    }
+    last_out[slot] = t;
+    ++count[slot];
+    pair[i] = o;
+    entry[i] = uint64_t{static_cast<uint32_t>(t)} << 32 |
+               static_cast<uint32_t>(j);
+  }
+  DownsampledLevel out = make_level(sorted, m);
+  KernelMap& km = out.map.emplace();
+  km.kernel_size = kernel_size;
+  km.maps.resize(v);
+  km.stats = grid_forward_stats(v, n_in, m, false);
+  for (std::size_t o = 0; o < v; ++o) km.maps[o].reserve(count[o]);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (pair[i] < 0) continue;
+    km.maps[static_cast<std::size_t>(pair[i])].push_back(
+        {static_cast<int32_t>(static_cast<uint32_t>(entry[i])),
+         static_cast<int32_t>(entry[i] >> 32)});
+  }
+  return out;
+}
+
+/// downsample_level, and with kEmitMap downsample_level_with_map.
+template <bool kEmitMap>
+DownsampledLevel downsample(const std::vector<Coord>& in,
+                            const LevelKeys* in_level, int kernel_size,
+                            int stride, bool fused, bool simplified_control,
+                            DownsampleCounters* counters) {
   if (stride < 2)
     throw std::invalid_argument("downsample_coords: stride must be >= 2 (got " +
                                 std::to_string(stride) + ")");
@@ -87,6 +140,11 @@ DownsampledLevel downsample_level(const std::vector<Coord>& in,
     throw std::invalid_argument(
         "downsample_coords: kernel_size must be >= 1 (got " +
         std::to_string(kernel_size) + ")");
+  if (kEmitMap && !downsample_map_fits(in.size(), kernel_size))
+    throw std::invalid_argument(
+        "downsample_level_with_map: " + std::to_string(in.size()) +
+        " points at kernel size " + std::to_string(kernel_size) +
+        " have more candidates than an int32 indexes");
   const auto offsets = kernel_offsets(kernel_size);
   const std::size_t k = offsets.size();
   const std::size_t n_cand = in.size() * k;
@@ -102,6 +160,9 @@ DownsampledLevel downsample_level(const std::vector<Coord>& in,
 
   std::vector<uint64_t> keys;
   keys.reserve(n_cand / static_cast<std::size_t>(stride));
+  // With the map: the candidate index of each surviving key.
+  std::vector<int32_t> cand;
+  if constexpr (kEmitMap) cand.reserve(keys.capacity());
 
   // One host pass computes the surviving keys for both pipeline variants:
   // the staged/fused split only changes the *modeled* kernel count and
@@ -110,13 +171,17 @@ DownsampledLevel downsample_level(const std::vector<Coord>& in,
   // pipeline's intermediate candidate arrays. Stride 2 — every encoder
   // layer in the paper's workloads — gets a division-free modular check.
   auto sweep = [&](auto mod_ok) {
+    // Candidate index: input position * k + offset index.
+    [[maybe_unused]] int32_t c = 0;
     for (const Coord& p : in) {
       for (const Offset3& d : offsets) {
         const Coord u{p.b, p.x - d.dx, p.y - d.dy, p.z - d.dz};
         if (mod_ok(u) && boundary_ok(u, lo, hi)) {
           keys.push_back(pack_coord(
               Coord{u.b, u.x / stride, u.y / stride, u.z / stride}));
+          if constexpr (kEmitMap) cand.push_back(c);
         }
+        if constexpr (kEmitMap) ++c;
       }
     }
   };
@@ -155,7 +220,46 @@ DownsampledLevel downsample_level(const std::vector<Coord>& in,
   }
 
   if (counters) counters->kept = keys.size();
-  return unique_sorted(keys, counters);
+  charge_unique(keys.size(), counters);
+  if constexpr (kEmitMap)
+    return unique_sorted_with_map(keys, cand, kernel_size, in.size());
+  else
+    return unique_sorted(keys);
+}
+
+}  // namespace
+
+std::vector<Coord> downsample_coords(const std::vector<Coord>& in,
+                                     int kernel_size, int stride, bool fused,
+                                     bool simplified_control,
+                                     DownsampleCounters* counters) {
+  return downsample_level(in, nullptr, kernel_size, stride, fused,
+                          simplified_control, counters)
+      .coords;
+}
+
+DownsampledLevel downsample_level(const std::vector<Coord>& in,
+                                  const LevelKeys* in_level, int kernel_size,
+                                  int stride, bool fused,
+                                  bool simplified_control,
+                                  DownsampleCounters* counters) {
+  return downsample<false>(in, in_level, kernel_size, stride, fused,
+                           simplified_control, counters);
+}
+
+bool downsample_map_fits(std::size_t n_in, int kernel_size) {
+  const auto volume = static_cast<std::size_t>(kernel_volume(kernel_size));
+  return volume == 0 ||
+         n_in <= static_cast<std::size_t>(
+                     std::numeric_limits<int32_t>::max()) / volume;
+}
+
+DownsampledLevel downsample_level_with_map(
+    const std::vector<Coord>& in, const LevelKeys* in_level, int kernel_size,
+    int stride, bool fused, bool simplified_control,
+    DownsampleCounters* counters) {
+  return downsample<true>(in, in_level, kernel_size, stride, fused,
+                          simplified_control, counters);
 }
 
 }  // namespace ts

@@ -7,11 +7,20 @@
 // stages as separate kernels with DRAM-resident intermediates; the
 // optimized version fuses stages 1-4 into one kernel holding intermediates
 // in registers, eliminating all intermediate DRAM traffic.
+//
+// On the host, the sweep that finds the surviving candidates has found
+// every (input, offset, output) triple of the strided layer's kernel map
+// too: downsample_level_with_map keeps them and emits that map, so the
+// conv path need not search for it again (core/conv3d.cpp). This is host
+// work only and runs under both modeled pipelines; it is not the modeled
+// EngineConfig::fused_downsample.
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
+#include "core/kernel_map.hpp"
 #include "core/level_keys.hpp"
 #include "hash/coords.hpp"
 
@@ -44,6 +53,9 @@ std::vector<Coord> downsample_coords(const std::vector<Coord>& in,
 struct DownsampledLevel {
   std::vector<Coord> coords;
   LevelKeys keys;
+  /// Set by downsample_level_with_map only: the strided layer's kernel
+  /// map from the input to `coords`.
+  std::optional<KernelMap> map;
 };
 
 /// downsample_coords, also returning the output's level record. `in_level`,
@@ -54,5 +66,23 @@ DownsampledLevel downsample_level(const std::vector<Coord>& in,
                                   int stride, bool fused,
                                   bool simplified_control,
                                   DownsampleCounters* counters = nullptr);
+
+/// True when downsample_level_with_map can emit the map of a downsample
+/// of `n_in` points with this kernel size: every (input, offset)
+/// candidate needs an int32 index.
+bool downsample_map_fits(std::size_t n_in, int kernel_size);
+
+/// downsample_level, also emitting the strided layer's kernel map: what
+/// build_kernel_map(in, coords, {kernel_size, stride}, grid backend)
+/// returns, entry for entry and in the same order, each offset's entries
+/// at exact capacity, with equal MapBuildStats. A duplicated input
+/// coordinate contributes its first (lowest) position, as in the
+/// merge-join. Coordinates, level record and counters equal
+/// downsample_level's. Throws std::invalid_argument as downsample_level
+/// does, and unless downsample_map_fits(in.size(), kernel_size).
+DownsampledLevel downsample_level_with_map(
+    const std::vector<Coord>& in, const LevelKeys* in_level, int kernel_size,
+    int stride, bool fused, bool simplified_control,
+    DownsampleCounters* counters = nullptr);
 
 }  // namespace ts

@@ -298,13 +298,9 @@ KernelMap build_kernel_map_grid_merge(const std::vector<Coord>& in_coords,
   KernelMap km;
   km.kernel_size = geom.kernel_size;
   km.maps.resize(static_cast<std::size_t>(volume));
-  km.stats.backend = opts.backend;
-  km.stats.used_symmetry = symmetric;
-  // Each searched offset issues one query per output, bounds-rejected
-  // ones included, as in the probe loop. The host never builds a grid.
-  km.stats.queries =
-      static_cast<std::size_t>(searched) * out_coords.size();
-  charge_grid_accesses(km.stats, in_coords.size());
+  km.stats = grid_forward_stats(static_cast<std::size_t>(searched),
+                                in_coords.size(), out_coords.size(),
+                                symmetric);
   if (in.size() == 0) return km;  // empty input
 
   const std::size_t n_out = out_coords.size();
@@ -450,6 +446,18 @@ KernelMap build_kernel_map(const std::vector<Coord>& in_coords,
         "records of both coordinate sets");
   return build_kernel_map_grid_merge(in_coords, out_coords, geom, opts,
                                      symmetric, *in_level, *out_level);
+}
+
+MapBuildStats grid_forward_stats(std::size_t searched, std::size_t n_in,
+                                 std::size_t n_out, bool symmetric) {
+  MapBuildStats stats;
+  stats.backend = MapBackend::kGrid;
+  stats.used_symmetry = symmetric;
+  // Each searched offset issues one query per output, bounds-rejected
+  // ones included, as in the probe loop. The host never builds a grid.
+  stats.queries = searched * n_out;
+  charge_grid_accesses(stats, n_in);
+  return stats;
 }
 
 KernelMap transpose_kernel_map(const KernelMap& km) {

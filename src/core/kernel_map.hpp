@@ -102,6 +102,14 @@ KernelMap build_kernel_map(const std::vector<Coord>& in_coords,
                            const LevelKeys* in_level,
                            const LevelKeys* out_level);
 
+/// The stats of a grid-backend forward build that searches `searched`
+/// offsets for each of `n_out` outputs over `n_in` inputs: one query per
+/// (offset, output), and the grid's one-access rule (paper §4.4) for the
+/// index. The merge-join and the map a downsample emits
+/// (downsample_level_with_map) both take their stats from here.
+MapBuildStats grid_forward_stats(std::size_t searched, std::size_t n_in,
+                                 std::size_t n_out, bool symmetric);
+
 /// Returns the transpose of `km` (inputs and outputs swapped, offsets
 /// mirrored) — how cached downsample maps are reused by the matching
 /// transposed convolution in the decoder.

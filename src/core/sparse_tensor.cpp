@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace ts {
 
@@ -33,6 +34,16 @@ std::shared_ptr<const LevelKeys> TensorCache::find_level_keys(
   if (it == levels_at_stride.end() || it->second.coords != coords)
     return nullptr;
   return it->second.keys;
+}
+
+std::optional<KernelMap> TensorCache::take_downsample_map(
+    const MapKey& key, const std::shared_ptr<const std::vector<Coord>>& fine,
+    const std::shared_ptr<const std::vector<Coord>>& coarse) {
+  std::optional<DownsampleMap> waiting = std::exchange(downsample_map, {});
+  if (!waiting || waiting->key != key || waiting->fine != fine ||
+      waiting->coarse != coarse)
+    return std::nullopt;
+  return std::move(waiting->map);
 }
 
 SparseTensor::SparseTensor(std::vector<Coord> coords, Matrix feats)

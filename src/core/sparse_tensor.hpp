@@ -9,6 +9,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -25,6 +26,13 @@ namespace ts {
 /// them back up. Beside each level's coordinates sits its level record
 /// (sorted keys and bounds), made on the first map build that reads it or
 /// deposited by the downsample that made the level.
+///
+/// A downsample that feeds a grid-backend map search at dilation 1 also
+/// leaves its strided layer's kernel map here (downsample_level_with_map),
+/// and the same layer's map resolution takes it in place of the
+/// merge-join. This is host work under both modeled pipelines, not the
+/// modeled EngineConfig::fused_downsample; the map is charged like the
+/// merge-join's, with the same stats.
 struct TensorCache {
   std::unordered_map<int, std::shared_ptr<const std::vector<Coord>>>
       coords_at_stride;
@@ -46,6 +54,22 @@ struct TensorCache {
   std::shared_ptr<const LevelKeys> find_level_keys(
       int stride,
       const std::shared_ptr<const std::vector<Coord>>& coords) const;
+
+  /// A downsample's kernel map, waiting for its layer: the layer's
+  /// MapKey and the fine and coarse sets the map joins.
+  struct DownsampleMap {
+    MapKey key;
+    std::shared_ptr<const std::vector<Coord>> fine, coarse;
+    KernelMap map;
+  };
+  std::optional<DownsampleMap> downsample_map;
+
+  /// Empties `downsample_map`, returning its map if it was made for `key`
+  /// from `fine` to `coarse`.
+  std::optional<KernelMap> take_downsample_map(
+      const MapKey& key,
+      const std::shared_ptr<const std::vector<Coord>>& fine,
+      const std::shared_ptr<const std::vector<Coord>>& coarse);
 };
 
 class SparseTensor {

@@ -17,6 +17,7 @@
 #include "core/dense_reference.hpp"
 #include "core/downsample.hpp"
 #include "core/kernel_map.hpp"
+#include "core/kernel_map_cache.hpp"
 #include "core/level_keys.hpp"
 #include "engines/presets.hpp"
 #include "gpusim/device.hpp"
@@ -627,6 +628,225 @@ TEST(LevelKeys, ConvPathMapsEqualVectorApi) {
       }
     }
   }
+}
+
+/// The vector API's map of a forward layer between two sets: what a
+/// conv-path map must equal.
+KernelMap vector_api_map(const std::vector<Coord>& in,
+                         const std::vector<Coord>& out, int kernel, int stride,
+                         MapBackend backend, int dilation = 1) {
+  return build_kernel_map(in, out,
+                          ConvGeometry{kernel, stride, false, dilation},
+                          MapSearchOptions{backend, false});
+}
+
+void expect_same_map(const KernelMap& got, const KernelMap& want) {
+  EXPECT_EQ(got.maps, want.maps);
+  EXPECT_EQ(got.stats.queries, want.stats.queries);
+  EXPECT_EQ(got.stats.index_accesses, want.stats.index_accesses);
+  EXPECT_EQ(got.stats.build_accesses, want.stats.build_accesses);
+  EXPECT_EQ(got.stats.used_symmetry, want.stats.used_symmetry);
+  EXPECT_EQ(got.stats.backend, want.stats.backend);
+}
+
+/// A cost-only grid-backend context, with a cross-request map cache when
+/// `map_cache`.
+ExecContext cost_only_ctx(MapBackend backend, bool map_cache) {
+  EngineConfig cfg = torchsparse_config();
+  cfg.map_backend = backend;
+  ExecContext ctx(rtx2080ti(), cfg);
+  ctx.compute_numerics = false;
+  ctx.simulate_cache = false;
+  if (map_cache)
+    ctx.map_cache = std::make_shared<KernelMapCache>(std::size_t(64) << 20);
+  return ctx;
+}
+
+// A downsample on the grid backend emits its strided layer's map, and the
+// layer uses it: the map builds no input-level record, which only the
+// merge-join reads (TensorCache::levels_at_stride keeps the coarse
+// record the downsample deposited, and no stride-1 one).
+TEST(DownsampleMap, LayerUsesTheEmittedMap) {
+  const auto coords = digit_spread_coords(600, true, 24);
+  for (bool map_cache : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "map_cache=" << map_cache);
+    ExecContext ctx = cost_only_ctx(MapBackend::kGrid, map_cache);
+    SparseTensor x(coords, Matrix(coords.size(), 4));
+    const SparseTensor y =
+        sparse_conv3d(x, random_conv(3, 2, false, 4, 4, 1), ctx);
+    const TensorCache& cache = *y.cache();
+    EXPECT_FALSE(cache.downsample_map.has_value());
+    EXPECT_EQ(cache.levels_at_stride.count(1), 0u);
+    EXPECT_EQ(cache.levels_at_stride.count(2), 1u);
+    expect_same_map(*cache.kmaps.at(MapKey{1, 3, 2, 1}),
+                    vector_api_map(coords, y.coords(), 3, 2,
+                                   MapBackend::kGrid));
+  }
+}
+
+// (a) Coarse coordinates from the cross-request cache come without a map:
+// the strided map misses, the merge-join builds it (reading both levels'
+// records) and gives the vector API's map.
+TEST(DownsampleMap, CachedCoordsBuildTheMapByMergeJoin) {
+  const auto coords = digit_spread_coords(600, false, 25);
+  ExecContext ctx = cost_only_ctx(MapBackend::kGrid, true);
+  MapCachePayload seed;
+  seed.coords = std::make_shared<const std::vector<Coord>>(downsample_coords(
+      coords, 3, 2, ctx.cfg.fused_downsample, ctx.cfg.simplified_control,
+      &seed.ds_counters));
+  ASSERT_TRUE(ctx.map_cache->admit(
+      salt_cache_key(downsample_cache_key(coords, 3, 2,
+                                          ctx.cfg.fused_downsample,
+                                          ctx.cfg.simplified_control),
+                     ctx.cache_namespace),
+      seed));
+  SparseTensor x(coords, Matrix(coords.size(), 4));
+  const SparseTensor y =
+      sparse_conv3d(x, random_conv(3, 2, false, 4, 4, 1), ctx);
+  EXPECT_EQ(y.coords_ptr(), seed.coords);
+  const MapCacheStats stats = ctx.map_cache->stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  const TensorCache& cache = *y.cache();
+  EXPECT_FALSE(cache.downsample_map.has_value());
+  EXPECT_EQ(cache.levels_at_stride.count(1), 1u);
+  expect_same_map(*cache.kmaps.at(MapKey{1, 3, 2, 1}),
+                  vector_api_map(coords, y.coords(), 3, 2, MapBackend::kGrid));
+}
+
+// (b) Two strided layers of different K read one level: the first
+// downsamples and uses its map; the second finds the coarse level made
+// with the other K, so the merge-join builds its map.
+TEST(DownsampleMap, SecondKernelSizeOnOneLevelUsesMergeJoin) {
+  const auto coords = digit_spread_coords(600, false, 26);
+  for (bool map_cache : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "map_cache=" << map_cache);
+    ExecContext ctx = cost_only_ctx(MapBackend::kGrid, map_cache);
+    SparseTensor x(coords, Matrix(coords.size(), 4));
+    const SparseTensor a =
+        sparse_conv3d(x, random_conv(2, 2, false, 4, 4, 1), ctx);
+    EXPECT_EQ(a.cache()->levels_at_stride.count(1), 0u);
+    const SparseTensor b =
+        sparse_conv3d(x, random_conv(3, 2, false, 4, 4, 2), ctx);
+    EXPECT_EQ(b.coords_ptr(), a.coords_ptr());
+    const TensorCache& cache = *b.cache();
+    EXPECT_FALSE(cache.downsample_map.has_value());
+    EXPECT_EQ(cache.levels_at_stride.count(1), 1u);
+    expect_same_map(*cache.kmaps.at(MapKey{1, 2, 2, 1}),
+                    vector_api_map(coords, a.coords(), 2, 2,
+                                   MapBackend::kGrid));
+    expect_same_map(*cache.kmaps.at(MapKey{1, 3, 2, 1}),
+                    vector_api_map(coords, a.coords(), 3, 2,
+                                   MapBackend::kGrid));
+  }
+}
+
+// (c) The hashmap backend's stats are probe counts: its downsample emits
+// no map, and its strided maps are the probe loop's.
+TEST(DownsampleMap, HashMapBackendNeverTakesAMap) {
+  const auto coords = digit_spread_coords(600, true, 27);
+  for (bool map_cache : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "map_cache=" << map_cache);
+    ExecContext ctx = cost_only_ctx(MapBackend::kHashMap, map_cache);
+    SparseTensor x(coords, Matrix(coords.size(), 4));
+    const SparseTensor y =
+        sparse_conv3d(x, random_conv(3, 2, false, 4, 4, 1), ctx);
+    const TensorCache& cache = *y.cache();
+    EXPECT_FALSE(cache.downsample_map.has_value());
+    const KernelMap& km = *cache.kmaps.at(MapKey{1, 3, 2, 1});
+    EXPECT_EQ(km.stats.backend, MapBackend::kHashMap);
+    expect_same_map(km, vector_api_map(coords, y.coords(), 3, 2,
+                                       MapBackend::kHashMap));
+  }
+}
+
+// A dilated strided layer searches s*q + dil*delta, which the downsample's
+// sweep does not: its downsample emits no map, and the merge-join builds
+// the dilated one.
+TEST(DownsampleMap, DilatedStridedLayerUsesMergeJoin) {
+  const auto coords = digit_spread_coords(600, false, 30);
+  ExecContext ctx = cost_only_ctx(MapBackend::kGrid, false);
+  Conv3dParams conv = random_conv(3, 2, false, 4, 4, 1);
+  conv.geom.dilation = 2;
+  SparseTensor x(coords, Matrix(coords.size(), 4));
+  const SparseTensor y = sparse_conv3d(x, conv, ctx);
+  const TensorCache& cache = *y.cache();
+  EXPECT_EQ(cache.levels_at_stride.count(1), 1u);
+  expect_same_map(*cache.kmaps.at(MapKey{1, 3, 2, 2}),
+                  vector_api_map(coords, y.coords(), 3, 2, MapBackend::kGrid,
+                                 2));
+}
+
+// (d) Two threads resolve the same strided layer on one KernelMapCache,
+// racing for both the coordinates and the map; each gets the vector
+// API's map, whichever build won.
+TEST(DownsampleMap, ConcurrentResolvesOnOneCacheAgree) {
+  const auto coords = digit_spread_coords(2000, true, 28);
+  const std::vector<Coord> coarse = downsample_coords(coords, 3, 2, true, true);
+  const KernelMap want =
+      vector_api_map(coords, coarse, 3, 2, MapBackend::kGrid);
+  const Conv3dParams conv = random_conv(3, 2, false, 4, 4, 1);
+  for (int round = 0; round < 6; ++round) {
+    const auto shared =
+        std::make_shared<KernelMapCache>(std::size_t(64) << 20);
+    std::atomic<bool> go{false};
+    std::shared_ptr<const KernelMap> got[2];
+    std::shared_ptr<const std::vector<Coord>> got_coords[2];
+    std::vector<std::thread> callers;
+    for (int t = 0; t < 2; ++t)
+      callers.emplace_back([&, t] {
+        ExecContext ctx = cost_only_ctx(MapBackend::kGrid, false);
+        ctx.map_cache = shared;
+        SparseTensor x(coords, Matrix(coords.size(), 4));
+        while (!go.load()) std::this_thread::yield();
+        const SparseTensor y = sparse_conv3d(x, conv, ctx);
+        got[t] = y.cache()->kmaps.at(MapKey{1, 3, 2, 1});
+        got_coords[t] = y.coords_ptr();
+      });
+    go.store(true);
+    for (std::thread& t : callers) t.join();
+    for (int t = 0; t < 2; ++t) {
+      SCOPED_TRACE(::testing::Message() << "round=" << round << " t=" << t);
+      EXPECT_EQ(*got_coords[t], coarse);
+      expect_same_map(*got[t], want);
+    }
+  }
+}
+
+// (e) A pass whose products all hit the cache leaves no map waiting, and
+// neither does a downsample whose strided map hits while its
+// coordinates miss: the emitted map is dropped.
+TEST(DownsampleMap, CacheHitsLeaveNoMapWaiting) {
+  const auto coords = digit_spread_coords(600, false, 29);
+  const Conv3dParams conv = random_conv(3, 2, false, 4, 4, 1);
+  ExecContext ctx = cost_only_ctx(MapBackend::kGrid, true);
+  for (int pass = 0; pass < 2; ++pass) {
+    SparseTensor x(coords, Matrix(coords.size(), 4));
+    const SparseTensor y = sparse_conv3d(x, conv, ctx);
+    EXPECT_FALSE(y.cache()->downsample_map.has_value()) << "pass " << pass;
+  }
+  const MapCacheStats warm = ctx.map_cache->stats();
+  EXPECT_EQ(warm.hits, 2u);
+
+  // Only the strided map is cached; the downsample misses and emits.
+  ExecContext map_only = cost_only_ctx(MapBackend::kGrid, true);
+  const std::vector<Coord> coarse = downsample_coords(coords, 3, 2, true, true);
+  const ConvGeometry geom{3, 2, false, 1};
+  const MapSearchOptions opts{MapBackend::kGrid, false};
+  MapCachePayload seed;
+  seed.kmap = std::make_shared<const KernelMap>(
+      build_kernel_map(coords, coarse, geom, opts));
+  ASSERT_TRUE(map_only.map_cache->admit(
+      salt_cache_key(kernel_map_cache_key(coords, coarse, geom, opts),
+                     map_only.cache_namespace),
+      seed));
+  SparseTensor x(coords, Matrix(coords.size(), 4));
+  const SparseTensor y = sparse_conv3d(x, conv, map_only);
+  const MapCacheStats stats = map_only.map_cache->stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_FALSE(y.cache()->downsample_map.has_value());
+  EXPECT_EQ(y.cache()->kmaps.at(MapKey{1, 3, 2, 1}), seed.kmap);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Output coordinate calculation (Alg. 3): staged vs fused equivalence,
-// oracle comparison, and the Fig. 10 DRAM-traffic reduction.
+// oracle comparison, the Fig. 10 DRAM-traffic reduction, and the strided
+// kernel map the downsample emits against the merge-join's.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <ostream>
 #include <random>
 #include <set>
@@ -11,6 +13,7 @@
 #include <unordered_set>
 
 #include "core/downsample.hpp"
+#include "core/kernel_map.hpp"
 #include "core/kernel_offsets.hpp"
 #include "hash/coords.hpp"
 
@@ -250,6 +253,115 @@ TEST(Downsample, RejectsKernelSizeBelowOne) {
                     std::to_string(kernel) + ")");
     }
   }
+}
+
+enum class SetOrder { kSorted, kShuffled, kDuplicated };
+
+/// `n` coordinates over every digit of a packed key: batches 0-3 and
+/// kCoordBatchMax - 1, in dense clusters at the origin and at both ends
+/// of the packable range. kSorted is ascending and unique, kShuffled
+/// unique in random order, and in kDuplicated about a third of them
+/// repeat an earlier coordinate.
+std::vector<Coord> spread_coords(int n, SetOrder order, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int32_t> d(-4, 4);
+  const int32_t batches[] = {0, 1, 2, 3, kCoordBatchMax - 1};
+  const int32_t origins[] = {0, kCoordSpatialMin + 4, kCoordSpatialMax - 4};
+  std::vector<Coord> coords;
+  std::unordered_set<uint64_t> seen;
+  while (static_cast<int>(coords.size()) < n) {
+    if (order == SetOrder::kDuplicated && !coords.empty() && rng() % 3 == 0) {
+      coords.push_back(coords[rng() % coords.size()]);
+      continue;
+    }
+    const int32_t o = origins[rng() % 3];
+    const Coord c{batches[rng() % 5], o + d(rng), o + d(rng), o + d(rng)};
+    if (seen.insert(pack_coord(c)).second) coords.push_back(c);
+  }
+  if (order == SetOrder::kSorted) std::sort(coords.begin(), coords.end());
+  return coords;
+}
+
+/// Entry for entry, in order, each offset at exact capacity, equal stats.
+void expect_same_map(const KernelMap& got, const KernelMap& want) {
+  EXPECT_EQ(got.kernel_size, want.kernel_size);
+  ASSERT_EQ(got.maps.size(), want.maps.size());
+  for (std::size_t n = 0; n < got.maps.size(); ++n) {
+    ASSERT_EQ(got.maps[n], want.maps[n]) << "offset " << n;
+    EXPECT_EQ(got.maps[n].capacity(), got.maps[n].size()) << "offset " << n;
+    EXPECT_EQ(want.maps[n].capacity(), want.maps[n].size()) << "offset " << n;
+  }
+  EXPECT_EQ(got.stats.queries, want.stats.queries);
+  EXPECT_EQ(got.stats.index_accesses, want.stats.index_accesses);
+  EXPECT_EQ(got.stats.build_accesses, want.stats.build_accesses);
+  EXPECT_EQ(got.stats.used_symmetry, want.stats.used_symmetry);
+  EXPECT_EQ(got.stats.backend, want.stats.backend);
+}
+
+void expect_same_counters(const DownsampleCounters& got,
+                          const DownsampleCounters& want) {
+  EXPECT_EQ(got.kernel_launches, want.kernel_launches);
+  EXPECT_EQ(got.dram_bytes, want.dram_bytes);
+  EXPECT_EQ(got.instr_ops, want.instr_ops);
+  EXPECT_EQ(got.candidates, want.candidates);
+  EXPECT_EQ(got.kept, want.kept);
+}
+
+/// The map a downsample emits is the grid merge-join's map of the same
+/// two sets, for K 1-5 and s 2-3 on sorted, shuffled and duplicated
+/// sets (empty and one-point ones too), with and without the input's
+/// level record; its coordinates, record and counters are the
+/// coordinates-only call's.
+TEST(DownsampleWithMap, EqualsMergeJoinMap) {
+  const MapSearchOptions grid{MapBackend::kGrid, false};
+  for (SetOrder order :
+       {SetOrder::kSorted, SetOrder::kShuffled, SetOrder::kDuplicated}) {
+    for (int n : {0, 1, 1500}) {
+      const auto in = spread_coords(n, order, 31 + n);
+      const LevelKeys in_level = level_keys(in);
+      const LevelKeys* const records[] = {&in_level, nullptr};
+      for (int k = 1; k <= 5; ++k) {
+        for (int s : {2, 3}) {
+          for (bool fused : {false, true}) {
+            for (const LevelKeys* record : records) {
+              SCOPED_TRACE(::testing::Message()
+                           << "order=" << static_cast<int>(order)
+                           << " n=" << n << " k=" << k << " s=" << s
+                           << " fused=" << fused
+                           << " record=" << (record != nullptr));
+              DownsampleCounters plain_c, map_c;
+              const DownsampledLevel plain = downsample_level(
+                  in, record, k, s, fused, fused, &plain_c);
+              const DownsampledLevel got = downsample_level_with_map(
+                  in, record, k, s, fused, fused, &map_c);
+              EXPECT_FALSE(plain.map.has_value());
+              ASSERT_TRUE(got.map.has_value());
+              EXPECT_EQ(got.coords, plain.coords);
+              EXPECT_EQ(got.keys.keys, plain.keys.keys);
+              EXPECT_EQ(got.keys.lo, plain.keys.lo);
+              EXPECT_EQ(got.keys.hi, plain.keys.hi);
+              expect_same_counters(map_c, plain_c);
+              const KernelMap want = build_kernel_map(
+                  in, got.coords, ConvGeometry{k, s, false, 1}, grid);
+              expect_same_map(*got.map, want);
+              if (n == 1500) {
+                EXPECT_GT(want.total(), 0u);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DownsampleWithMap, FitsOnlyInt32CandidateIndices) {
+  const std::size_t max = std::numeric_limits<int32_t>::max();
+  EXPECT_TRUE(downsample_map_fits(0, 3));
+  EXPECT_TRUE(downsample_map_fits(max / 27, 3));
+  EXPECT_FALSE(downsample_map_fits(max / 27 + 1, 3));
+  EXPECT_TRUE(downsample_map_fits(max, 1));
+  EXPECT_FALSE(downsample_map_fits(max + 1, 1));
 }
 
 }  // namespace
