@@ -289,6 +289,38 @@ TEST(MapSearch, CenterMapIsIdentityOnSubmanifold) {
   }
 }
 
+/// Symmetric k=1 builds on both backends, pinned: the one offset is the
+/// center, so the map is the identity in order and nothing is searched.
+/// The set holds a repeated coordinate, which the identity keeps.
+TEST(MapSearch, SymmetricKernelOneBuildsPinned) {
+  struct Pin {
+    MapBackend backend;
+    std::size_t queries, index_accesses, build_accesses;
+  };
+  const Pin pins[] = {
+      {MapBackend::kHashMap, 0, 0, 507},
+      {MapBackend::kGrid, 0, 0, 401},
+  };
+  std::vector<Coord> coords = random_coords(400, 12, 15, 2);
+  coords.push_back(coords[7]);
+  const ConvGeometry geom{1, 1, false};
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(static_cast<int>(pin.backend));
+    const KernelMap km = build_kernel_map(coords, coords, geom,
+                                          {pin.backend, true});
+    ASSERT_EQ(km.maps.size(), 1u);
+    ASSERT_EQ(km.maps[0].size(), coords.size());
+    for (std::size_t i = 0; i < coords.size(); ++i)
+      EXPECT_EQ(km.maps[0][i],
+                (MapEntry{static_cast<int32_t>(i), static_cast<int32_t>(i)}));
+    EXPECT_TRUE(km.stats.used_symmetry);
+    EXPECT_EQ(km.stats.backend, pin.backend);
+    EXPECT_EQ(km.stats.queries, pin.queries);
+    EXPECT_EQ(km.stats.index_accesses, pin.index_accesses);
+    EXPECT_EQ(km.stats.build_accesses, pin.build_accesses);
+  }
+}
+
 TEST(MapSearch, SubmanifoldMapSizesAreSymmetric) {
   // |M[delta]| == |M[-delta]| (paper §4.2.1).
   const auto coords = random_coords(500, 14, 8);
