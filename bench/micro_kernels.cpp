@@ -82,20 +82,30 @@ void BM_FlatHashMapBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_FlatHashMapBuild)->Arg(10000)->Arg(100000);
 
+// Args are {points, grid, kernel}: a direct submanifold search at K=3,
+// and at K=1 the symmetric build, which searches nothing and emits the
+// identity map (the conv path's K=1 submanifold layers).
 void BM_MapSearch(benchmark::State& state) {
   const bool grid = state.range(1) != 0;
   const auto coords = make_coords(static_cast<int>(state.range(0)), 128, 2);
-  ts::ConvGeometry geom{3, 1, false};
+  const int kernel = static_cast<int>(state.range(2));
+  const ts::ConvGeometry geom{kernel, 1, false};
   ts::MapSearchOptions opts;
   opts.backend = grid ? ts::MapBackend::kGrid : ts::MapBackend::kHashMap;
+  opts.use_symmetry = kernel == 1;
   for (auto _ : state) {
     auto km = ts::build_kernel_map(coords, coords, geom, opts);
     benchmark::DoNotOptimize(km.total());
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(coords.size()) * 27);
+                          static_cast<int64_t>(coords.size()) *
+                          ts::kernel_volume(kernel));
 }
-BENCHMARK(BM_MapSearch)->Args({20000, 0})->Args({20000, 1});
+BENCHMARK(BM_MapSearch)
+    ->ArgNames({"points", "grid", "kernel"})
+    ->Args({20000, 0, 3})
+    ->Args({20000, 1, 3})
+    ->Args({20000, 1, 1});
 
 void BM_SymmetricMapSearch(benchmark::State& state) {
   const auto coords = make_coords(20000, 128, 2);

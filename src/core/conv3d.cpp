@@ -6,6 +6,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/downsample.hpp"
 #include "core/gather_scatter.hpp"
@@ -18,30 +19,53 @@ namespace ts {
 
 namespace {
 
-/// Applies the modeled accounting for a mapping-stage product resolved
-/// through the cross-request cache. Immediate mode (no event log) charges
-/// the warm or cold cost directly; deferred mode always charges cold and
-/// records the event for the owner's deterministic submission-order
-/// replay (see core/kernel_map_cache.hpp).
-void account_cache_resolve(const MapCacheKey& key, std::size_t bytes,
-                           const MapCharge& cold, const MapCharge& warm,
-                           bool was_hit, ExecContext& ctx) {
+/// Resolves one mapping-stage product. Without a cross-request cache it
+/// is built and charged cold. With one, it is looked up under the key
+/// `make_key` gives and built on a miss; immediate mode (no event log)
+/// charges the warm or cold cost, and deferred mode always charges cold
+/// and records the event for the owner's deterministic submission-order
+/// replay (see core/kernel_map_cache.hpp). `charges` gives a product's
+/// cold and warm charges.
+template <typename MakeKey, typename Build, typename Charges>
+MapCachePayload resolve_product(const MakeKey& make_key, const Build& build,
+                                const Charges& charges, ExecContext& ctx) {
+  if (!ctx.map_cache) {
+    MapCachePayload product = build();
+    apply_map_charge(charges(product).first, ctx);
+    return product;
+  }
+  // The model namespace salts the digest so two models with identical
+  // geometry resolve disjoint cache entries (salt 0 = identity).
+  const MapCacheKey key = salt_cache_key(make_key(), ctx.cache_namespace);
+  bool hit = false;
+  MapCachePayload product = ctx.map_cache->get_or_build(key, build, &hit);
+  const auto [cold, warm] = charges(product);
   if (ctx.cache_events) {
     apply_map_charge(cold, ctx);
-    ctx.cache_events->push_back({key, bytes, cold.seconds, cold.dram_bytes,
-                                 cold.launches, warm.seconds,
-                                 warm.dram_bytes, warm.launches});
-    return;
+    ctx.cache_events->push_back({key, map_cache_payload_bytes(product),
+                                 cold.seconds, cold.dram_bytes, cold.launches,
+                                 warm.seconds, warm.dram_bytes,
+                                 warm.launches});
+  } else {
+    apply_map_charge(hit ? warm : cold, ctx);
   }
-  apply_map_charge(was_hit ? warm : cold, ctx);
+  return product;
 }
+
+/// A layer's output coordinates at their tensor stride, with the strided
+/// layer's kernel map when its downsample emitted one.
+struct OutputCoords {
+  std::shared_ptr<const std::vector<Coord>> coords;
+  int stride = 1;
+  std::optional<KernelMap> map;
+};
 
 /// Resolves the output coordinate set (paper §2.1.1): identity for
 /// stride 1, cached-or-computed coarse coordinates for downsampling, and
 /// cached fine coordinates for transposed (decoder) convolutions.
-std::shared_ptr<const std::vector<Coord>> resolve_output_coords(
-    const SparseTensor& x, const ConvGeometry& geom, int& out_stride,
-    ExecContext& ctx) {
+OutputCoords resolve_output_coords(const SparseTensor& x,
+                                   const ConvGeometry& geom,
+                                   ExecContext& ctx) {
   TensorCache& cache = *x.cache();
   if (geom.transposed) {
     if (geom.stride <= 0 || x.stride() % geom.stride != 0)
@@ -49,22 +73,19 @@ std::shared_ptr<const std::vector<Coord>> resolve_output_coords(
                                std::to_string(geom.stride) +
                                " does not divide tensor stride " +
                                std::to_string(x.stride()));
-    out_stride = x.stride() / geom.stride;
+    const int out_stride = x.stride() / geom.stride;
     auto it = cache.coords_at_stride.find(out_stride);
     if (it == cache.coords_at_stride.end())
       throw std::runtime_error(
           "transposed conv requires cached coordinates at the target "
           "stride (run the matching downsample first)");
-    return it->second;
+    return {it->second, out_stride, std::nullopt};
   }
-  if (geom.stride == 1) {
-    out_stride = x.stride();
-    return x.coords_ptr();
-  }
-  out_stride = x.stride() * geom.stride;
+  if (geom.stride == 1) return {x.coords_ptr(), x.stride(), std::nullopt};
+  const int out_stride = x.stride() * geom.stride;
   if (auto it = cache.coords_at_stride.find(out_stride);
       it != cache.coords_at_stride.end())
-    return it->second;
+    return {it->second, out_stride, std::nullopt};
 
   // The input level's bounds come from its record when a map build has
   // made one. The output's sorted keys become the coarse level's record,
@@ -76,60 +97,44 @@ std::shared_ptr<const std::vector<Coord>> resolve_output_coords(
   const bool emit_map = ctx.cfg.map_backend == MapBackend::kGrid &&
                         geom.dilation == 1 &&
                         downsample_map_fits(x.num_points(), geom.kernel_size);
-  std::shared_ptr<const std::vector<Coord>> coords;
+  std::shared_ptr<const std::vector<Coord>> built;
   std::shared_ptr<const LevelKeys> out_level;
   std::optional<KernelMap> map;
-  const auto downsample = [&](DownsampleCounters& dc) {
-    DownsampledLevel level =
-        (emit_map ? downsample_level_with_map : downsample_level)(
-            x.coords(), in_level.get(), geom.kernel_size, geom.stride,
-            ctx.cfg.fused_downsample, ctx.cfg.simplified_control, &dc);
-    out_level = std::make_shared<const LevelKeys>(std::move(level.keys));
-    map = std::move(level.map);
-    return std::make_shared<const std::vector<Coord>>(
-        std::move(level.coords));
-  };
-  if (ctx.map_cache) {
-    // The model namespace salts the digest so two models with identical
-    // geometry resolve disjoint cache entries (salt 0 = identity).
-    const MapCacheKey ck = salt_cache_key(
-        downsample_cache_key(x.coords(), geom.kernel_size, geom.stride,
-                             ctx.cfg.fused_downsample,
-                             ctx.cfg.simplified_control),
-        ctx.cache_namespace);
-    bool hit = false;
-    std::shared_ptr<const std::vector<Coord>> built;
-    const MapCachePayload payload = ctx.map_cache->get_or_build(
-        ck,
-        [&] {
-          MapCachePayload p;
-          p.coords = built = downsample(p.ds_counters);
-          return p;
-        },
-        &hit);
-    coords = payload.coords;
-    // A racing builder's payload replaces ours: its record and map are
-    // not kept.
-    if (coords != built) {
-      out_level = nullptr;
-      map.reset();
-    }
-    account_cache_resolve(
-        ck, map_cache_payload_bytes(payload),
-        downsample_charge(payload.ds_counters, ctx),
-        map_cache_hit_charge(x.num_points(), coords->size(), ctx), hit, ctx);
-  } else {
-    DownsampleCounters dc;
-    coords = downsample(dc);
-    charge_downsample(dc, ctx);
+  const MapCachePayload payload = resolve_product(
+      [&] {
+        return downsample_cache_key(x.coords(), geom.kernel_size, geom.stride,
+                                    ctx.cfg.fused_downsample,
+                                    ctx.cfg.simplified_control);
+      },
+      [&] {
+        MapCachePayload p;
+        DownsampledLevel level =
+            (emit_map ? downsample_level_with_map : downsample_level)(
+                x.coords(), in_level.get(), geom.kernel_size, geom.stride,
+                ctx.cfg.fused_downsample, ctx.cfg.simplified_control,
+                &p.ds_counters);
+        out_level = std::make_shared<const LevelKeys>(std::move(level.keys));
+        map = std::move(level.map);
+        p.coords = built = std::make_shared<const std::vector<Coord>>(
+            std::move(level.coords));
+        return p;
+      },
+      [&](const MapCachePayload& p) {
+        return std::pair{
+            downsample_charge(p.ds_counters, ctx),
+            map_cache_hit_charge(x.num_points(), p.coords->size(), ctx)};
+      },
+      ctx);
+  // A racing builder's payload replaces ours: its record and map are not
+  // kept.
+  if (payload.coords != built) {
+    out_level = nullptr;
+    map.reset();
   }
-  cache.coords_at_stride[out_stride] = coords;
-  if (out_level) cache.levels_at_stride[out_stride] = {coords, out_level};
-  if (map)
-    cache.downsample_map = TensorCache::DownsampleMap{
-        MapKey{x.stride(), geom.kernel_size, geom.stride, geom.dilation},
-        x.coords_ptr(), coords, std::move(*map)};
-  return coords;
+  cache.coords_at_stride[out_stride] = payload.coords;
+  if (out_level)
+    cache.levels_at_stride[out_stride] = {payload.coords, out_level};
+  return {payload.coords, out_stride, std::move(map)};
 }
 
 /// Resolves the kernel map, reusing the tensor cache: stride-1 maps are
@@ -137,22 +142,18 @@ std::shared_ptr<const std::vector<Coord>> resolve_output_coords(
 /// convolutions relabel the matching downsample map (in/out swapped).
 /// On a tensor-cache miss, the cross-request KernelMapCache (when
 /// enabled) is consulted by content key before building from scratch; a
-/// build takes the map the layer's downsample emitted, when there is one.
+/// build takes `emitted`, the map the layer's downsample emitted, when
+/// there is one.
 std::shared_ptr<const KernelMap> resolve_kernel_map(
     const SparseTensor& x, const ConvGeometry& geom,
     const std::shared_ptr<const std::vector<Coord>>& out_ptr, int out_stride,
-    ExecContext& ctx) {
+    std::optional<KernelMap> emitted, ExecContext& ctx) {
   TensorCache& cache = *x.cache();
   const std::vector<Coord>& out_coords = *out_ptr;
   const int fine_stride =
       geom.transposed ? x.stride() / geom.stride : x.stride();
   const MapKey key{fine_stride, geom.kernel_size, geom.stride,
                    geom.dilation};
-  // Taken whether or not a build reads it, so that none outlives the
-  // layer.
-  std::optional<KernelMap> emitted =
-      cache.take_downsample_map(key, x.coords_ptr(), out_ptr);
-
   if (auto it = cache.kmaps.find(key); it != cache.kmaps.end()) {
     if (!geom.transposed) return it->second;  // direct reuse, no kernels
     auto km = std::make_shared<KernelMap>(transpose_kernel_map(*it->second));
@@ -163,48 +164,34 @@ std::shared_ptr<const KernelMap> resolve_kernel_map(
   MapSearchOptions opts;
   opts.backend = ctx.cfg.map_backend;
   opts.use_symmetry = ctx.cfg.symmetric_map_search && geom.is_submanifold();
-
-  // A build that reads level records takes them from the tensor cache,
-  // making each on first use; a cache hit reads none.
-  const auto build = [&] {
-    if (emitted) {
-      KernelMap km = std::move(*emitted);
-      emitted.reset();
-      return km;
-    }
-    std::shared_ptr<const LevelKeys> in_level, out_level;
-    if (map_search_reads_levels(geom, opts)) {
-      in_level = cache.level_keys(x.stride(), x.coords_ptr());
-      out_level = cache.level_keys(out_stride, out_ptr);
-    }
-    return build_kernel_map(x.coords(), out_coords, geom, opts,
-                            in_level.get(), out_level.get());
-  };
-  std::shared_ptr<const KernelMap> km;
-  if (ctx.map_cache) {
-    const MapCacheKey ck = salt_cache_key(
-        kernel_map_cache_key(x.coords(), out_coords, geom, opts),
-        ctx.cache_namespace);
-    bool hit = false;
-    const MapCachePayload payload = ctx.map_cache->get_or_build(
-        ck,
-        [&] {
-          MapCachePayload p;
-          p.kmap = std::make_shared<const KernelMap>(build());
+  const MapCachePayload payload = resolve_product(
+      [&] { return kernel_map_cache_key(x.coords(), out_coords, geom, opts); },
+      [&] {
+        MapCachePayload p;
+        if (emitted) {
+          p.kmap = std::make_shared<const KernelMap>(std::move(*emitted));
           return p;
-        },
-        &hit);
-    km = payload.kmap;
-    account_cache_resolve(
-        ck, map_cache_payload_bytes(payload),
-        map_build_charge(km->stats, km->total(), out_coords.size(), ctx),
-        map_cache_hit_charge(x.num_points(), out_coords.size(), ctx), hit,
-        ctx);
-  } else {
-    KernelMap built = build();
-    charge_map_build(built.stats, built.total(), out_coords.size(), ctx);
-    km = std::make_shared<const KernelMap>(std::move(built));
-  }
+        }
+        // A build that reads level records takes them from the tensor
+        // cache, making each on first use; a cache hit reads none.
+        std::shared_ptr<const LevelKeys> in_level, out_level;
+        if (map_search_reads_levels(geom, opts)) {
+          in_level = cache.level_keys(x.stride(), x.coords_ptr());
+          out_level = cache.level_keys(out_stride, out_ptr);
+        }
+        p.kmap = std::make_shared<const KernelMap>(
+            build_kernel_map(x.coords(), out_coords, geom, opts,
+                             in_level.get(), out_level.get()));
+        return p;
+      },
+      [&](const MapCachePayload& p) {
+        return std::pair{
+            map_build_charge(p.kmap->stats, p.kmap->total(),
+                             out_coords.size(), ctx),
+            map_cache_hit_charge(x.num_points(), out_coords.size(), ctx)};
+      },
+      ctx);
+  const std::shared_ptr<const KernelMap>& km = payload.kmap;
 
   if (geom.transposed) {
     // Store the forward orientation so a later layer can reuse it.
@@ -325,12 +312,12 @@ SparseTensor sparse_conv3d(const SparseTensor& x, const Conv3dParams& p,
         " channels but the layer expects " + std::to_string(c_in));
   if (ctx.compute_numerics) require_features(x, "sparse_conv3d");
 
-  int out_stride = x.stride();
-  auto out_coords = resolve_output_coords(x, geom, out_stride, ctx);
-  auto km = resolve_kernel_map(x, geom, out_coords, out_stride, ctx);
+  OutputCoords out = resolve_output_coords(x, geom, ctx);
+  const auto km = resolve_kernel_map(x, geom, out.coords, out.stride,
+                                     std::move(out.map), ctx);
 
   const std::size_t n_in = x.num_points();
-  const std::size_t n_out = out_coords->size();
+  const std::size_t n_out = out.coords->size();
   const auto sizes = km->sizes();
   const bool submanifold = geom.is_submanifold();
   const int center = submanifold ? center_offset_index(geom.kernel_size) : -1;
@@ -376,12 +363,12 @@ SparseTensor sparse_conv3d(const SparseTensor& x, const Conv3dParams& p,
   }
 
   if (!ctx.compute_numerics)
-    return SparseTensor(out_coords, c_out, out_stride, x.cache());
+    return SparseTensor(out.coords, c_out, out.stride, x.cache());
   PoolRunner run;
   conv_numerics(x.feats(), *km, p.weights, center_in_place ? center : -1,
                 ctx.cfg.precision, /*round_psums=*/!use_fod,
                 numerics_partitions(n_out, run.threads()), run, out_feats);
-  return SparseTensor(out_coords, std::move(out_feats), out_stride,
+  return SparseTensor(out.coords, std::move(out_feats), out.stride,
                       x.cache());
 }
 

@@ -10,8 +10,10 @@
 //
 // On the host, the sweep that finds the surviving candidates has found
 // every (input, offset, output) triple of the strided layer's kernel map
-// too: downsample_level_with_map keeps them and emits that map, so the
-// conv path need not search for it again (core/conv3d.cpp). This is host
+// too: downsample_level_with_map keeps them and emits that map. The conv
+// path resolves a strided layer's coordinates and map together and
+// passes the emitted map straight to the layer's map resolution, which
+// takes it in place of the merge-join (core/conv3d.cpp). This is host
 // work only and runs under both modeled pipelines; it is not the modeled
 // EngineConfig::fused_downsample.
 #pragma once

@@ -1,6 +1,7 @@
 #include "core/kernel_map.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -101,12 +102,12 @@ void search_offset(const std::vector<Coord>& out_coords, const Offset3& d,
   // output set on real scans, so start at a quarter and let at most two
   // doublings cover dense offsets.
   out.reserve(out.size() + out_coords.size() / 4 + 16);
+  const int32_t ox = dil * d.dx, oy = dil * d.dy, oz = dil * d.dz;
   if (!geom.transposed) {
     // Input lives at r = s*q + dilation*delta (paper Alg. 1, Fig. 5).
     // Each find() is a random probe into an index far larger than host
     // L1, so the loop is latency-bound: prefetch the probe slot a few
     // outputs ahead (host hint only; modeled access counts unchanged).
-    const int32_t ox = dil * d.dx, oy = dil * d.dy, oz = dil * d.dz;
     constexpr std::size_t kPrefetchAhead = 8;
     const std::size_t n = out_coords.size();
     for (std::size_t k = 0; k < n; ++k) {
@@ -126,8 +127,9 @@ void search_offset(const std::vector<Coord>& out_coords, const Offset3& d,
   }
   for (std::size_t k = 0; k < out_coords.size(); ++k) {
     const Coord& q = out_coords[k];
-    // Transposed conv: input (coarse) at (q - delta)/s when divisible.
-    const int32_t ux = q.x - d.dx, uy = q.y - d.dy, uz = q.z - d.dz;
+    // Transposed conv: input (coarse) at (q - dilation*delta)/s when
+    // divisible, the inverse of the forward relation.
+    const int32_t ux = q.x - ox, uy = q.y - oy, uz = q.z - oz;
     // Arithmetic-correct floor-divisibility for negatives.
     auto divisible = [s](int32_t v) {
       return ((v % s) + s) % s == 0;
@@ -285,24 +287,16 @@ int searched_offsets(const ConvGeometry& geom, const MapSearchOptions& opts) {
   return opts.use_symmetry && geom.is_submanifold() ? volume / 2 : volume;
 }
 
-KernelMap build_kernel_map_grid_merge(const std::vector<Coord>& in_coords,
-                                      const std::vector<Coord>& out_coords,
-                                      const ConvGeometry& geom,
-                                      const MapSearchOptions& opts,
-                                      bool symmetric, const LevelKeys& in,
-                                      const LevelKeys& out) {
+/// The column merge-join over the first `searched` offsets, into `km`:
+/// `in` and `out` are the level records of the input set and of
+/// `out_coords`. Kept out of line: inlined into build_kernel_map_grid,
+/// the join ran 5-10% slower (bench_micro_kernels, BM_MapSearch*).
+[[gnu::noinline]] void merge_join_offsets(const LevelKeys& in,
+                                          const LevelKeys& out,
+                                          const std::vector<Coord>& out_coords,
+                                          const ConvGeometry& geom,
+                                          int searched, KernelMap& km) {
   const auto offsets = kernel_offsets(geom.kernel_size);
-  const int volume = static_cast<int>(offsets.size());
-  const int searched = searched_offsets(geom, opts);
-
-  KernelMap km;
-  km.kernel_size = geom.kernel_size;
-  km.maps.resize(static_cast<std::size_t>(volume));
-  km.stats = grid_forward_stats(static_cast<std::size_t>(searched),
-                                in_coords.size(), out_coords.size(),
-                                symmetric);
-  if (in.size() == 0) return km;  // empty input
-
   const std::size_t n_out = out_coords.size();
   // A column groups the offsets sharing (dx, dy); a zero dilation
   // collapses each column onto one z, so it searches offsets singly.
@@ -339,7 +333,35 @@ KernelMap build_kernel_map_grid_merge(const std::vector<Coord>& in_coords,
                              count.data(), found, scratch);
     n += nz;
   }
-  if (symmetric) mirror_and_center(km, n_out);
+}
+
+/// Forward grid builds: the stats by the one-access rule, the merge-join
+/// over the searched offsets (a symmetric k=1 build searches none and
+/// reads no record), then the mirrored half and the center. A null level
+/// record is made here; a submanifold build makes one for both sides.
+KernelMap build_kernel_map_grid(const std::vector<Coord>& in_coords,
+                                const std::vector<Coord>& out_coords,
+                                const ConvGeometry& geom,
+                                const MapSearchOptions& opts, bool symmetric,
+                                const LevelKeys* in_level,
+                                const LevelKeys* out_level) {
+  const int searched = searched_offsets(geom, opts);
+  KernelMap km;
+  km.kernel_size = geom.kernel_size;
+  km.maps.resize(static_cast<std::size_t>(kernel_volume(geom.kernel_size)));
+  km.stats = grid_forward_stats(static_cast<std::size_t>(searched),
+                                in_coords.size(), out_coords.size(),
+                                symmetric);
+  if (searched > 0 && !in_coords.empty()) {
+    std::optional<LevelKeys> own_in, own_out;
+    if (!in_level) in_level = &own_in.emplace(level_keys(in_coords));
+    if (!out_level)
+      out_level = &in_coords == &out_coords || in_coords == out_coords
+                      ? in_level
+                      : &own_out.emplace(level_keys(out_coords));
+    merge_join_offsets(*in_level, *out_level, out_coords, geom, searched, km);
+  }
+  if (symmetric) mirror_and_center(km, out_coords.size());
   return km;
 }
 
@@ -416,36 +438,16 @@ bool map_search_reads_levels(const ConvGeometry& geom,
 KernelMap build_kernel_map(const std::vector<Coord>& in_coords,
                            const std::vector<Coord>& out_coords,
                            const ConvGeometry& geom,
-                           const MapSearchOptions& opts) {
-  if (!map_search_reads_levels(geom, opts))
-    return build_kernel_map(in_coords, out_coords, geom, opts, nullptr,
-                            nullptr);
-  // Submanifold layers search the input set against itself; share its
-  // record instead of packing (or sorting) it twice.
-  const LevelKeys in = level_keys(in_coords);
-  if (&in_coords == &out_coords || in_coords == out_coords)
-    return build_kernel_map(in_coords, out_coords, geom, opts, &in, &in);
-  const LevelKeys out = level_keys(out_coords);
-  return build_kernel_map(in_coords, out_coords, geom, opts, &in, &out);
-}
-
-KernelMap build_kernel_map(const std::vector<Coord>& in_coords,
-                           const std::vector<Coord>& out_coords,
-                           const ConvGeometry& geom,
                            const MapSearchOptions& opts,
                            const LevelKeys* in_level,
                            const LevelKeys* out_level) {
   check_build(in_coords, out_coords, geom, opts);
   const bool symmetric = opts.use_symmetry && geom.is_submanifold();
-  if (!map_search_reads_levels(geom, opts))
-    return build_kernel_map_probe(in_coords, out_coords, geom, opts,
-                                  symmetric);
-  if (!in_level || !out_level)
-    throw std::invalid_argument(
-        "build_kernel_map: a grid-backend forward build needs the level "
-        "records of both coordinate sets");
-  return build_kernel_map_grid_merge(in_coords, out_coords, geom, opts,
-                                     symmetric, *in_level, *out_level);
+  if (opts.backend == MapBackend::kGrid && !geom.transposed)
+    return build_kernel_map_grid(in_coords, out_coords, geom, opts,
+                                 symmetric, in_level, out_level);
+  return build_kernel_map_probe(in_coords, out_coords, geom, opts,
+                                symmetric);
 }
 
 MapBuildStats grid_forward_stats(std::size_t searched, std::size_t n_in,

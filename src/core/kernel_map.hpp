@@ -71,18 +71,24 @@ struct MapSearchOptions {
 };
 
 /// Builds the kernel map by searching, for every output coordinate q and
-/// offset delta, the input coordinate s*q + delta (Alg. 1). For transposed
-/// convolutions the relation is inverted: candidate input (q - delta)/s.
+/// offset delta, the input coordinate s*q + dilation*delta (Alg. 1). For
+/// transposed convolutions the relation is inverted: candidate input
+/// (q - dilation*delta)/s.
 ///
 /// `in_coords` and `out_coords` are both expressed at their own stride
-/// level (i.e. already divided by tensor stride). Throws
-/// std::invalid_argument for a kernel size or stride below 1, and when
-/// symmetric search applies (`use_symmetry` on a submanifold geometry)
-/// but the two coordinate sets differ.
+/// level (i.e. already divided by tensor stride). A forward grid-backend
+/// build that searches an offset reads both sets' level records:
+/// `in_level` and `out_level`, when non-null, must be
+/// level_keys(in_coords) and level_keys(out_coords), and a null one is
+/// made when it is read. Throws std::invalid_argument for a kernel size
+/// or stride below 1, and when symmetric search applies (`use_symmetry`
+/// on a submanifold geometry) but the two coordinate sets differ.
 KernelMap build_kernel_map(const std::vector<Coord>& in_coords,
                            const std::vector<Coord>& out_coords,
                            const ConvGeometry& geom,
-                           const MapSearchOptions& opts);
+                           const MapSearchOptions& opts,
+                           const LevelKeys* in_level = nullptr,
+                           const LevelKeys* out_level = nullptr);
 
 /// True when a build with this geometry and these options reads its
 /// coordinate sets' level records: forward grid builds that search at
@@ -90,23 +96,11 @@ KernelMap build_kernel_map(const std::vector<Coord>& in_coords,
 bool map_search_reads_levels(const ConvGeometry& geom,
                              const MapSearchOptions& opts);
 
-/// build_kernel_map on level records the caller keeps: when
-/// map_search_reads_levels(geom, opts), `in_level` and `out_level` must
-/// be level_keys(in_coords) and level_keys(out_coords); otherwise they
-/// are not read and may be null. Same maps and stats as the overload
-/// above, which builds the records itself.
-KernelMap build_kernel_map(const std::vector<Coord>& in_coords,
-                           const std::vector<Coord>& out_coords,
-                           const ConvGeometry& geom,
-                           const MapSearchOptions& opts,
-                           const LevelKeys* in_level,
-                           const LevelKeys* out_level);
-
 /// The stats of a grid-backend forward build that searches `searched`
 /// offsets for each of `n_out` outputs over `n_in` inputs: one query per
 /// (offset, output), and the grid's one-access rule (paper §4.4) for the
-/// index. The merge-join and the map a downsample emits
-/// (downsample_level_with_map) both take their stats from here.
+/// index. Every forward grid build and the map a downsample emits
+/// (downsample_level_with_map) take their stats from here.
 MapBuildStats grid_forward_stats(std::size_t searched, std::size_t n_in,
                                  std::size_t n_out, bool symmetric);
 

@@ -98,15 +98,6 @@ void apply_map_charge(const MapCharge& c, ExecContext& ctx) {
   ctx.timeline.add_kernel_launches(c.launches);
 }
 
-void charge_downsample(const DownsampleCounters& c, ExecContext& ctx) {
-  apply_map_charge(downsample_charge(c, ctx), ctx);
-}
-
-void charge_map_build(const MapBuildStats& stats, std::size_t entries,
-                      std::size_t n_out, ExecContext& ctx) {
-  apply_map_charge(map_build_charge(stats, entries, n_out, ctx), ctx);
-}
-
 void charge_map_transpose(std::size_t entries, ExecContext& ctx) {
   const double bytes = static_cast<double>(entries) * 16.0;  // read + write
   const double t = ctx.cost.launch_seconds() + ctx.cost.dram_seconds(bytes);

@@ -8,9 +8,10 @@
 //   - simplified control logic + loop unrolling (per-query instructions)
 //   - symmetric map inference (half the queries on submanifold layers)
 //
-// Every charge is also available in decomposed form (MapCharge) so the
-// cross-request kernel-map cache can record cold-vs-warm deltas for its
-// deterministic deferred accounting (core/kernel_map_cache.hpp).
+// The downsample, map-build and cache-hit charges come in decomposed form
+// (MapCharge, applied with apply_map_charge) so the cross-request
+// kernel-map cache can record cold-vs-warm deltas for its deterministic
+// deferred accounting (core/kernel_map_cache.hpp).
 #pragma once
 
 #include <cstddef>
@@ -48,13 +49,6 @@ MapCharge map_cache_hit_charge(std::size_t n_in, std::size_t n_out,
 
 /// Adds a mapping-stage charge to ctx.timeline.
 void apply_map_charge(const MapCharge& c, ExecContext& ctx);
-
-/// Charges the output-coordinate computation to Stage::kMapping.
-void charge_downsample(const DownsampleCounters& c, ExecContext& ctx);
-
-/// Charges index construction + map search to Stage::kMapping.
-void charge_map_build(const MapBuildStats& stats, std::size_t entries,
-                      std::size_t n_out, ExecContext& ctx);
 
 /// Charges the (cheap) relabeling that reuses a cached downsample map for
 /// a transposed convolution.

@@ -36,16 +36,6 @@ std::shared_ptr<const LevelKeys> TensorCache::find_level_keys(
   return it->second.keys;
 }
 
-std::optional<KernelMap> TensorCache::take_downsample_map(
-    const MapKey& key, const std::shared_ptr<const std::vector<Coord>>& fine,
-    const std::shared_ptr<const std::vector<Coord>>& coarse) {
-  std::optional<DownsampleMap> waiting = std::exchange(downsample_map, {});
-  if (!waiting || waiting->key != key || waiting->fine != fine ||
-      waiting->coarse != coarse)
-    return std::nullopt;
-  return std::move(waiting->map);
-}
-
 SparseTensor::SparseTensor(std::vector<Coord> coords, Matrix feats)
     : coords_(std::make_shared<const std::vector<Coord>>(std::move(coords))),
       feats_(std::move(feats)),

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -27,12 +26,11 @@ namespace ts {
 /// (sorted keys and bounds), made on the first map build that reads it or
 /// deposited by the downsample that made the level.
 ///
-/// A downsample that feeds a grid-backend map search at dilation 1 also
-/// leaves its strided layer's kernel map here (downsample_level_with_map),
-/// and the same layer's map resolution takes it in place of the
-/// merge-join. This is host work under both modeled pipelines, not the
-/// modeled EngineConfig::fused_downsample; the map is charged like the
-/// merge-join's, with the same stats.
+/// A strided layer's map is resolved with its output coordinates and
+/// never waits here: when the layer downsamples on the grid backend at
+/// dilation 1, sparse_conv3d hands the map its downsample emitted
+/// (downsample_level_with_map) straight to the layer's map resolution,
+/// which keeps it under its MapKey like a searched one (core/conv3d.cpp).
 struct TensorCache {
   std::unordered_map<int, std::shared_ptr<const std::vector<Coord>>>
       coords_at_stride;
@@ -54,22 +52,6 @@ struct TensorCache {
   std::shared_ptr<const LevelKeys> find_level_keys(
       int stride,
       const std::shared_ptr<const std::vector<Coord>>& coords) const;
-
-  /// A downsample's kernel map, waiting for its layer: the layer's
-  /// MapKey and the fine and coarse sets the map joins.
-  struct DownsampleMap {
-    MapKey key;
-    std::shared_ptr<const std::vector<Coord>> fine, coarse;
-    KernelMap map;
-  };
-  std::optional<DownsampleMap> downsample_map;
-
-  /// Empties `downsample_map`, returning its map if it was made for `key`
-  /// from `fine` to `coarse`.
-  std::optional<KernelMap> take_downsample_map(
-      const MapKey& key,
-      const std::shared_ptr<const std::vector<Coord>>& fine,
-      const std::shared_ptr<const std::vector<Coord>>& coarse);
 };
 
 class SparseTensor {

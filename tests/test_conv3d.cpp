@@ -675,7 +675,6 @@ TEST(DownsampleMap, LayerUsesTheEmittedMap) {
     const SparseTensor y =
         sparse_conv3d(x, random_conv(3, 2, false, 4, 4, 1), ctx);
     const TensorCache& cache = *y.cache();
-    EXPECT_FALSE(cache.downsample_map.has_value());
     EXPECT_EQ(cache.levels_at_stride.count(1), 0u);
     EXPECT_EQ(cache.levels_at_stride.count(2), 1u);
     expect_same_map(*cache.kmaps.at(MapKey{1, 3, 2, 1}),
@@ -708,7 +707,6 @@ TEST(DownsampleMap, CachedCoordsBuildTheMapByMergeJoin) {
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
   const TensorCache& cache = *y.cache();
-  EXPECT_FALSE(cache.downsample_map.has_value());
   EXPECT_EQ(cache.levels_at_stride.count(1), 1u);
   expect_same_map(*cache.kmaps.at(MapKey{1, 3, 2, 1}),
                   vector_api_map(coords, y.coords(), 3, 2, MapBackend::kGrid));
@@ -730,7 +728,6 @@ TEST(DownsampleMap, SecondKernelSizeOnOneLevelUsesMergeJoin) {
         sparse_conv3d(x, random_conv(3, 2, false, 4, 4, 2), ctx);
     EXPECT_EQ(b.coords_ptr(), a.coords_ptr());
     const TensorCache& cache = *b.cache();
-    EXPECT_FALSE(cache.downsample_map.has_value());
     EXPECT_EQ(cache.levels_at_stride.count(1), 1u);
     expect_same_map(*cache.kmaps.at(MapKey{1, 2, 2, 1}),
                     vector_api_map(coords, a.coords(), 2, 2,
@@ -752,7 +749,6 @@ TEST(DownsampleMap, HashMapBackendNeverTakesAMap) {
     const SparseTensor y =
         sparse_conv3d(x, random_conv(3, 2, false, 4, 4, 1), ctx);
     const TensorCache& cache = *y.cache();
-    EXPECT_FALSE(cache.downsample_map.has_value());
     const KernelMap& km = *cache.kmaps.at(MapKey{1, 3, 2, 1});
     EXPECT_EQ(km.stats.backend, MapBackend::kHashMap);
     expect_same_map(km, vector_api_map(coords, y.coords(), 3, 2,
@@ -813,17 +809,16 @@ TEST(DownsampleMap, ConcurrentResolvesOnOneCacheAgree) {
   }
 }
 
-// (e) A pass whose products all hit the cache leaves no map waiting, and
-// neither does a downsample whose strided map hits while its
-// coordinates miss: the emitted map is dropped.
-TEST(DownsampleMap, CacheHitsLeaveNoMapWaiting) {
+// (e) A second pass hits the cache for both products, and a downsample
+// whose strided map hits while its coordinates miss uses the cached map:
+// the emitted map is dropped.
+TEST(DownsampleMap, CacheHitsTakeTheCachedMap) {
   const auto coords = digit_spread_coords(600, false, 29);
   const Conv3dParams conv = random_conv(3, 2, false, 4, 4, 1);
   ExecContext ctx = cost_only_ctx(MapBackend::kGrid, true);
   for (int pass = 0; pass < 2; ++pass) {
     SparseTensor x(coords, Matrix(coords.size(), 4));
-    const SparseTensor y = sparse_conv3d(x, conv, ctx);
-    EXPECT_FALSE(y.cache()->downsample_map.has_value()) << "pass " << pass;
+    sparse_conv3d(x, conv, ctx);
   }
   const MapCacheStats warm = ctx.map_cache->stats();
   EXPECT_EQ(warm.hits, 2u);
@@ -845,7 +840,6 @@ TEST(DownsampleMap, CacheHitsLeaveNoMapWaiting) {
   const MapCacheStats stats = map_only.map_cache->stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
-  EXPECT_FALSE(y.cache()->downsample_map.has_value());
   EXPECT_EQ(y.cache()->kmaps.at(MapKey{1, 3, 2, 1}), seed.kmap);
 }
 

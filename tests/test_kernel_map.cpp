@@ -82,9 +82,9 @@ KernelMap brute_force_map(const std::vector<Coord>& in,
                   geom.stride * out[k].z + dil * offs[n].dz};
       } else {
         const int s = geom.stride;
-        const int32_t ux = out[k].x - offs[n].dx;
-        const int32_t uy = out[k].y - offs[n].dy;
-        const int32_t uz = out[k].z - offs[n].dz;
+        const int32_t ux = out[k].x - dil * offs[n].dx;
+        const int32_t uy = out[k].y - dil * offs[n].dy;
+        const int32_t uz = out[k].z - dil * offs[n].dz;
         if (((ux % s) + s) % s || ((uy % s) + s) % s || ((uz % s) + s) % s)
           continue;
         r = Coord{out[k].b, ux / s, uy / s, uz / s};
@@ -406,21 +406,33 @@ TEST(MapSearch, TransposedBuildsPinned) {
 
 TEST(MapSearch, TransposeOfForwardEqualsTransposedSearch) {
   // The decoder's map-reuse trick: transpose(forward map) must equal the
-  // directly searched transposed map.
-  const auto fine = random_coords(250, 12, 10);
+  // directly searched transposed map, dilated or not, on both backends.
+  const auto fine = random_coords(400, 12, 10);
   std::vector<Coord> coarse;
   std::unordered_set<uint64_t> seen;
   for (const Coord& p : fine) {
     const Coord q{p.b, p.x / 2, p.y / 2, p.z / 2};
     if (seen.insert(pack_coord(q)).second) coarse.push_back(q);
   }
-  ConvGeometry fwd{2, 2, false};
-  ConvGeometry inv{2, 2, true};
-  const KernelMap forward =
-      build_kernel_map(fine, coarse, fwd, {MapBackend::kGrid, false});
-  const KernelMap direct =
-      build_kernel_map(coarse, fine, inv, {MapBackend::kGrid, false});
-  expect_same_maps(transpose_kernel_map(forward), direct);
+  for (int kernel : {2, 3}) {
+    for (int dilation : {1, 2}) {
+      for (MapBackend backend : {MapBackend::kHashMap, MapBackend::kGrid}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "kernel=" << kernel << " dilation=" << dilation
+                     << " backend=" << static_cast<int>(backend));
+        const ConvGeometry fwd{kernel, 2, false, dilation};
+        const ConvGeometry inv{kernel, 2, true, dilation};
+        const KernelMap forward =
+            build_kernel_map(fine, coarse, fwd, {backend, false});
+        EXPECT_GT(forward.total(), 0u);
+        const KernelMap direct =
+            build_kernel_map(coarse, fine, inv, {backend, false});
+        expect_same_maps(transpose_kernel_map(forward), direct);
+        expect_same_maps(direct, brute_force_map(coarse, fine, inv),
+                         /*ordered=*/true);
+      }
+    }
+  }
 }
 
 /// Candidates outside the packable range cannot match: a packed key

@@ -114,7 +114,7 @@ TEST(MappingCost, DownsampleCountersFeedTimeline) {
   downsample_coords(coords, 2, 2, false, false, &c);
   EngineConfig cfg = baseline_config();
   ExecContext ctx(rtx2080ti(), cfg);
-  charge_downsample(c, ctx);
+  apply_map_charge(downsample_charge(c, ctx), ctx);
   EXPECT_GT(ctx.timeline.stage_seconds(Stage::kMapping), 0.0);
   EXPECT_EQ(ctx.timeline.kernel_launches(), c.kernel_launches);
   EXPECT_DOUBLE_EQ(ctx.timeline.dram_bytes(), c.dram_bytes);
