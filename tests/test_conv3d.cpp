@@ -843,5 +843,56 @@ TEST(DownsampleMap, CacheHitsTakeTheCachedMap) {
   EXPECT_EQ(y.cache()->kmaps.at(MapKey{1, 3, 2, 1}), seed.kmap);
 }
 
+// A level whose coordinate set is replaced keys its products by the new
+// set's contents: after a tensor with other coordinates takes over a
+// level the tensor cache has already keyed, its submanifold map and its
+// downsample resolve under the new set's keys.
+TEST(LevelDigest, ReplacedSetIsKeyedByItsOwnContents) {
+  const auto a = digit_spread_coords(600, false, 31);
+  const auto b = digit_spread_coords(600, false, 32);
+  ASSERT_NE(a, b);
+  ExecContext ctx = cost_only_ctx(MapBackend::kGrid, true);
+  std::vector<MapCacheEvent> events;
+  ctx.cache_events = &events;
+  const Conv3dParams sub = random_conv(3, 1, false, 4, 4, 1);
+  const Conv3dParams down = random_conv(3, 2, false, 4, 4, 2);
+  const MapSearchOptions sub_opts{MapBackend::kGrid,
+                                  ctx.cfg.symmetric_map_search};
+  const MapSearchOptions down_opts{MapBackend::kGrid, false};
+  auto expect_keys = [&](const std::vector<Coord>& fine,
+                         const TensorCache& cache) {
+    const std::vector<Coord>& coarse = *cache.coords_at_stride.at(2);
+    ASSERT_EQ(events.size(), 3u);
+    EXPECT_EQ(events[0].key,
+              salt_cache_key(kernel_map_cache_key(fine, fine, sub.geom,
+                                                  sub_opts),
+                             ctx.cache_namespace));
+    EXPECT_EQ(events[1].key,
+              salt_cache_key(downsample_cache_key(
+                                 fine, 3, 2, ctx.cfg.fused_downsample,
+                                 ctx.cfg.simplified_control),
+                             ctx.cache_namespace));
+    EXPECT_EQ(events[2].key,
+              salt_cache_key(kernel_map_cache_key(fine, coarse, down.geom,
+                                                  down_opts),
+                             ctx.cache_namespace));
+  };
+
+  SparseTensor x(a, Matrix(a.size(), 4));
+  sparse_conv3d(sparse_conv3d(x, sub, ctx), down, ctx);
+  expect_keys(a, *x.cache());
+
+  // The stride-1 level now holds `b`; the products built on `a` go.
+  const std::shared_ptr<TensorCache> cache = x.cache();
+  const auto b_ptr = std::make_shared<const std::vector<Coord>>(b);
+  cache->coords_at_stride[1] = b_ptr;
+  cache->coords_at_stride.erase(2);
+  cache->kmaps.clear();
+  events.clear();
+  const SparseTensor y(b_ptr, Matrix(b.size(), 4), 1, cache);
+  sparse_conv3d(sparse_conv3d(y, sub, ctx), down, ctx);
+  expect_keys(b, *cache);
+}
+
 }  // namespace
 }  // namespace ts

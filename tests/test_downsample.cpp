@@ -119,7 +119,7 @@ TEST_P(DownsampleOracle, FusedAndStagedMatchOracle) {
 // The sweep covers every digit a packed key has: negative coordinates,
 // several batches (one near kCoordBatchMax, so the top digits vary), the
 // edges of the packable range, flat sets whose keys share digits, and
-// large sets, at k in {2, 3} and s in {2, 3}.
+// large sets, at k in {1, 2, 3, 4} and s in {2, 3}.
 const std::vector<int32_t> kFourBatches = {0, 1, 2, 3};
 const std::vector<int32_t> kFarBatch = {0, 1, 2, 3, kCoordBatchMax - 1};
 
@@ -168,7 +168,18 @@ INSTANTIATE_TEST_SUITE_P(
         DsCase{20000, 70, 3, 2, {0}, -35, -1,
                {540000, 64723, 5, 2, 39628920, 2908920, 19957784, 3217784}},
         DsCase{24000, 50, 2, 3, kFourBatches, -20, -1,
-               {192000, 6500, 5, 2, 13700000, 644000, 6964000, 1012000}}));
+               {192000, 6500, 5, 2, 13700000, 644000, 6964000, 1012000}},
+        // k in {1, 4} over negative coordinates: residue classes that
+        // hold no offset (k = 1) and an even kernel whose classes hold
+        // different numbers of offsets (k = 4).
+        DsCase{2100, 40, 1, 2, {0}, -21, -1,
+               {2100, 243, 5, 2, 186120, 43320, 77544, 12444}},
+        DsCase{2200, 40, 1, 3, kFourBatches, -20, -1,
+               {2200, 74, 5, 2, 187760, 38160, 79792, 11592}},
+        DsCase{2300, 40, 4, 2, {0}, -19, -1,
+               {147200, 15914, 5, 2, 10682960, 673360, 5426512, 863312}},
+        DsCase{2400, 40, 4, 3, kFourBatches, -22, -1,
+               {153600, 5116, 5, 2, 10687840, 243040, 5570528, 808928}}));
 
 TEST(Downsample, OutputSortedAndDeduplicated) {
   const auto in = random_coords(300, 15, 5);
