@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks for the substrate kernels: synthetic
 // scan ray casting, coordinate hashing, map search (synthetic sets and a
 // real scan's layer stack), output-coordinate construction on real
-// scans (alone and emitting the strided kernel map), the conv gather,
+// scans (alone and emitting the strided kernel map), the cross-request
+// cache keys of a layer stack, the conv gather,
 // one layer's row-partitioned numerics, GEMM on the segmentation
 // workload's shapes, the L2 cache simulator (serial and set-partitioned),
 // FP16 quantization of a feature matrix, and ReLU on one.
@@ -20,6 +21,7 @@
 #include "core/downsample.hpp"
 #include "core/gather_scatter.hpp"
 #include "core/kernel_map.hpp"
+#include "core/kernel_map_cache.hpp"
 #include "data/lidar.hpp"
 #include "data/voxelize.hpp"
 #include "engines/presets.hpp"
@@ -223,6 +225,55 @@ void BM_DownsampleWithMap(benchmark::State& state) {
 BENCHMARK(BM_DownsampleWithMap)
     ->ArgNames({"kernel", "full"})
     ->ArgsProduct({{2, 3}, {0, 1}});
+
+// Args are {det, per_level}: every cross-request cache key one pass over
+// a scan's layer stack reads (scan_levels; per level a symmetric K=3
+// submanifold map, then per level pair the downsample, the strided map
+// and, on segmentation scans, the decoder's transposed map). per_level =
+// 0 hashes the sets again for every key, through the coordinate-vector
+// overloads; per_level = 1 digests each level once and mixes the digests,
+// as the conv path does. Items are keys.
+void BM_CacheKey(benchmark::State& state) {
+  const bool det = state.range(0) != 0;
+  const bool per_level = state.range(1) != 0;
+  const auto& levels = scan_levels(det);
+  const int k = det ? 3 : 2;
+  const ts::ConvGeometry sub{3, 1, false, 1}, down{k, 2, false, 1},
+      up{k, 2, true, 1};
+  const ts::MapSearchOptions sym{ts::MapBackend::kGrid, true},
+      direct{ts::MapBackend::kGrid, false};
+  int64_t keys = 0;
+  for (auto _ : state) {
+    std::vector<ts::MapCacheKey> d;
+    if (per_level)
+      for (const auto& level : levels) d.push_back(ts::coords_digest(level));
+    ts::MapCacheKey acc;
+    auto add = [&](const ts::MapCacheKey& key) {
+      acc.lo ^= key.lo;
+      acc.hi ^= key.hi;
+      ++keys;
+    };
+    for (std::size_t l = 0; l < levels.size(); ++l) {
+      const auto& in = levels[l];
+      add(per_level ? ts::kernel_map_cache_key(d[l], d[l], sub, sym)
+                    : ts::kernel_map_cache_key(in, in, sub, sym));
+      if (l + 1 == levels.size()) break;
+      const auto& out = levels[l + 1];
+      add(per_level ? ts::downsample_cache_key(d[l], k, 2, true, true)
+                    : ts::downsample_cache_key(in, k, 2, true, true));
+      add(per_level ? ts::kernel_map_cache_key(d[l], d[l + 1], down, direct)
+                    : ts::kernel_map_cache_key(in, out, down, direct));
+      if (!det)
+        add(per_level ? ts::kernel_map_cache_key(d[l + 1], d[l], up, direct)
+                      : ts::kernel_map_cache_key(out, in, up, direct));
+    }
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(keys);
+}
+BENCHMARK(BM_CacheKey)
+    ->ArgNames({"det", "per_level"})
+    ->ArgsProduct({{0, 1}, {0, 1}});
 
 /// Random [-1,1) matrix with about half its entries exactly zero when
 /// `zero_half` is set (a gathered feature matrix after ReLU).

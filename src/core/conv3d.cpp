@@ -102,9 +102,10 @@ OutputCoords resolve_output_coords(const SparseTensor& x,
   std::optional<KernelMap> map;
   const MapCachePayload payload = resolve_product(
       [&] {
-        return downsample_cache_key(x.coords(), geom.kernel_size, geom.stride,
-                                    ctx.cfg.fused_downsample,
-                                    ctx.cfg.simplified_control);
+        return downsample_cache_key(
+            cache.level_digest(x.stride(), x.coords_ptr()), geom.kernel_size,
+            geom.stride, ctx.cfg.fused_downsample,
+            ctx.cfg.simplified_control);
       },
       [&] {
         MapCachePayload p;
@@ -133,7 +134,8 @@ OutputCoords resolve_output_coords(const SparseTensor& x,
   }
   cache.coords_at_stride[out_stride] = payload.coords;
   if (out_level)
-    cache.levels_at_stride[out_stride] = {payload.coords, out_level};
+    cache.levels_at_stride[out_stride] = {payload.coords, out_level,
+                                          std::nullopt};
   return {payload.coords, out_stride, std::move(map)};
 }
 
@@ -165,7 +167,11 @@ std::shared_ptr<const KernelMap> resolve_kernel_map(
   opts.backend = ctx.cfg.map_backend;
   opts.use_symmetry = ctx.cfg.symmetric_map_search && geom.is_submanifold();
   const MapCachePayload payload = resolve_product(
-      [&] { return kernel_map_cache_key(x.coords(), out_coords, geom, opts); },
+      [&] {
+        return kernel_map_cache_key(
+            cache.level_digest(x.stride(), x.coords_ptr()),
+            cache.level_digest(out_stride, out_ptr), geom, opts);
+      },
       [&] {
         MapCachePayload p;
         if (emitted) {

@@ -16,14 +16,9 @@ constexpr double kCoordBytes = 16.0;  // (b,x,y,z) as 4x int32
 constexpr double kKeyBytes = 8.0;     // packed 1-D key
 constexpr double kMaskBytes = 1.0;
 
-bool modular_ok(const Coord& u, int s) {
-  auto ok = [s](int32_t v) { return ((v % s) + s) % s == 0; };
-  return ok(u.x) && ok(u.y) && ok(u.z);
-}
-
-bool boundary_ok(const Coord& u, const Coord& lo, const Coord& hi) {
-  return u.x >= lo.x && u.x <= hi.x && u.y >= lo.y && u.y <= hi.y &&
-         u.z >= lo.z && u.z <= hi.z;
+/// floor(v / s) for s > 0.
+int32_t floor_div(int32_t v, int32_t s) {
+  return v / s - (v % s < 0 ? 1 : 0);
 }
 
 /// Charges the final "Unique Filtering" kernel over `n` surviving keys.
@@ -157,6 +152,12 @@ DownsampledLevel downsample(const std::vector<Coord>& in,
   } else {
     coord_bounds(in, lo, hi);
   }
+  // A candidate u = s * c survives the boundary check exactly when its
+  // coarse coordinate c lies in [ceil(lo / s), floor(hi / s)].
+  const Coord c_lo{0, -floor_div(-lo.x, stride), -floor_div(-lo.y, stride),
+                   -floor_div(-lo.z, stride)};
+  const Coord c_hi{0, floor_div(hi.x, stride), floor_div(hi.y, stride),
+                   floor_div(hi.z, stride)};
 
   std::vector<uint64_t> keys;
   keys.reserve(n_cand / static_cast<std::size_t>(stride));
@@ -168,27 +169,45 @@ DownsampledLevel downsample(const std::vector<Coord>& in,
   // the staged/fused split only changes the *modeled* kernel count and
   // intermediate DRAM traffic (charged analytically below), never the
   // surviving coordinates, so the host need not materialize the staged
-  // pipeline's intermediate candidate arrays. Stride 2 — every encoder
-  // layer in the paper's workloads — gets a division-free modular check.
-  auto sweep = [&](auto mod_ok) {
-    // Candidate index: input position * k + offset index.
-    [[maybe_unused]] int32_t c = 0;
-    for (const Coord& p : in) {
-      for (const Offset3& d : offsets) {
-        const Coord u{p.b, p.x - d.dx, p.y - d.dy, p.z - d.dz};
-        if (mod_ok(u) && boundary_ok(u, lo, hi)) {
-          keys.push_back(pack_coord(
-              Coord{u.b, u.x / stride, u.y / stride, u.z / stride}));
-          if constexpr (kEmitMap) cand.push_back(c);
+  // pipeline's intermediate candidate arrays.
+  //
+  // The sweep visits each input's residue class alone. p - d lies on the
+  // coarse grid exactly when d = p (mod s) on every axis, and the offsets
+  // are the product of one axis range {o, ..., o + K - 1} (kernel_offsets),
+  // so along each axis the class holds the range indices i = g - s * c
+  // with g = p - o, for c from floor(g / s) down while i < K. Walking x,
+  // then y, then z in ascending i keeps the all-offsets sweep's order:
+  // ascending input position, then ascending offset index.
+  const int32_t axis_lo = offsets.front().dx;
+  struct AxisStart {
+    int64_t i;  // first range index of the class along the axis
+    int32_t c;  // its coarse coordinate
+  };
+  auto start = [&](int32_t v) {
+    const int32_t g = v - axis_lo;
+    const int32_t c = floor_div(g, stride);
+    return AxisStart{g - int64_t{c} * stride, c};
+  };
+  const int64_t kk = kernel_size;
+  [[maybe_unused]] int32_t base = 0;  // input position * volume
+  for (const Coord& p : in) {
+    const AxisStart x0 = start(p.x), y0 = start(p.y), z0 = start(p.z);
+    for (int64_t ix = x0.i, cx = x0.c; ix < kk; ix += stride, --cx) {
+      if (cx < c_lo.x || cx > c_hi.x) continue;
+      for (int64_t iy = y0.i, cy = y0.c; iy < kk; iy += stride, --cy) {
+        if (cy < c_lo.y || cy > c_hi.y) continue;
+        const int64_t ixy = (ix * kk + iy) * kk;
+        for (int64_t iz = z0.i, cz = z0.c; iz < kk; iz += stride, --cz) {
+          if (cz < c_lo.z || cz > c_hi.z) continue;
+          keys.push_back(pack_coord(Coord{p.b, static_cast<int32_t>(cx),
+                                          static_cast<int32_t>(cy),
+                                          static_cast<int32_t>(cz)}));
+          if constexpr (kEmitMap)
+            cand.push_back(base + static_cast<int32_t>(ixy + iz));
         }
-        if constexpr (kEmitMap) ++c;
       }
     }
-  };
-  if (stride == 2) {
-    sweep([](const Coord& u) { return ((u.x | u.y | u.z) & 1) == 0; });
-  } else {
-    sweep([stride](const Coord& u) { return modular_ok(u, stride); });
+    if constexpr (kEmitMap) base += static_cast<int32_t>(k);
   }
 
   if (!fused) {

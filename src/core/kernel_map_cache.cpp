@@ -14,10 +14,10 @@ inline void mix2(uint64_t v, uint64_t& lo, uint64_t& hi) {
   hi = hash_key(hi + 0x632be59bd9b4e019ull + v);
 }
 
-void mix_coords(const std::vector<Coord>& coords, uint64_t& lo,
-                uint64_t& hi) {
-  mix2(coords.size(), lo, hi);
-  for (const Coord& c : coords) mix2(pack_coord(c), lo, hi);
+/// Mixes a set digest into a product key.
+inline void mix_digest(const MapCacheKey& d, uint64_t& lo, uint64_t& hi) {
+  mix2(d.lo, lo, hi);
+  mix2(d.hi, lo, hi);
 }
 
 /// The admission contract: exactly one of kmap/coords, as
@@ -42,8 +42,15 @@ void apply_map_cache_hit(const MapCacheEvent& ev, Timeline& t) {
 
 }  // namespace
 
-MapCacheKey kernel_map_cache_key(const std::vector<Coord>& in_coords,
-                                 const std::vector<Coord>& out_coords,
+MapCacheKey coords_digest(const std::vector<Coord>& coords) {
+  uint64_t lo = 0x8ebc6af09c88c6e3ull, hi = 0x589965cc75374cc3ull;
+  mix2(coords.size(), lo, hi);
+  for (const Coord& c : coords) mix2(pack_coord(c), lo, hi);
+  return {lo, hi};
+}
+
+MapCacheKey kernel_map_cache_key(const MapCacheKey& in_digest,
+                                 const MapCacheKey& out_digest,
                                  const ConvGeometry& geom,
                                  const MapSearchOptions& opts) {
   uint64_t lo = 0x9e3779b97f4a7c15ull, hi = 0xc2b2ae3d27d4eb4full;
@@ -54,14 +61,20 @@ MapCacheKey kernel_map_cache_key(const std::vector<Coord>& in_coords,
            (static_cast<uint64_t>(opts.backend == MapBackend::kGrid) << 25) |
            (static_cast<uint64_t>(opts.use_symmetry) << 26),
        lo, hi);
-  mix_coords(in_coords, lo, hi);
-  // Stride-1 forward convs search the input set against itself; skip the
-  // second sweep when the sets are the same object.
-  if (&in_coords != &out_coords) mix_coords(out_coords, lo, hi);
+  mix_digest(in_digest, lo, hi);
+  mix_digest(out_digest, lo, hi);
   return {lo, hi};
 }
 
-MapCacheKey downsample_cache_key(const std::vector<Coord>& in_coords,
+MapCacheKey kernel_map_cache_key(const std::vector<Coord>& in_coords,
+                                 const std::vector<Coord>& out_coords,
+                                 const ConvGeometry& geom,
+                                 const MapSearchOptions& opts) {
+  return kernel_map_cache_key(coords_digest(in_coords),
+                              coords_digest(out_coords), geom, opts);
+}
+
+MapCacheKey downsample_cache_key(const MapCacheKey& in_digest,
                                  int kernel_size, int stride, bool fused,
                                  bool simplified_control) {
   uint64_t lo = 0xd6e8feb86659fd93ull, hi = 0xa0761d6478bd642full;
@@ -70,16 +83,28 @@ MapCacheKey downsample_cache_key(const std::vector<Coord>& in_coords,
            (static_cast<uint64_t>(fused) << 16) |
            (static_cast<uint64_t>(simplified_control) << 17),
        lo, hi);
-  mix_coords(in_coords, lo, hi);
+  mix_digest(in_digest, lo, hi);
+  return {lo, hi};
+}
+
+MapCacheKey downsample_cache_key(const std::vector<Coord>& in_coords,
+                                 int kernel_size, int stride, bool fused,
+                                 bool simplified_control) {
+  return downsample_cache_key(coords_digest(in_coords), kernel_size, stride,
+                              fused, simplified_control);
+}
+
+MapCacheKey input_content_digest(const MapCacheKey& coords_digest,
+                                 int stride) {
+  uint64_t lo = 0x2545f4914f6cdd1dull, hi = 0x9e6c63d0a4e1a3bdull;
+  mix2(static_cast<uint64_t>(stride), lo, hi);
+  mix_digest(coords_digest, lo, hi);
   return {lo, hi};
 }
 
 MapCacheKey input_content_digest(const std::vector<Coord>& coords,
                                  int stride) {
-  uint64_t lo = 0x2545f4914f6cdd1dull, hi = 0x9e6c63d0a4e1a3bdull;
-  mix2(static_cast<uint64_t>(stride), lo, hi);
-  mix_coords(coords, lo, hi);
-  return {lo, hi};
+  return input_content_digest(coords_digest(coords), stride);
 }
 
 MapCacheKey salt_cache_key(const MapCacheKey& key, uint64_t ns) {

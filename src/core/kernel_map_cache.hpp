@@ -66,15 +66,31 @@ struct MapCacheKeyHash {
   }
 };
 
-/// Digest of (input coords, output coords, geometry, search options) —
-/// the exact inputs of build_kernel_map.
+/// Content digest of one coordinate set: its size and every packed
+/// coordinate, in order. The only place a set's contents are hashed;
+/// every product key below mixes set digests into its geometry header,
+/// so the conv path hashes each coordinate level once
+/// (TensorCache::level_digest) and the coordinate-vector overloads give
+/// the same keys.
+MapCacheKey coords_digest(const std::vector<Coord>& coords);
+
+/// Digest of (input set, output set, geometry, search options) — the
+/// exact inputs of build_kernel_map. Both set digests are always mixed,
+/// so equal contents key alike whichever objects hold them.
+MapCacheKey kernel_map_cache_key(const MapCacheKey& in_digest,
+                                 const MapCacheKey& out_digest,
+                                 const ConvGeometry& geom,
+                                 const MapSearchOptions& opts);
 MapCacheKey kernel_map_cache_key(const std::vector<Coord>& in_coords,
                                  const std::vector<Coord>& out_coords,
                                  const ConvGeometry& geom,
                                  const MapSearchOptions& opts);
 
-/// Digest of (input coords, kernel size, stride, pipeline flags) — the
+/// Digest of (input set, kernel size, stride, pipeline flags) — the
 /// exact inputs of downsample_coords.
+MapCacheKey downsample_cache_key(const MapCacheKey& in_digest,
+                                 int kernel_size, int stride, bool fused,
+                                 bool simplified_control);
 MapCacheKey downsample_cache_key(const std::vector<Coord>& in_coords,
                                  int kernel_size, int stride, bool fused,
                                  bool simplified_control);
@@ -83,6 +99,8 @@ MapCacheKey downsample_cache_key(const std::vector<Coord>& in_coords,
 /// Two requests with equal digests resolve the same mapping-stage
 /// products through the cache, which is the grouping key duplicate-aware
 /// batch formation (serve::DedupBatchingPolicy) dispatches on.
+MapCacheKey input_content_digest(const MapCacheKey& coords_digest,
+                                 int stride);
 MapCacheKey input_content_digest(const std::vector<Coord>& coords,
                                  int stride);
 

@@ -17,14 +17,26 @@ void require_row_per_point(std::size_t points, const Matrix& feats) {
 }
 }  // namespace
 
-std::shared_ptr<const LevelKeys> TensorCache::level_keys(
+TensorCache::Level& TensorCache::level(
     int stride, const std::shared_ptr<const std::vector<Coord>>& coords) {
   Level& level = levels_at_stride[stride];
-  if (level.coords != coords || !level.keys) {
-    level.coords = coords;
-    level.keys = std::make_shared<const LevelKeys>(ts::level_keys(*coords));
-  }
-  return level.keys;
+  if (level.coords != coords) level = {coords, nullptr, std::nullopt};
+  return level;
+}
+
+std::shared_ptr<const LevelKeys> TensorCache::level_keys(
+    int stride, const std::shared_ptr<const std::vector<Coord>>& coords) {
+  Level& l = level(stride, coords);
+  if (!l.keys)
+    l.keys = std::make_shared<const LevelKeys>(ts::level_keys(*coords));
+  return l.keys;
+}
+
+MapCacheKey TensorCache::level_digest(
+    int stride, const std::shared_ptr<const std::vector<Coord>>& coords) {
+  Level& l = level(stride, coords);
+  if (!l.digest) l.digest = coords_digest(*coords);
+  return *l.digest;
 }
 
 std::shared_ptr<const LevelKeys> TensorCache::find_level_keys(

@@ -9,11 +9,13 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "core/conv_config.hpp"
 #include "core/kernel_map.hpp"
+#include "core/kernel_map_cache.hpp"
 #include "hash/coords.hpp"
 #include "tensor/matrix.hpp"
 
@@ -22,9 +24,11 @@ namespace ts {
 /// Shared per-network cache of coordinate sets (per tensor-stride level)
 /// and kernel maps (per MapKey). Downsample convs deposit the coarse
 /// coordinates and the forward maps; transposed convs in the decoder pick
-/// them back up. Beside each level's coordinates sits its level record
-/// (sorted keys and bounds), made on the first map build that reads it or
-/// deposited by the downsample that made the level.
+/// them back up. Beside each level's coordinates sit what is derived from
+/// the set alone: its level record (sorted keys and bounds), made on the
+/// first map build that reads it or deposited by the downsample that made
+/// the level, and its content digest (coords_digest), made on the first
+/// cross-request cache key that reads it.
 ///
 /// A strided layer's map is resolved with its output coordinates and
 /// never waits here: when the layer downsamples on the grid backend at
@@ -37,10 +41,11 @@ struct TensorCache {
   std::unordered_map<MapKey, std::shared_ptr<const KernelMap>, MapKeyHash>
       kmaps;
 
-  /// A level's record, with the coordinate set it was made from.
+  /// What is derived from one level's coordinate set, with the set.
   struct Level {
     std::shared_ptr<const std::vector<Coord>> coords;
-    std::shared_ptr<const LevelKeys> keys;
+    std::shared_ptr<const LevelKeys> keys;  // null until made
+    std::optional<MapCacheKey> digest;      // unset until made
   };
   std::unordered_map<int, Level> levels_at_stride;
 
@@ -52,6 +57,16 @@ struct TensorCache {
   std::shared_ptr<const LevelKeys> find_level_keys(
       int stride,
       const std::shared_ptr<const std::vector<Coord>>& coords) const;
+  /// The content digest of `coords`, the set at `stride`; made on first
+  /// use, and remade if the level's set has been replaced.
+  MapCacheKey level_digest(
+      int stride, const std::shared_ptr<const std::vector<Coord>>& coords);
+
+ private:
+  /// The level at `stride`, emptied of everything derived from another
+  /// set when `coords` has replaced that set.
+  Level& level(int stride,
+               const std::shared_ptr<const std::vector<Coord>>& coords);
 };
 
 class SparseTensor {

@@ -15,7 +15,13 @@ namespace {
 constexpr uint32_t kPointsMagic = 0x54535054;    // "TSPT"
 constexpr uint32_t kTensorMagic = 0x5453544e;    // "TSTN"
 constexpr uint32_t kMapCacheMagic = 0x5453434d;  // "TSCM"
-constexpr uint32_t kVersion = 1;
+// Each image kind carries its own format version. Points and tensor
+// images are at version 1. Map-cache images are at version 2: their
+// entries are keyed by product keys over set digests (coords_digest), so
+// a version-1 image's keys would never be looked up again.
+constexpr uint32_t kPointsVersion = 1;
+constexpr uint32_t kTensorVersion = 1;
+constexpr uint32_t kMapCacheVersion = 2;
 
 template <typename T>
 void write_pod(std::ostream& os, const T& v) {
@@ -30,10 +36,10 @@ T read_pod(std::istream& is) {
   return v;
 }
 
-void expect_header(std::istream& is, uint32_t magic) {
+void expect_header(std::istream& is, uint32_t magic, uint32_t version) {
   if (read_pod<uint32_t>(is) != magic)
     throw std::runtime_error("bad magic");
-  if (read_pod<uint32_t>(is) != kVersion)
+  if (read_pod<uint32_t>(is) != version)
     throw std::runtime_error("unsupported version");
 }
 
@@ -55,7 +61,7 @@ void check_write(const std::ostream& os, const char* what) {
 
 void save_points(std::ostream& os, const std::vector<Point3>& pts) {
   write_pod(os, kPointsMagic);
-  write_pod(os, kVersion);
+  write_pod(os, kPointsVersion);
   write_pod(os, static_cast<uint64_t>(pts.size()));
   for (const Point3& p : pts) {
     write_pod(os, p.x);
@@ -68,7 +74,7 @@ void save_points(std::ostream& os, const std::vector<Point3>& pts) {
 }
 
 std::vector<Point3> load_points(std::istream& is) {
-  expect_header(is, kPointsMagic);
+  expect_header(is, kPointsMagic, kPointsVersion);
   const uint64_t n = read_count(is, 1ull << 32);
   std::vector<Point3> pts(n);
   for (Point3& p : pts) {
@@ -85,7 +91,7 @@ void save_tensor(std::ostream& os, const SparseTensor& t) {
   // The header promises n x c floats; a feature-less tensor has none.
   require_features(t, "save_tensor");
   write_pod(os, kTensorMagic);
-  write_pod(os, kVersion);
+  write_pod(os, kTensorVersion);
   write_pod(os, static_cast<uint64_t>(t.num_points()));
   write_pod(os, static_cast<uint64_t>(t.channels()));
   write_pod(os, static_cast<int32_t>(t.stride()));
@@ -101,7 +107,7 @@ void save_tensor(std::ostream& os, const SparseTensor& t) {
 }
 
 SparseTensor load_tensor(std::istream& is) {
-  expect_header(is, kTensorMagic);
+  expect_header(is, kTensorMagic, kTensorVersion);
   const uint64_t n = read_count(is, 1ull << 32);
   const uint64_t c = read_count(is, 1ull << 20);
   // A corrupt header can pass the magic check and still describe an
@@ -328,7 +334,7 @@ MapCacheSnapshotEntry load_map_cache_entry(std::istream& is,
 
 void save_map_cache(std::ostream& os, const MapCacheSnapshot& snap) {
   write_pod(os, kMapCacheMagic);
-  write_pod(os, kVersion);
+  write_pod(os, kMapCacheVersion);
   write_pod(os, static_cast<uint64_t>(snap.byte_budget));
   write_pod(os, static_cast<uint64_t>(snap.entries.size()));
   for (const MapCacheSnapshotEntry& e : snap.entries)
@@ -337,7 +343,7 @@ void save_map_cache(std::ostream& os, const MapCacheSnapshot& snap) {
 }
 
 MapCacheSnapshot load_map_cache(std::istream& is) {
-  expect_header(is, kMapCacheMagic);
+  expect_header(is, kMapCacheMagic, kMapCacheVersion);
   MapCacheSnapshot snap;
   snap.byte_budget = static_cast<std::size_t>(read_pod<uint64_t>(is));
   const uint64_t n = read_count(is, 1ull << 24);

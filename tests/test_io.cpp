@@ -1,10 +1,12 @@
 // Serialization round-trip and malformed-input tests.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -126,6 +128,46 @@ TEST(Io, RejectsCrossFormatLoads) {
   std::stringstream ss;
   io::save_points(ss, {Point3{1, 2, 3, 0.5f, 0}});
   EXPECT_THROW(io::load_tensor(ss), std::runtime_error);
+}
+
+/// The version word of a saved tensor image.
+uint32_t serialized_version(const SparseTensor& t) {
+  std::stringstream ss;
+  io::save_tensor(ss, t);
+  uint32_t version = 0;
+  std::memcpy(&version, ss.str().data() + 4, sizeof(version));
+  return version;
+}
+
+/// Appends the little-endian bytes of `v` to `out`.
+template <typename T>
+void put(std::string& out, T v) {
+  char bytes[sizeof(T)];
+  std::memcpy(bytes, &v, sizeof(T));
+  out.append(bytes, sizeof(T));
+}
+
+// Tensor images stay at format version 1 (only map-cache images moved
+// to version 2): a hand-built version-1 image loads.
+TEST(Io, VersionOneTensorImageLoads) {
+  std::string image;
+  put<uint32_t>(image, 0x5453544e);  // "TSTN"
+  put<uint32_t>(image, 1);           // version
+  put<uint64_t>(image, 2);           // points
+  put<uint64_t>(image, 1);           // channels
+  put<int32_t>(image, 2);            // stride
+  for (int32_t v : {0, 1, -2, 3, 1, 4, 5, -6}) put<int32_t>(image, v);
+  put<float>(image, 0.5f);
+  put<float>(image, -1.5f);
+  std::stringstream is(image);
+  const SparseTensor t = io::load_tensor(is);
+  EXPECT_EQ(t.coords(), (std::vector<Coord>{{0, 1, -2, 3}, {1, 4, 5, -6}}));
+  EXPECT_EQ(t.stride(), 2);
+  ASSERT_EQ(t.channels(), 1u);
+  EXPECT_EQ(t.feats().at(0, 0), 0.5f);
+  EXPECT_EQ(t.feats().at(1, 0), -1.5f);
+  // The writer still emits version 1.
+  EXPECT_EQ(serialized_version(t), 1u);
 }
 
 // Header layout of the tensor format (all little-endian):
@@ -339,6 +381,41 @@ TEST(MapCacheIo, RejectsBadMagicAndVersion) {
   std::string bad_version = full;
   bad_version[4] = 9;
   expect_load_error(std::move(bad_version), "unsupported version");
+}
+
+// Map-cache images are at format version 2: their keys mix set digests
+// (coords_digest), so a version-1 image's keys would never hit again. A
+// version-1 image is rejected, and loading it leaves the cache as it was.
+TEST(MapCacheIo, VersionOneImageIsRejected) {
+  const std::string full = snapshot_bytes(sample_snapshot());
+  uint32_t version = 0;
+  std::memcpy(&version, full.data() + 4, sizeof(version));
+  EXPECT_EQ(version, 2u);
+  std::string v1 = full;
+  const uint32_t one = 1;
+  std::memcpy(v1.data() + 4, &one, sizeof(one));
+  expect_load_error(v1, "unsupported version");
+
+  KernelMapCache cache(std::size_t(1) << 20);
+  MapCachePayload resident;
+  resident.coords = std::make_shared<const std::vector<Coord>>(
+      std::vector<Coord>{{0, 1, 1, 1}});
+  ASSERT_TRUE(cache.admit({0x5555, 0x6666}, resident));
+  const MapCacheStats before = cache.stats();
+  std::stringstream is(v1);
+  try {
+    cache.load_snapshot(is);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "unsupported version");
+  }
+  const MapCacheStats after = cache.stats();
+  EXPECT_EQ(after.entries, before.entries);
+  EXPECT_EQ(after.bytes_in_use, before.bytes_in_use);
+  EXPECT_EQ(after.insertions, before.insertions);
+  EXPECT_TRUE(cache.contains({0x5555, 0x6666}));
+  for (const MapCacheSnapshotEntry& e : sample_snapshot().entries)
+    EXPECT_FALSE(cache.contains(e.key));
 }
 
 TEST(MapCacheIo, RejectsImplausibleEntryCount) {

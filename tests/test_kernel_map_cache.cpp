@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/conv3d.hpp"
+#include "core/downsample.hpp"
 #include "core/kernel_map_cache.hpp"
 #include "engines/presets.hpp"
 #include "engines/runner.hpp"
@@ -93,6 +94,35 @@ TEST(MapCacheKey, DeterministicAndContentSensitive) {
   EXPECT_EQ(d1, downsample_cache_key(in, 2, 2, true, true));
   EXPECT_FALSE(d1 == downsample_cache_key(in, 2, 2, false, true));
   EXPECT_FALSE(d1 == downsample_cache_key(perturbed, 2, 2, true, true));
+}
+
+// A key depends on the sets' contents, never on which objects hold them:
+// a set passed as both input and output keys like the set and an equal
+// copy, and the set-digest overloads give the coordinate-vector
+// overloads' keys.
+TEST(CacheKey, EqualContentSameKeyWhateverTheObject) {
+  const SparseTensor t = random_tensor(200, 14, 4, 2);
+  const std::vector<Coord>& in = t.coords();
+  const std::vector<Coord> copy = in;
+  const ConvGeometry geom{3, 1, false, 1};
+  const MapSearchOptions opts{MapBackend::kGrid, true};
+
+  const MapCacheKey same = kernel_map_cache_key(in, in, geom, opts);
+  EXPECT_EQ(same, kernel_map_cache_key(in, copy, geom, opts));
+  EXPECT_EQ(same, kernel_map_cache_key(copy, in, geom, opts));
+  EXPECT_EQ(same, kernel_map_cache_key(coords_digest(copy),
+                                       coords_digest(copy), geom, opts));
+  EXPECT_EQ(downsample_cache_key(in, 3, 2, true, true),
+            downsample_cache_key(coords_digest(copy), 3, 2, true, true));
+  EXPECT_EQ(input_content_digest(in, 2),
+            input_content_digest(coords_digest(copy), 2));
+
+  // Input and output are distinct roles: swapping two sets moves the key.
+  const std::vector<Coord> coarse = downsample_coords(in, 2, 2, true, true);
+  const ConvGeometry strided{2, 2, false, 1};
+  const MapSearchOptions direct{MapBackend::kGrid, false};
+  EXPECT_FALSE(kernel_map_cache_key(in, coarse, strided, direct) ==
+               kernel_map_cache_key(coarse, in, strided, direct));
 }
 
 // --- Warm vs cold: results and accounting -----------------------------
