@@ -19,9 +19,9 @@ void require_row_per_point(std::size_t points, const Matrix& feats) {
 
 TensorCache::Level& TensorCache::level(
     int stride, const std::shared_ptr<const std::vector<Coord>>& coords) {
-  Level& level = levels_at_stride[stride];
-  if (level.coords != coords) level = {coords, nullptr, std::nullopt};
-  return level;
+  Level& l = levels_at_stride[stride];
+  if (l.coords != coords) l = {coords, nullptr, std::nullopt};
+  return l;
 }
 
 std::shared_ptr<const LevelKeys> TensorCache::level_keys(

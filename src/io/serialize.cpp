@@ -15,12 +15,10 @@ namespace {
 constexpr uint32_t kPointsMagic = 0x54535054;    // "TSPT"
 constexpr uint32_t kTensorMagic = 0x5453544e;    // "TSTN"
 constexpr uint32_t kMapCacheMagic = 0x5453434d;  // "TSCM"
-// Each image kind carries its own format version. Points and tensor
-// images are at version 1. Map-cache images are at version 2: their
-// entries are keyed by product keys over set digests (coords_digest), so
-// a version-1 image's keys would never be looked up again.
-constexpr uint32_t kPointsVersion = 1;
-constexpr uint32_t kTensorVersion = 1;
+// Points and tensor images are at format version 1. Map-cache images
+// have their own version, 2: their keys mix set digests (coords_digest),
+// so a version-1 image's keys would never be looked up again.
+constexpr uint32_t kVersion = 1;
 constexpr uint32_t kMapCacheVersion = 2;
 
 template <typename T>
@@ -61,7 +59,7 @@ void check_write(const std::ostream& os, const char* what) {
 
 void save_points(std::ostream& os, const std::vector<Point3>& pts) {
   write_pod(os, kPointsMagic);
-  write_pod(os, kPointsVersion);
+  write_pod(os, kVersion);
   write_pod(os, static_cast<uint64_t>(pts.size()));
   for (const Point3& p : pts) {
     write_pod(os, p.x);
@@ -74,7 +72,7 @@ void save_points(std::ostream& os, const std::vector<Point3>& pts) {
 }
 
 std::vector<Point3> load_points(std::istream& is) {
-  expect_header(is, kPointsMagic, kPointsVersion);
+  expect_header(is, kPointsMagic, kVersion);
   const uint64_t n = read_count(is, 1ull << 32);
   std::vector<Point3> pts(n);
   for (Point3& p : pts) {
@@ -91,7 +89,7 @@ void save_tensor(std::ostream& os, const SparseTensor& t) {
   // The header promises n x c floats; a feature-less tensor has none.
   require_features(t, "save_tensor");
   write_pod(os, kTensorMagic);
-  write_pod(os, kTensorVersion);
+  write_pod(os, kVersion);
   write_pod(os, static_cast<uint64_t>(t.num_points()));
   write_pod(os, static_cast<uint64_t>(t.channels()));
   write_pod(os, static_cast<int32_t>(t.stride()));
@@ -107,7 +105,7 @@ void save_tensor(std::ostream& os, const SparseTensor& t) {
 }
 
 SparseTensor load_tensor(std::istream& is) {
-  expect_header(is, kTensorMagic, kTensorVersion);
+  expect_header(is, kTensorMagic, kVersion);
   const uint64_t n = read_count(is, 1ull << 32);
   const uint64_t c = read_count(is, 1ull << 20);
   // A corrupt header can pass the magic check and still describe an
