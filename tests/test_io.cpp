@@ -130,13 +130,15 @@ TEST(Io, RejectsCrossFormatLoads) {
   EXPECT_THROW(io::load_tensor(ss), std::runtime_error);
 }
 
-/// The version word of a saved tensor image.
-uint32_t serialized_version(const SparseTensor& t) {
+// Header layout of the tensor format (all little-endian):
+// [magic u32][version u32][points u64][channels u64][stride i32][coords...]
+constexpr std::size_t kChannelsOffset = 4 + 4 + 8;
+constexpr std::size_t kStrideOffset = kChannelsOffset + 8;
+
+std::string serialized(const SparseTensor& t) {
   std::stringstream ss;
   io::save_tensor(ss, t);
-  uint32_t version = 0;
-  std::memcpy(&version, ss.str().data() + 4, sizeof(version));
-  return version;
+  return ss.str();
 }
 
 /// Appends the little-endian bytes of `v` to `out`.
@@ -167,18 +169,9 @@ TEST(Io, VersionOneTensorImageLoads) {
   EXPECT_EQ(t.feats().at(0, 0), 0.5f);
   EXPECT_EQ(t.feats().at(1, 0), -1.5f);
   // The writer still emits version 1.
-  EXPECT_EQ(serialized_version(t), 1u);
-}
-
-// Header layout of the tensor format (all little-endian):
-// [magic u32][version u32][points u64][channels u64][stride i32][coords...]
-constexpr std::size_t kChannelsOffset = 4 + 4 + 8;
-constexpr std::size_t kStrideOffset = kChannelsOffset + 8;
-
-std::string serialized(const SparseTensor& t) {
-  std::stringstream ss;
-  io::save_tensor(ss, t);
-  return ss.str();
+  uint32_t version = 0;
+  std::memcpy(&version, serialized(t).data() + 4, sizeof(version));
+  EXPECT_EQ(version, 1u);
 }
 
 TEST(Io, RejectsZeroChannelsWithNonzeroPoints) {
